@@ -24,8 +24,8 @@ their params:
     explicit_table:              {"values": [[p, q] x 2^n],
                                   "function_class": "general"}   (optional)
 
-Loading validates the schema, the ground-set cap, and (for n <= 12, unless
-disabled) exhaustive submodularity.  Saving always writes sorted keys with
+Loading validates the schema, the ground-set cap, and (unless disabled)
+exhaustive submodularity.  Saving always writes sorted keys with
 2-space indentation and a trailing newline, so files are byte-deterministic.
 
 The random generators take a `random.Random` seeded by the caller and only
@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-VALIDATE_MAX_N = 12
 
 
 class InstanceFormatError(ValueError):
@@ -155,7 +154,7 @@ def instance_from_json(doc, validate: bool = True) -> SetFunctionFamily:
     """Build a family from an instance-file dict, validating the schema.
 
     With `validate` (the default), also run the exhaustive submodularity
-    check for n <= 12 and reject violators.
+    check and reject violators.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance file must hold a JSON object")
@@ -193,7 +192,7 @@ def instance_from_json(doc, validate: bool = True) -> SetFunctionFamily:
         raise InstanceFormatError(
             f"declared n={n} does not match the family ground set of {fam.n}"
         )
-    if validate and fam.n <= VALIDATE_MAX_N:
+    if validate:
         result = check_submodular(fam.oracle())
         if not result.ok:
             raise InstanceFormatError(

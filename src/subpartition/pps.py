@@ -22,9 +22,15 @@ refinement of step 2 wherever a recorded pair splits several blocks at one
 tied breakpoint, by inserting the intermediate partition that splits only
 the first affected block.
 
-`verify_pps` re-checks all five conditions from scratch against minimize_g,
-sampling each segment at its midpoint, beyond both ends, and at a requested
-number of interior points.
+`verify_pps` re-checks all five conditions from scratch against minimize_g.
+Condition 5 follows from condition 4 without further calls: g is concave
+(a minimum of affine lines) and P_j's line never lies below it, so a line
+that meets g at both ends of a segment meets it everywhere between.  The
+unbounded end segments need |P_1| = 1 and |P_r| = n instead of a far end,
+since no line is flatter (steeper) than the one-block (all-singletons) one.
+Only a segment this argument does not cover is sampled with minimize_g: at
+its midpoint, beyond its ends, and at a requested number of interior points.
+The argument uses no property of f, so it holds for any oracle.
 """
 
 from __future__ import annotations
@@ -139,7 +145,11 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
         rec(mid, fine)
 
     rec(trivial_partition(n), singleton_partition(n))
-    assert calls <= 2 * n - 1, "parametric search exceeded its call budget"
+    if calls > 2 * n - 1:
+        raise NonSubmodularError(
+            f"parametric search made {calls} minimize_g calls, over its budget of "
+            f"{2 * n - 1}"
+        )
     raw = PrincipalSequence(tuple(chain), tuple(breakpoints), calls)
     return repair_chain(oracle, raw)
 
@@ -193,7 +203,10 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
             )
         b_low = _crossing(oracle, coarse, mid)
         b_high = _crossing(oracle, mid, fine)
-        assert b_low == b == b_high, "repair moved a breakpoint"
+        if not b_low == b == b_high:
+            raise NonSubmodularError(
+                f"repair moved breakpoint {b} to {b_low} and {b_high}"
+            )
         parts.insert(j + 1, mid)
         bps[j : j + 1] = [b_low, b_high]
         # re-examine the pair (coarse, mid); it is single-block by now, but
@@ -203,7 +216,12 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
 
 @dataclass(frozen=True)
 class PpsVerification:
-    """Re-check of all chain conditions; `failures` lists every violation."""
+    """Re-check of all chain conditions; `failures` lists every violation.
+
+    `segments_optimal_ok` is derived: a segment counts as optimal when
+    attainment at its ends proves it, or else when every fallback sample
+    passes.  `samples_checked` counts the minimize_g calls made.
+    """
 
     ok: bool
     endpoints_ok: bool
@@ -224,8 +242,15 @@ def verify_pps(
     Verifies the chain endpoints, single-block refinement, nondecreasing
     breakpoints, the breakpoint formula, that both neighbors attain g at
     every breakpoint, and that each partition attains g throughout its
-    segment: sampled at the segment midpoint, one unit beyond both chain
-    ends, and `interior_samples` evenly spaced interior points per segment.
+    segment.  One minimize_g call per breakpoint records, for every chain
+    member, whether it attains g at its left and at its right breakpoint.
+    A member that attains g at both finite ends of its segment is optimal on
+    all of it, because g is concave and the member's line lies on or above
+    g; an unbounded end needs |P| = 1 on the left and |P| = n on the right
+    instead.  Only segments this does not prove are sampled with minimize_g:
+    at the midpoint, one unit beyond a missing end, and `interior_samples`
+    evenly spaced interior points.  A correct chain thus costs exactly one
+    call per breakpoint.
     """
     if interior_samples < 0:
         raise ValueError("interior_samples must be nonnegative")
@@ -261,19 +286,26 @@ def verify_pps(
                 f"breakpoint {j} is {bps[j]}, but the value/count differences give {expected}"
             )
 
+    # the open ends: left of its breakpoint {V}'s line (slope -1) rises the
+    # slowest of all lines, right of it the singletons' (slope -n) falls the
+    # fastest, so each counts as attained at its open end
+    attains_left = [len(parts[0]) == 1] + [False] * (r - 1)
+    attains_right = [False] * (r - 1) + [len(parts[-1]) == n]
     samples = 0
     attained_ok = True
     for j, b in enumerate(bps):
         result = minimize_g(oracle, b)
         samples += 1
-        if g_value(oracle, parts[j], b) != result.value or g_value(
-            oracle, parts[j + 1], b
-        ) != result.value:
+        attains_right[j] = g_value(oracle, parts[j], b) == result.value
+        attains_left[j + 1] = g_value(oracle, parts[j + 1], b) == result.value
+        if not (attains_right[j] and attains_left[j + 1]):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")
 
     segments_ok = True
     for j in range(r):
+        if attains_left[j] and attains_right[j]:
+            continue
         lo = bps[j - 1] if j > 0 else None
         hi = bps[j] if j < r - 1 else None
         points: set[Fraction] = set()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,40 @@ def test_mono3_is_monotone_submodular():
     assert sp.check_submodular(oracle).ok
     assert sp.check_monotone(oracle).ok
     assert not sp.check_symmetric(oracle).ok
+
+
+def _pair_scan_submodular(oracle):
+    """Reference: the full 4^n pair scan, first witness in (A, B) order."""
+    d, f = oracle.scaled_table()
+    for a in range(len(f)):
+        for b in range(len(f)):
+            lhs, rhs = f[a] + f[b], f[a | b] + f[a & b]
+            if lhs < rhs:
+                return False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
+    return True, None, None, None
+
+
+def _perturbed_tables(count):
+    """Seeded submodular tables from the generators, some left as they are
+    (many pairs hold with equality), some with a few entries nudged."""
+    families = sorted(sp.GENERATOR_FAMILIES)
+    for i in range(count):
+        rng = random.Random(f"perturb:{i}")
+        n = 3 + i % 5
+        base = sp.random_instance(families[i % len(families)], n, i)
+        table = list(base.oracle().full_table())
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            m = rng.randrange(len(table))
+            table[m] += Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+        yield sp.ExplicitTableFn(n, table, "general")
+
+
+def test_local_submodular_check_matches_pair_scan():
+    outcomes = {True: 0, False: 0}
+    for fam in _perturbed_tables(360):
+        oracle = fam.oracle()
+        res = sp.check_submodular(oracle)
+        ok, witness, lhs, rhs = _pair_scan_submodular(oracle)
+        assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs)
+        outcomes[ok] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50

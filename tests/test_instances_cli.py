@@ -131,6 +131,18 @@ def test_validation_rejects_non_submodular(tmp_path):
     assert table_of(back) == table_of(fam)
 
 
+def test_validation_covers_n13(tmp_path):
+    # n = 13, the top of the enumeration cap, is validated like any other n:
+    # zero everywhere except f(V) = 1 breaks f(A) + f(V - A) >= f(V) + f({})
+    n = 13
+    values = [Fraction(0)] * (1 << n)
+    values[-1] = Fraction(1)
+    path = write_instance(tmp_path, sp.ExplicitTableFn(n, values, "general"))
+    with pytest.raises(sp.InstanceFormatError, match="not submodular"):
+        sp.load_instance(path)
+    assert main(["pps", str(path)]) == 2
+
+
 def test_instance_file_bytes_frozen(tmp_path):
     path = write_instance(tmp_path, mono3())
     expected = (

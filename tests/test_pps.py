@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
+from subpartition.cli import RANDOM_FAMILIES
 
 from helpers import (
     BIG_A,
@@ -212,14 +213,72 @@ def test_verify_reports_wrong_middle_partition():
 
 
 def test_verify_interior_samples():
+    # a correct chain is proven from attainment at the breakpoints, so the
+    # fallback samples never run, however many are requested
     oracle = weighted_path4().oracle()
     seq = sp.compute_pps(oracle)
-    sparse = sp.verify_pps(oracle, seq, interior_samples=0)
-    dense = sp.verify_pps(oracle, seq, interior_samples=5)
-    assert sparse.ok and dense.ok
+    for count in (0, 5):
+        res = sp.verify_pps(oracle, seq, interior_samples=count)
+        assert res.ok
+        assert res.samples_checked == len(seq.breakpoints)
+    # with the first breakpoint shifted (as in
+    # test_verify_reports_shifted_breakpoint), the first segment is unproven
+    # and sampled, more densely on request
+    oracle = two_edges().oracle()
+    good = sp.compute_pps(oracle)
+    bad = sp.PrincipalSequence(good.partitions, (Fraction(1), Fraction(2), Fraction(2)))
+    sparse = sp.verify_pps(oracle, bad, interior_samples=0)
+    dense = sp.verify_pps(oracle, bad, interior_samples=5)
+    assert sparse.samples_checked > len(bad.breakpoints)
     assert dense.samples_checked > sparse.samples_checked
     with pytest.raises(ValueError):
         sp.verify_pps(oracle, seq, interior_samples=-1)
+
+
+def _old_sample_points(lo, hi, interior=3):
+    """Sampling check points for one segment: the midpoint, one unit beyond
+    a missing end, and evenly spaced interior points."""
+    if lo is None and hi is None:
+        return {Fraction(t) for t in range(-1, interior + 1)}
+    if lo is None:
+        return {hi - 1 - t for t in range(interior + 1)}
+    if hi is None:
+        return {lo + 1 + t for t in range(interior + 1)}
+    if lo == hi:
+        return set()
+    span = hi - lo
+    points = {lo + span / 2}
+    points.update(lo + span * Fraction(i, interior + 1) for i in range(1, interior + 1))
+    return points
+
+
+def _proof_instances():
+    for family in RANDOM_FAMILIES:
+        for n in range(4, 9):
+            for seed in (1, 2):
+                yield sp.random_instance(family, n, seed)
+    yield from (mono3(), mono_n(5), mono_n(7), posi3(), omega(8))
+
+
+def test_segment_proof_agrees_with_sampling():
+    # attainment at the breakpoints proves each segment; sampling every
+    # segment directly must agree on every chain member
+    checked = 0
+    for fam in _proof_instances():
+        oracle = fam.oracle()
+        seq = sp.compute_pps(oracle)
+        res = sp.verify_pps(oracle, seq)
+        assert res.ok, fam.name
+        assert res.samples_checked == len(seq.breakpoints)
+        bps = seq.breakpoints
+        for j, part in enumerate(seq.partitions):
+            lo = bps[j - 1] if j > 0 else None
+            hi = bps[j] if j < len(bps) else None
+            for point in _old_sample_points(lo, hi):
+                best = sp.minimize_g(oracle, point).value
+                assert sp.g_value(oracle, part, point) == best, (fam.name, j, point)
+                checked += 1
+    assert checked > 700
 
 
 def test_cap_enforced(monkeypatch):
