@@ -16,8 +16,10 @@ CSV rows keep a fixed column prefix (instance, n, k, algorithm, value, opt,
 ratio, bound, bound_ok, oracle_evals, wall_time_s) followed by decimal
 companion columns (value_dec, opt_dec, ratio_dec, bound_dec).  Exact values
 are serialized as "num/den"; the companions carry 12 significant digits.
-With --no-timing the wall_time_s cell is 0, which makes whole files
-byte-deterministic.
+Ratio and bound cells render `kpartition.ratio_to_optimum` and
+`algorithm_guarantee`: "inf" for an unbounded ratio, an empty bound_ok
+when no bound applies.  With --no-timing the wall_time_s cell is 0, which
+makes whole files byte-deterministic.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ from .families import (
 )
 from .instances import InstanceFormatError, generate_batch, load_instance
 from .kpartition import (
-    approximation_bound,
+    algorithm_guarantee,
     cheapest_singleton,
     greedy_splitting,
     pps_k_partition,
     ratio_report,
+    ratio_to_optimum,
 )
 from .partition_opt import brute_force_optimal_k_partition
 from .pps import compute_pps, verify_pps
@@ -94,26 +97,20 @@ _DEC = decimal.Context(prec=12)
 
 
 def fmt_rational(x) -> str:
-    """Exact "num/den" form; "" for missing, "inf" for the infinite ratio."""
+    """Exact "num/den" form; "" for missing."""
     if x is None:
         return ""
-    if isinstance(x, float):
-        return "inf"
     return f"{x.numerator}/{x.denominator}"
 
 
 def fmt_decimal(x) -> str:
-    """12 significant digits; "" for missing, "inf" for the infinite ratio."""
+    """12 significant digits; "" for missing."""
     if x is None:
         return ""
-    if isinstance(x, float):
-        return "inf"
     return str(_DEC.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)))
 
 
 def _fmt_bool(b) -> str:
-    if b is None:
-        return ""
     return "true" if b else "false"
 
 
@@ -208,15 +205,6 @@ def _solve_one(oracle: ValueOracle, algorithm: str, k: int):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _row_bound(algorithm: str, function_class: str, n: int, k: int):
-    """Proved guarantee for this algorithm on this class, if any."""
-    if algorithm == "pps":
-        return approximation_bound(function_class, n)
-    if algorithm == "singleton" and function_class == "monotone":
-        return 2 - Fraction(1, k)
-    return None
-
-
 def cmd_solve(args) -> int:
     fam = load_instance(args.instance, validate=not args.no_validate)
     n = fam.n
@@ -242,7 +230,7 @@ def cmd_solve(args) -> int:
 
     gs = fam.ground_set()
     rows = []
-    printed = []
+    partitions = []
     any_violation = False
     for algorithm in algorithms:
         oracle = fam.oracle()
@@ -251,19 +239,18 @@ def cmd_solve(args) -> int:
         elapsed = time.perf_counter() - started
         evals = oracle.distinct_evaluations
 
-        ratio = bound = bound_ok = None
+        bound = None
+        ratio_cell = ratio_dec = bound_ok_cell = ""
         if opt_value is not None:
-            if value == 0 and opt_value == 0:
-                ratio = Fraction(1)
-            elif opt_value == 0:
-                ratio = float("inf")
+            bound = algorithm_guarantee(algorithm, function_class, n, k)
+            ratio, bound_ok = ratio_to_optimum(value, opt_value, bound)
+            if ratio is None:
+                ratio_cell = ratio_dec = "inf"
             else:
-                ratio = value / opt_value
-            bound = _row_bound(algorithm, function_class, n, k)
+                ratio_cell, ratio_dec = fmt_rational(ratio), fmt_decimal(ratio)
             if bound is not None:
-                bound_ok = not isinstance(ratio, float) and ratio <= bound
-                if not bound_ok:
-                    any_violation = True
+                bound_ok_cell = _fmt_bool(bound_ok)
+            any_violation = any_violation or not bound_ok
 
         wall = "0" if args.no_timing else f"{elapsed:.6f}"
         rows.append(
@@ -274,34 +261,33 @@ def cmd_solve(args) -> int:
                 "algorithm": algorithm,
                 "value": fmt_rational(value),
                 "opt": fmt_rational(opt_value),
-                "ratio": fmt_rational(ratio),
+                "ratio": ratio_cell,
                 "bound": fmt_rational(bound),
-                "bound_ok": _fmt_bool(bound_ok),
+                "bound_ok": bound_ok_cell,
                 "oracle_evals": str(evals),
                 "wall_time_s": wall,
                 "value_dec": fmt_decimal(value),
                 "opt_dec": fmt_decimal(opt_value),
-                "ratio_dec": fmt_decimal(ratio),
+                "ratio_dec": ratio_dec,
                 "bound_dec": fmt_decimal(bound),
             }
         )
-        printed.append((algorithm, partition, value, ratio, bound, bound_ok))
+        partitions.append(partition)
 
     print(f"instance: {instance_id} (n={n}, k={k}, class {function_class})")
     if opt_value is not None:
         print(f"optimal value: {opt_value} ({fmt_decimal(opt_value)})")
-    table = []
-    for algorithm, partition, value, ratio, bound, bound_ok in printed:
-        table.append(
-            (
-                algorithm,
-                fmt_decimal(value),
-                fmt_decimal(ratio) or "-",
-                fmt_decimal(bound) or "-",
-                _fmt_bool(bound_ok) or "-",
-                gs.format_partition(partition),
-            )
+    table = [
+        (
+            row["algorithm"],
+            row["value_dec"],
+            row["ratio_dec"] or "-",
+            row["bound_dec"] or "-",
+            row["bound_ok"] or "-",
+            gs.format_partition(partition),
         )
+        for row, partition in zip(rows, partitions)
+    ]
     _print_table(("algorithm", "value", "ratio", "bound", "bound_ok", "partition"), table)
 
     if args.csv:
@@ -477,6 +463,8 @@ def _case_footnote(args):
     oracle = fam.oracle()
     base = cheapest_singleton(oracle, k)
     _, opt_value = brute_force_optimal_k_partition(oracle, k)
+    guarantee = algorithm_guarantee("singleton", "monotone", n, k)
+    _, within = ratio_to_optimum(base.value, opt_value, guarantee)
     case = f"matroid-footnote(k={k})"
     return [
         (
@@ -496,9 +484,9 @@ def _case_footnote(args):
         (
             case,
             "singleton guarantee 2 - 1/k holds",
-            "<= " + fmt_rational((2 - Fraction(1, k)) * opt_value),
+            "<= " + fmt_rational(guarantee * opt_value),
             fmt_rational(base.value),
-            base.value <= (2 - Fraction(1, k)) * opt_value,
+            within,
         ),
     ]
 

@@ -13,10 +13,10 @@ sequence of f:
 
 Approximation guarantees depend on the declared function class:
 4/3 - 4/(9n+3) for monotone, 2 - 2/n for symmetric, 2 - 2/(n+1) for
-posimodular, none for general submodular.  `ratio_report` measures a run
-against the brute-force optimum and its class bound; the two chain lower
-bounds on the optimum (`check_chain_lower_bounds`) are what the guarantees
-rest on and hold exactly on every non-exact-hit run.
+posimodular, none for general submodular.  `algorithm_guarantee` and
+`ratio_to_optimum` measure any algorithm against a known optimum and its
+bound (`ratio_report` does so for a chain run); the two chain lower bounds
+(`check_chain_lower_bounds`) are what the guarantees rest on.
 
 Baselines: `cheapest_singleton` (split off the k-1 cheapest singletons,
 within 2 - 1/k of optimal for monotone f) and `greedy_splitting` (k-1
@@ -43,6 +43,7 @@ __all__ = [
     "ExactHitReport",
     "KPartitionRun",
     "RatioReport",
+    "algorithm_guarantee",
     "approximation_bound",
     "cheapest_singleton",
     "check_chain_lower_bounds",
@@ -50,6 +51,7 @@ __all__ = [
     "greedy_splitting",
     "pps_k_partition",
     "ratio_report",
+    "ratio_to_optimum",
 ]
 
 
@@ -76,7 +78,13 @@ class KPartitionRun:
     piece_order: tuple[int, ...] | None = None
     num_taken: int | None = None
     gap_above: int | None = None
-    oracle_evaluations: int = 0
+
+
+def _straddle(pps: PrincipalSequence, k: int) -> tuple[Partition, Partition]:
+    """The adjacent chain members with fewer and more than k blocks, for a k
+    that is not a block count of the chain."""
+    above_index = next(i for i, c in enumerate(pps.block_counts()) if c > k)
+    return pps.partitions[above_index - 1], pps.partitions[above_index]
 
 
 def pps_k_partition(
@@ -101,12 +109,9 @@ def pps_k_partition(
             value=partition_value(oracle, partition),
             exact_hit=True,
             sequence=pps,
-            oracle_evaluations=oracle.distinct_evaluations,
         )
 
-    above_index = next(i for i, c in enumerate(counts) if c > k)
-    below = pps.partitions[above_index - 1]
-    above = pps.partitions[above_index]
+    below, above = _straddle(pps, k)
     split = refined_part(below, above)
     if split is None:
         raise ValueError("chain violates single-block refinement; repair it first")
@@ -134,7 +139,6 @@ def pps_k_partition(
         piece_order=tuple(pieces),
         num_taken=num_taken,
         gap_above=len(above) - k,
-        oracle_evaluations=oracle.distinct_evaluations,
     )
 
 
@@ -233,6 +237,31 @@ def approximation_bound(function_class: str, n: int) -> Fraction | None:
     raise ValueError(f"unknown function class {function_class!r}")
 
 
+def algorithm_guarantee(algorithm: str, function_class: str, n: int, k: int) -> Fraction | None:
+    """Proved approximation guarantee of "pps", "greedy" or "singleton" on a
+    function class, or None when there is none."""
+    if algorithm == "pps":
+        return approximation_bound(function_class, n)
+    if algorithm == "singleton" and function_class == "monotone":
+        return 2 - Fraction(1, k)
+    return None
+
+
+def ratio_to_optimum(
+    value: Fraction, optimum: Fraction, bound: Fraction | None
+) -> tuple[Fraction | None, bool]:
+    """(ratio, bound_ok) of a value against the exact optimum.  The ratio is 1
+    at the optimum, value/optimum above a positive optimum, and None
+    (unbounded, over any bound) above a nonpositive one."""
+    if value == optimum:
+        ratio: Fraction | None = Fraction(1)
+    elif optimum > 0:
+        ratio = value / optimum
+    else:
+        ratio = None
+    return ratio, bound is None or (ratio is not None and ratio <= bound)
+
+
 @dataclass(frozen=True)
 class ChainBoundsReport:
     """The two chain lower bounds on the optimal k-partition value.
@@ -256,12 +285,9 @@ def check_chain_lower_bounds(
     optimal_value: Fraction,
 ) -> ChainBoundsReport:
     """Evaluate both chain lower bounds against a known optimal value."""
-    counts = pps.block_counts()
-    if k in counts:
+    if k in pps.block_counts():
         return ChainBoundsReport(applicable=False)
-    above_index = next(i for i, c in enumerate(counts) if c > k)
-    below = pps.partitions[above_index - 1]
-    above = pps.partitions[above_index]
+    below, above = _straddle(pps, k)
     low, up = len(below), len(above)
     f_below = partition_value(oracle, below)
     f_above = partition_value(oracle, above)
@@ -308,11 +334,9 @@ def check_exact_hit_optimality(
 class RatioReport:
     """Run value vs brute-force optimum vs class bound, all exact.
 
-    `ratio` is algorithm/optimum as a Fraction; when the optimum is 0 it is
-    1 if the algorithm also returned 0 and the float infinity sentinel
-    otherwise (with bound_ok False).  `chain_coarse_ratio` is
-    f(below)/optimum on straddled runs, the quantity the class analyses
-    bound away from the worst case.
+    `ratio`, `bound_ok` and, on straddled runs, `chain_coarse_ratio` =
+    f(below)/optimum (the quantity the class analyses bound away from the
+    worst case) follow `ratio_to_optimum`: None is an unbounded ratio.
     """
 
     n: int
@@ -321,7 +345,7 @@ class RatioReport:
     algorithm_value: Fraction
     optimal_value: Fraction
     optimal_partition: Partition
-    ratio: Fraction | float
+    ratio: Fraction | None
     bound: Fraction | None
     bound_ok: bool
     exact_hit: bool
@@ -338,22 +362,11 @@ def ratio_report(
     """Run the algorithm, brute-force the optimum, compare against the bound."""
     run = pps_k_partition(oracle, k, pps=pps)
     opt_partition, opt_value = brute_force_optimal_k_partition(oracle, k)
-    if opt_value > 0:
-        ratio: Fraction | float = run.value / opt_value
-    elif run.value == 0:
-        ratio = Fraction(1)
-    else:
-        ratio = float("inf")
-    bound = approximation_bound(function_class, oracle.n)
-    if bound is None:
-        bound_ok = True
-    elif isinstance(ratio, Fraction):
-        bound_ok = ratio <= bound
-    else:
-        bound_ok = False
+    bound = algorithm_guarantee("pps", function_class, oracle.n, k)
+    ratio, bound_ok = ratio_to_optimum(run.value, opt_value, bound)
     coarse_ratio = None
-    if not run.exact_hit and opt_value > 0:
-        coarse_ratio = partition_value(oracle, run.below) / opt_value
+    if not run.exact_hit:
+        coarse_ratio, _ = ratio_to_optimum(partition_value(oracle, run.below), opt_value, None)
     return RatioReport(
         n=oracle.n,
         k=k,

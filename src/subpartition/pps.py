@@ -50,7 +50,7 @@ from .core import (
     singleton_partition,
     trivial_partition,
 )
-from .partition_opt import _raw_partitions, minimize_g
+from .partition_opt import minimize_g
 
 __all__ = [
     "PpsVerification",
@@ -349,26 +349,18 @@ def check_two_level_condition(oracle: ValueOracle) -> bool:
     """Test the sufficient condition for a two-level principal sequence.
 
     True when every partition P other than {V} and the singletons Q satisfies
-    (f(P) - f(V)) / (|P| - 1) > (f(Q) - f(V)) / (n - 1).  When this holds,
-    the principal sequence is exactly ({V}, Q) with the single breakpoint
-    (f(Q) - f(V)) / (n - 1).
+    (f(P) - f(V)) / (|P| - 1) > b* = (f(Q) - f(V)) / (n - 1).  When this
+    holds, the principal sequence is exactly ({V}, Q) with the single
+    breakpoint b*.  The condition reads f(P) - b*|P| > f(V) - b*, and both
+    {V} and Q attain f(V) - b* at b*, so it holds exactly when that is the
+    minimum of g(b*) and they are its only two minimizers.
     """
     n = oracle.n
     require_within_cap(n, "check_two_level_condition")
     if n == 1:
         return True
-    d, tab = oracle.scaled_table()
-    full = oracle.ground_set.full_mask
-    f_trivial = tab[full]
-    f_singletons = sum(tab[1 << i] for i in range(n))
-    rhs_num = f_singletons - f_trivial  # over n - 1
-    for masks in _raw_partitions(n):
-        size = len(masks)
-        if size == 1 or size == n:
-            continue
-        total = 0
-        for m in masks:
-            total += tab[m]
-        if (total - f_trivial) * (n - 1) <= rhs_num * (size - 1):
-            return False
-    return True
+    f_trivial = oracle.eval(oracle.ground_set.full_mask)
+    f_singletons = sum(oracle.eval(1 << i) for i in range(n))
+    b = (f_singletons - f_trivial) / (n - 1)
+    result = minimize_g(oracle, b)
+    return result.value == f_trivial - b and result.num_minimizers == 2

@@ -361,11 +361,41 @@ def test_cli_mislabeled_class_fails_bound(tmp_path):
     assert main(args) == 0
 
 
+def _solve_rows(tmp_path, fam, extra):
+    path = write_instance(tmp_path, fam)
+    out = tmp_path / "rows.csv"
+    code = main(["solve", str(path), "--brute-force", "--no-timing", "--csv", str(out)] + extra)
+    return code, {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
+
+
+def test_cli_solve_negative_optimum_attained(tmp_path):
+    # f = -1 everywhere: every 2-partition has the optimal value -2
+    fam = sp.ExplicitTableFn(4, [-1] * 16, "monotone")
+    code, rows = _solve_rows(tmp_path, fam, ["--k", "2"])
+    assert code == 0
+    for row in rows.values():
+        assert row["opt"] == "-2/1"
+        assert row["ratio"] == "1/1"
+    assert rows["pps"]["bound_ok"] == "true"
+    assert rows["singleton"]["bound_ok"] == "true"
+
+
+def test_cli_solve_unbounded_ratio(tmp_path):
+    # optimum 0 at {a,b}|{c}; the cheapest singleton {a}|{b,c} costs 1
+    fam = sp.ExplicitTableFn(3, [0, 0, 1, 0, 0, 1, 1, 0], "monotone")
+    extra = ["--k", "2", "--no-validate", "--algorithms", "greedy,singleton"]
+    code, rows = _solve_rows(tmp_path, fam, extra)
+    assert code == 1
+    single = rows["singleton"]
+    assert (single["ratio"], single["ratio_dec"]) == ("inf", "inf")
+    assert (single["bound"], single["bound_ok"]) == ("3/2", "false")
+    assert rows["greedy"]["ratio"] == "1/1"
+
+
 def test_fmt_helpers():
     assert fmt_rational(None) == ""
     assert fmt_rational(Fraction(3)) == "3/1"
     assert fmt_rational(Fraction(-5, 2)) == "-5/2"
-    assert fmt_rational(float("inf")) == "inf"
     assert fmt_decimal(None) == ""
     assert fmt_decimal(Fraction(3)) == "3"
     assert fmt_decimal(Fraction(4, 3)) == "1.33333333333"

@@ -241,3 +241,34 @@ def test_k_out_of_range():
             sp.cheapest_singleton(oracle, bad)
         with pytest.raises(ValueError):
             sp.greedy_splitting(oracle, bad)
+
+
+def test_ratio_to_optimum_rule():
+    assert sp.ratio_to_optimum(Fraction(3), Fraction(2), Fraction(2)) == (Fraction(3, 2), True)
+    assert sp.ratio_to_optimum(Fraction(5), Fraction(2), Fraction(2)) == (Fraction(5, 2), False)
+    # optimal values give ratio 1 at any sign of the optimum
+    for opt in (Fraction(-2), Fraction(0), Fraction(7)):
+        assert sp.ratio_to_optimum(opt, opt, Fraction(1)) == (1, True)
+    # above a nonpositive optimum the ratio is unbounded and meets no bound
+    for value, opt in ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(-2))):
+        assert sp.ratio_to_optimum(value, opt, Fraction(3, 2)) == (None, False)
+        assert sp.ratio_to_optimum(value, opt, None) == (None, True)
+
+
+def test_algorithm_guarantee():
+    assert sp.algorithm_guarantee("pps", "symmetric", 6, 3) == sp.approximation_bound("symmetric", 6)
+    assert sp.algorithm_guarantee("pps", "general", 6, 3) is None
+    assert sp.algorithm_guarantee("singleton", "monotone", 6, 3) == Fraction(5, 3)
+    assert sp.algorithm_guarantee("singleton", "symmetric", 6, 3) is None
+    assert sp.algorithm_guarantee("greedy", "monotone", 6, 3) is None
+
+
+def test_ratio_report_negative_optimum_attained():
+    # f = -1 everywhere passes every class check; any 2-partition is optimal
+    oracle = sp.ExplicitTableFn(4, [-1] * 16, "monotone").oracle()
+    for check in (sp.check_submodular, sp.check_monotone, sp.check_symmetric, sp.check_posimodular):
+        assert check(oracle).ok
+    rep = sp.ratio_report(oracle, 2, "monotone")
+    assert rep.algorithm_value == rep.optimal_value == -2
+    assert rep.ratio == 1
+    assert rep.bound_ok

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,44 @@ def test_two_level_condition_frozen_values():
     assert not sp.check_two_level_condition(cardinality(4).oracle())
     assert sp.check_two_level_condition(zero_fn(1).oracle())
     assert sp.check_two_level_condition(mono_n(7).oracle())
+
+
+def _two_level_by_scan(oracle):
+    """The condition checked directly: every partition other than {V} and
+    the singletons has a strictly larger slope than the singletons."""
+    n = oracle.n
+    if n == 1:
+        return True
+    d, tab = oracle.scaled_table()
+    f_trivial = tab[oracle.ground_set.full_mask]
+    rhs_num = sum(tab[1 << i] for i in range(n)) - f_trivial  # over n - 1
+    for part in sp.enumerate_partitions(n):
+        size = len(part)
+        if size == 1 or size == n:
+            continue
+        total = sum(tab[m] for m in part)
+        if (total - f_trivial) * (n - 1) <= rhs_num * (size - 1):
+            return False
+    return True
+
+
+def test_two_level_condition_matches_scan():
+    oracles = [
+        sp.random_instance(family, n, seed).oracle()
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 7)
+        for seed in range(3)
+    ]
+    named = (mono3(), posi3(), mono_n(5), mono_n(7), omega(5, 10), cardinality(4), zero_fn(1), zero_fn(3))
+    oracles += [fam.oracle() for fam in named]
+    rng = random.Random("two-level")
+    for i in range(120):
+        n = 2 + i % 4
+        values = [0] + [rng.randint(0, 6) for _ in range((1 << n) - 1)]
+        oracles.append(sp.ExplicitTableFn(n, values).oracle())
+    outcomes = [sp.check_two_level_condition(oracle) for oracle in oracles]
+    assert outcomes == [_two_level_by_scan(oracle) for oracle in oracles]
+    assert 10 < sum(outcomes) < len(outcomes) - 10
 
 
 def test_mono_n_breakpoint_value():
