@@ -285,6 +285,8 @@ def check_chain_lower_bounds(
     optimal_value: Fraction,
 ) -> ChainBoundsReport:
     """Evaluate both chain lower bounds against a known optimal value."""
+    if not 1 <= k <= oracle.n:
+        raise ValueError(f"k={k} must be between 1 and n={oracle.n}")
     if k in pps.block_counts():
         return ChainBoundsReport(applicable=False)
     below, above = _straddle(pps, k)
@@ -315,6 +317,8 @@ class ExactHitReport:
 def check_exact_hit_optimality(
     oracle: ValueOracle, k: int, pps: PrincipalSequence | None = None
 ) -> ExactHitReport:
+    if not 1 <= k <= oracle.n:
+        raise ValueError(f"k={k} must be between 1 and n={oracle.n}")
     if pps is None:
         pps = compute_pps(oracle)
     counts = pps.block_counts()

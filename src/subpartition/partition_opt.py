@@ -1,10 +1,10 @@
-"""Partition enumeration and brute-force parametric minimization.
+"""Partition enumeration and exact parametric minimization.
 
 This module is the exhaustive engine under the principal-sequence search:
 
 * `enumerate_partitions(n, k)` streams all partitions of {0..n-1} (or those
   with exactly k blocks) in canonical order, lazily, O(n) memory,
-* `minimize_g(oracle, b)` scans every partition to minimize f(P) - b|P|,
+* `minimize_g(oracle, b)` minimizes f(P) - b|P| over all partitions,
   returning the exact minimum with minimizer count and the finest and
   coarsest minimizers,
 * `brute_force_optimal_k_partition(oracle, k)` is the independent optimum
@@ -15,11 +15,16 @@ opens block 0, and each later element either joins an existing block
 (ascending index) or opens the next fresh block.  That order makes "first
 minimizer found" a well-defined deterministic tie-break.
 
-Scans work on a per-oracle integer profile: all 2^n values scaled by the lcm
-of their denominators, partition totals and block counts precomputed.  The
-profile arrays are cached per oracle for n <= 10 (Bell(10) = 115975 rows);
-larger ground sets up to the cap stream partitions without materializing
-them.  Comparisons are pure integer arithmetic, so ties are exact.
+The parametric objective g(b) = min over P of f(P) - b|P| equals
+min over k of OPT_k - b*k, the lower envelope of n lines, one per block
+count k, where OPT_k is the minimum of f over k-block partitions.  So
+`minimize_g` makes one pass per oracle over all Bell(n) partitions, in
+integers scaled by the lcm of the value denominators, keeping for each k
+OPT_k, the canonically first partition attaining it and how many do.  That
+O(n) summary is cached per oracle; every call then reads g(b) off it in
+O(n) exact integer steps.  Brute force never reads the summary: it scans the
+k-block partitions itself, so it stays an independent reference for the
+optima `minimize_g` is built from.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ __all__ = [
 
 # Bell numbers up to the hard cap of 13
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437)
-
-_CACHE_MAX_N = 10
-_partition_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _raw_partitions(n: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -91,64 +93,42 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
         yield Partition._trusted(n, masks)
 
 
-def _cached_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    parts = _partition_cache.get(n)
-    if parts is None:
-        parts = tuple(_raw_partitions(n))
-        _partition_cache[n] = parts
-    return parts
+@dataclass(frozen=True)
+class _BlockCountOptima:
+    """One pass over all partitions of an oracle, indexed by k - 1: the
+    scaled minimum of f over k-block partitions, the canonically first
+    partition attaining it, and how many partitions attain it."""
+
+    denominator: int
+    values: tuple[int, ...]
+    firsts: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
 
-class _Profile:
-    """Per-oracle scan arrays: scaled partition totals and block counts."""
+_optima: "WeakKeyDictionary[ValueOracle, _BlockCountOptima]" = WeakKeyDictionary()
 
-    __slots__ = ("denominator", "partitions", "values", "sizes")
 
-    def __init__(self, oracle: ValueOracle):
+def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
+    opt = _optima.get(oracle)
+    if opt is None:
+        n = oracle.n
         d, tab = oracle.scaled_table()
-        parts = _cached_partitions(oracle.n)
-        values = []
-        sizes = []
-        for masks in parts:
-            total = 0
-            for m in masks:
-                total += tab[m]
-            values.append(total)
-            sizes.append(len(masks))
-        self.denominator = d
-        self.partitions = parts
-        self.values = values
-        self.sizes = sizes
-
-
-_profiles: "WeakKeyDictionary[ValueOracle, _Profile]" = WeakKeyDictionary()
-
-
-def _profile(oracle: ValueOracle) -> _Profile:
-    prof = _profiles.get(oracle)
-    if prof is None:
-        prof = _Profile(oracle)
-        _profiles[oracle] = prof
-    return prof
-
-
-def _scored(oracle: ValueOracle):
-    """(denominator, iterator of (block_masks, scaled_value, size)) over all
-    partitions in canonical order.  Cached arrays for n <= 10, streamed above."""
-    n = oracle.n
-    if n <= _CACHE_MAX_N:
-        prof = _profile(oracle)
-        return prof.denominator, zip(prof.partitions, prof.values, prof.sizes)
-    d, tab = oracle.scaled_table()
-
-    def stream():
+        values: list[int | None] = [None] * n
+        firsts: list[tuple[int, ...] | None] = [None] * n
+        counts = [0] * n
         for masks in _raw_partitions(n):
             total = 0
             for m in masks:
                 total += tab[m]
-            yield masks, total, len(masks)
-
-    return d, stream()
+            i = len(masks) - 1
+            best = values[i]
+            if best is None or total < best:
+                values[i], firsts[i], counts[i] = total, masks, 1
+            elif total == best:
+                counts[i] += 1
+        opt = _BlockCountOptima(d, tuple(values), tuple(firsts), tuple(counts))
+        _optima[oracle] = opt
+    return opt
 
 
 @dataclass(frozen=True)
@@ -173,32 +153,17 @@ def minimize_g(oracle: ValueOracle, b) -> GMinResult:
     require_within_cap(n, "minimize_g")
     b = as_fraction(b)
     p, q = b.numerator, b.denominator
-    d, rows = _scored(oracle)
-    dp = d * p
-
-    best = None
-    count = 0
-    fine_masks = coarse_masks = None
-    fine_size = coarse_size = 0
-    for masks, value, size in rows:
-        score = q * value - dp * size
-        if best is None or score < best:
-            best = score
-            count = 1
-            fine_masks = coarse_masks = masks
-            fine_size = coarse_size = size
-        elif score == best:
-            count += 1
-            if size > fine_size:
-                fine_size, fine_masks = size, masks
-            elif size < coarse_size:
-                coarse_size, coarse_masks = size, masks
+    opt = _block_count_optima(oracle)
+    dp = opt.denominator * p
+    scores = [q * value - dp * k for k, value in enumerate(opt.values, 1)]
+    best = min(scores)
+    tied = [i for i, score in enumerate(scores) if score == best]
     return GMinResult(
         b=b,
-        value=Fraction(best, d * q),
-        num_minimizers=count,
-        finest=Partition._trusted(n, fine_masks),
-        coarsest=Partition._trusted(n, coarse_masks),
+        value=Fraction(best, opt.denominator * q),
+        num_minimizers=sum(opt.counts[i] for i in tied),
+        finest=Partition._trusted(n, opt.firsts[tied[-1]]),
+        coarsest=Partition._trusted(n, opt.firsts[tied[0]]),
     )
 
 
@@ -225,16 +190,7 @@ def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partit
 
 
 def brute_force_all_k(oracle: ValueOracle) -> dict[int, tuple[Partition, Fraction]]:
-    """Exact optimum for every k in one pass over all partitions."""
+    """Exact optimum for every k, by brute force at each block count."""
     n = oracle.n
     require_within_cap(n, "brute_force_all_k")
-    d, rows = _scored(oracle)
-    best: dict[int, tuple[tuple[int, ...], int]] = {}
-    for masks, value, size in rows:
-        cur = best.get(size)
-        if cur is None or value < cur[1]:
-            best[size] = (masks, value)
-    return {
-        size: (Partition._trusted(n, masks), Fraction(value, d))
-        for size, (masks, value) in sorted(best.items())
-    }
+    return {k: brute_force_optimal_k_partition(oracle, k) for k in range(1, n + 1)}

@@ -116,6 +116,16 @@ def test_exact_hit_reports():
     assert not sp.check_exact_hit_optimality(mono, 2).applicable
 
 
+def test_chain_checks_reject_k_out_of_range():
+    oracle = weighted_path4().oracle()
+    pps = sp.compute_pps(oracle)
+    for k in (0, oracle.n + 1):
+        with pytest.raises(ValueError):
+            sp.check_chain_lower_bounds(oracle, k, pps, Fraction(2))
+        with pytest.raises(ValueError):
+            sp.check_exact_hit_optimality(oracle, k, pps)
+
+
 def test_two_triangles_k2_exact_hit():
     oracle = two_triangles().oracle()
     rep = sp.ratio_report(oracle, 2, "symmetric")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -6,7 +7,7 @@ import pytest
 import subpartition as sp
 from subpartition.partition_opt import BELL
 
-from helpers import EPS, cardinality, mono3, posi3, weighted_path4, zero_fn
+from helpers import EPS, cardinality, mono3, mono_n, omega, posi3, weighted_path4, zero_fn
 
 STIRLING = {(4, 2): 7, (5, 3): 25, (6, 3): 90, (7, 4): 350, (8, 4): 1701}
 
@@ -192,3 +193,47 @@ def test_enumeration_cap_enforced(monkeypatch):
         sp.minimize_g(oracle5, 1)
     with pytest.raises(sp.GroundSetCapError):
         sp.brute_force_optimal_k_partition(oracle5, 2)
+
+
+def _minimize_g_by_scan(scored, b):
+    """Reference minimizer: scan (partition, f(P)) pairs in canonical order,
+    keeping the minimum of f(P) - b|P|, its count and the canonically first
+    minimizer at each block count."""
+    best, count, first = None, 0, {}
+    for part, value in scored:
+        score = value - b * len(part)
+        if best is None or score < best:
+            best, count, first = score, 1, {len(part): part}
+        elif score == best:
+            count += 1
+            first.setdefault(len(part), part)
+    return best, count, first[max(first)], first[min(first)]
+
+
+def test_minimize_g_matches_independent_scan():
+    families = [
+        sp.random_instance(family, n, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 7)
+        for seed in range(3)
+    ]
+    families += [mono3(), posi3(), mono_n(5), omega(6)]
+    rng = random.Random("minimize-g")
+    for i in range(60):
+        n = 2 + i % 5
+        top = 2 if i % 2 else 9  # half of the tables are tie-heavy
+        values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
+        families.append(sp.ExplicitTableFn(n, values))
+    for fam in families:
+        oracle = fam.oracle()
+        scored = [(p, sp.partition_value(oracle, p)) for p in sp.enumerate_partitions(oracle.n)]
+        params = {Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(50)}
+        try:
+            breakpoints = sp.compute_pps(oracle).breakpoints
+        except sp.NonSubmodularError:
+            breakpoints = ()
+        params.update(breakpoints)
+        params.update(b + Fraction(1, 7) for b in breakpoints)
+        for b in sorted(params):
+            res = sp.minimize_g(oracle, b)
+            assert (res.value, res.num_minimizers, res.finest, res.coarsest) == _minimize_g_by_scan(scored, b)
