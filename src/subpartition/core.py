@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import string
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -294,7 +293,7 @@ _MISSING = object()
 
 
 class ValueOracle:
-    """Memoizing, thread-safe wrapper around an exact set function.
+    """Memoizing wrapper around an exact set function.
 
     `fn` maps a subset mask to a Fraction (ints are coerced; floats raise).
     The oracle counts total eval calls and distinct evaluations; the number
@@ -306,7 +305,6 @@ class ValueOracle:
         self.name = name
         self._fn = fn
         self._memo: dict[int, Fraction] = {}
-        self._lock = threading.Lock()
         self._total_calls = 0
         self._scaled: tuple[int, tuple[int, ...]] | None = None
 
@@ -324,27 +322,26 @@ class ValueOracle:
 
     def eval(self, mask: int) -> Fraction:
         self.ground_set.validate_mask(mask)
-        with self._lock:
-            self._total_calls += 1
-            value = self._memo.get(mask, _MISSING)
-            if value is not _MISSING:
-                return value
-            raw = self._fn(mask)
-            if isinstance(raw, float):
-                raise TypeError(
-                    f"oracle {self.name!r} returned a float for mask {mask:#x}; "
-                    "set functions must return exact Fractions"
-                )
-            if isinstance(raw, Fraction):
-                value = raw
-            elif isinstance(raw, int):
-                value = Fraction(raw)
-            else:
-                raise TypeError(
-                    f"oracle {self.name!r} returned {type(raw).__name__}; expected Fraction or int"
-                )
-            self._memo[mask] = value
+        self._total_calls += 1
+        value = self._memo.get(mask, _MISSING)
+        if value is not _MISSING:
             return value
+        raw = self._fn(mask)
+        if isinstance(raw, float):
+            raise TypeError(
+                f"oracle {self.name!r} returned a float for mask {mask:#x}; "
+                "set functions must return exact Fractions"
+            )
+        if isinstance(raw, Fraction):
+            value = raw
+        elif isinstance(raw, int):
+            value = Fraction(raw)
+        else:
+            raise TypeError(
+                f"oracle {self.name!r} returned {type(raw).__name__}; expected Fraction or int"
+            )
+        self._memo[mask] = value
+        return value
 
     def full_table(self) -> tuple[Fraction, ...]:
         """Values on every subset, indexed by mask."""

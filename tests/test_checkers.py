@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
+from subpartition.checkers import _locally_posimodular
 
 from helpers import cardinality, mono3, omega, posi3, two_edges, zero_fn
 
@@ -151,5 +152,43 @@ def test_local_submodular_check_matches_pair_scan():
         res = sp.check_submodular(oracle)
         ok, witness, lhs, rhs = _pair_scan_submodular(oracle)
         assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs)
+        outcomes[ok] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def _pair_scan_posimodular(oracle):
+    """Reference: the full 4^n pair scan, first witness in (A, B) order."""
+    d, f = oracle.scaled_table()
+    for a in range(len(f)):
+        for b in range(len(f)):
+            lhs, rhs = f[a] + f[b], f[a & ~b] + f[b & ~a]
+            if lhs < rhs:
+                return False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
+    return True, None, None, None
+
+
+def _small_integer_tables(count):
+    """Seeded tables with values in {0..3} at n = 1..6."""
+    for i in range(count):
+        rng = random.Random(f"posimodular:{i}")
+        n = 1 + i % 6
+        yield sp.ExplicitTableFn(n, [rng.randint(0, 3) for _ in range(1 << n)], "general")
+
+
+def test_local_posimodular_check_matches_pair_scan():
+    # fails only at pairs whose local form has S a proper subset of T, so a
+    # test of S = T alone would pass it
+    pinned = sp.ExplicitTableFn(3, [0, 0, 0, 2, 2, 1, 0, 4], "general")
+    res = sp.check_posimodular(pinned.oracle())
+    assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (0b001, 0b101), 1, 2)
+
+    outcomes = {True: 0, False: 0}
+    for fam in [pinned, *_perturbed_tables(360), *_small_integer_tables(240)]:
+        oracle = fam.oracle()
+        res = sp.check_posimodular(oracle)
+        ok, witness, lhs, rhs = _pair_scan_posimodular(oracle)
+        assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs)
+        # the local test decides alone: no pair scan behind a passing table
+        assert _locally_posimodular(fam.n, oracle.scaled_table()[1]) == ok
         outcomes[ok] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,44 @@ def test_cli_exit_codes_on_inconsistent_instance(tmp_path):
     # skipping validation lets the search run into the nesting violation
     assert main(["pps", str(path), "--no-validate"]) == 3
     assert main(["verify", str(path)]) == 1
+
+
+def _non_submodular_tables(count):
+    """Seeded tables at n = 3..6 that fail submodularity: random small
+    rationals, and generator tables with 1-3 entries nudged."""
+    families = sorted(sp.GENERATOR_FAMILIES)
+    i = 0
+    while count:
+        rng = random.Random(f"no-validate:{i}")
+        n = 3 + i % 4
+        if i % 2:
+            table = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(1 << n)]
+        else:
+            base = sp.random_instance(families[i // 2 % len(families)], n, i)
+            table = list(base.oracle().full_table())
+            for _ in range(rng.randint(1, 3)):
+                m = rng.randrange(len(table))
+                table[m] += Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+        i += 1
+        fam = sp.ExplicitTableFn(n, table, "general")
+        if not sp.check_submodular(fam.oracle()).ok:
+            count -= 1
+            yield fam
+
+
+def test_cli_no_validate_never_passes_a_failed_chain(tmp_path, capsys):
+    # past --no-validate a run must stop with exit 3 or print a chain that
+    # passes verification; it must never raise or exit 0 unverified
+    endings = {0: 0, 3: 0}
+    for i, fam in enumerate(_non_submodular_tables(400)):
+        path = write_instance(tmp_path, fam, f"t{i}.json")
+        code = main(["pps", str(path), "--json", "--no-validate"])
+        out = capsys.readouterr().out
+        assert code in endings, (i, code)
+        if code == 0:
+            assert json.loads(out)["verification"]["ok"] is True
+        endings[code] += 1
+    assert endings[0] > 0 and endings[3] > 0
 
 
 def test_cli_verify(tmp_path, capsys):
