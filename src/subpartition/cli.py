@@ -581,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="COUNT",
-        help="fallback parameter samples inside each optimality segment that "
-        "attainment at its ends does not prove (default 3)",
+        help="accepted and ignored: segment optimality is decided exactly from "
+        "attainment at the breakpoints, so nothing is sampled (default 3)",
     )
     p.add_argument(
         "--no-validate",

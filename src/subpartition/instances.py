@@ -123,11 +123,7 @@ def instance_to_json(family: SetFunctionFamily) -> dict:
             "num_vertices": family.num_vertices,
             "edges": [[u, v] for u, v in family.edges],
         }
-    elif isinstance(family, MonoTight3Fn):
-        doc["params"] = {"eps": _rat_to_json(family.eps)}
-    elif isinstance(family, MonoTightNFn):
-        doc["params"] = {"eps": _rat_to_json(family.eps)}
-    elif isinstance(family, PosiTight3Fn):
+    elif isinstance(family, (MonoTight3Fn, MonoTightNFn, PosiTight3Fn)):
         doc["params"] = {"eps": _rat_to_json(family.eps)}
     elif isinstance(family, DigraphHyperFn):
         doc["params"] = {"a": _rat_to_json(family.a)}

@@ -174,23 +174,11 @@ def _submasks_with_low_bit(mask: int):
     """Proper nonempty submasks of `mask` containing its lowest set bit,
     ascending.  Covers each 2-split of the block exactly once."""
     low = mask & -mask
-    rest_bits = []
     rest = mask ^ low
-    while rest:
-        bit = rest & -rest
-        rest_bits.append(bit)
-        rest ^= bit
-    for t in range(1 << len(rest_bits)):
-        sub = low
-        tt = t
-        idx = 0
-        while tt:
-            if tt & 1:
-                sub |= rest_bits[idx]
-            tt >>= 1
-            idx += 1
-        if sub != mask:
-            yield sub
+    t = 0
+    while t != rest:
+        yield low | t
+        t = (t - rest) & rest  # next submask of rest in ascending order
 
 
 def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:

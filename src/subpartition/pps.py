@@ -23,14 +23,14 @@ tied breakpoint, by inserting the intermediate partition that splits only
 the first affected block.
 
 `verify_pps` re-checks all five conditions from scratch against minimize_g.
-Condition 5 follows from condition 4 without further calls: g is concave
-(a minimum of affine lines) and P_j's line never lies below it, so a line
-that meets g at both ends of a segment meets it everywhere between.  The
-unbounded end segments need |P_1| = 1 and |P_r| = n instead of a far end,
-since no line is flatter (steeper) than the one-block (all-singletons) one.
-Only a segment this argument does not cover is sampled with minimize_g: at
-its midpoint, beyond its ends, and at a requested number of interior points.
-The argument uses no property of f, so it holds for any oracle.
+Condition 5 is decided exactly from the attainment data of condition 4,
+without further calls: g is concave (a minimum of affine lines) and P_j's
+line never lies below it, so a line that meets g at both ends of a closed
+segment meets it everywhere between, and a line that misses g at an end is
+not optimal there.  The unbounded end segments need |P_1| = 1 and |P_r| = n
+instead of a far end, since no line is flatter (steeper) than the one-block
+(all-singletons) one.  The argument uses no property of f, so it holds for
+any oracle and nothing is left to sample.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     Exact parametric search with at most 2n-1 minimize_g calls, followed by
     the chain repair that restores one-block-at-a-time refinement.  Raises
     NonSubmodularError when the minimizer structure is inconsistent with a
-    submodular oracle.
+    submodular oracle.  Each recursion step strictly narrows the block-count
+    bracket, which bounds the search at 2n-3 calls without a separate budget.
     """
     n = oracle.n
     require_within_cap(n, "compute_pps")
@@ -145,11 +146,6 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
         rec(mid, fine)
 
     rec(trivial_partition(n), singleton_partition(n))
-    if calls > 2 * n - 1:
-        raise NonSubmodularError(
-            f"parametric search made {calls} minimize_g calls, over its budget of "
-            f"{2 * n - 1}"
-        )
     raw = PrincipalSequence(tuple(chain), tuple(breakpoints), calls)
     return repair_chain(oracle, raw)
 
@@ -158,13 +154,15 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
     """Restore single-block refinement between adjacent chain partitions.
 
     Wherever P_{j+1} splits several blocks of P_j (possible only at tied
-    breakpoints), insert between them the partition that splits exactly the
-    first affected block of P_j: either Q1 = P_j with that block split as in
-    P_{j+1}, or Q2 = P_{j+1} with that block glued back.  Both always attain
-    g at the breakpoint when the chain pair does (their g-values sum to twice
-    the minimum), and Q1 is preferred.  The two breakpoints replacing b_j
-    both equal b_j, which is why repaired chains have nondecreasing rather
-    than strictly increasing breakpoints.
+    breakpoints), insert between them Q1 = P_j with its first affected block
+    split as in P_{j+1}.  Q1 attains g at the breakpoint b_j whenever the
+    chain pair does, for any oracle: with Q2 = P_{j+1} with that block glued
+    back, g(Q1) + g(Q2) = g(P_j) + g(P_{j+1}) = twice the minimum, and
+    neither term lies below it.  Three lines that meet g at b_j all cross
+    there, so the two breakpoints replacing b_j both equal b_j, which is why
+    repaired chains have nondecreasing rather than strictly increasing
+    breakpoints.  Only the pair's own attainment is checked; a pair that
+    misses the minimum raises NonSubmodularError.
     """
     parts = list(sequence.partitions)
     bps = list(sequence.breakpoints)
@@ -190,25 +188,10 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
         fine_blocks = set(fine.blocks)
         split = [s for s in coarse.blocks if s not in fine_blocks]
         s = split[0]  # first refined block in canonical order
-        inner = tuple(blk for blk in fine.blocks if blk & s)
-        q1 = Partition(n, [blk for blk in coarse.blocks if blk != s] + list(inner))
-        q2 = Partition(n, [blk for blk in fine.blocks if not blk & s] + [s])
-        if g_value(oracle, q1, b) == result.value:
-            mid = q1
-        elif g_value(oracle, q2, b) == result.value:
-            mid = q2
-        else:
-            raise NonSubmodularError(
-                f"no single-block refinement attains the minimum at b={b}"
-            )
-        b_low = _crossing(oracle, coarse, mid)
-        b_high = _crossing(oracle, mid, fine)
-        if not b_low == b == b_high:
-            raise NonSubmodularError(
-                f"repair moved breakpoint {b} to {b_low} and {b_high}"
-            )
+        inner = [blk for blk in fine.blocks if blk & s]
+        mid = Partition(n, [blk for blk in coarse.blocks if blk != s] + inner)
         parts.insert(j + 1, mid)
-        bps[j : j + 1] = [b_low, b_high]
+        bps[j : j + 1] = [b, b]
         # re-examine the pair (coarse, mid); it is single-block by now, but
         # (mid, fine) may still split several blocks
     return PrincipalSequence(tuple(parts), tuple(bps), calls)
@@ -218,9 +201,10 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
 class PpsVerification:
     """Re-check of all chain conditions; `failures` lists every violation.
 
-    `segments_optimal_ok` is derived: a segment counts as optimal when
-    attainment at its ends proves it, or else when every fallback sample
-    passes.  `samples_checked` counts the minimize_g calls made.
+    `segments_optimal_ok` is derived from attainment at the segment ends,
+    which decides it exactly, so it adds no failure line of its own: the
+    attainment or endpoint failure already names the point.
+    `samples_checked` counts the minimize_g calls made, one per breakpoint.
     """
 
     ok: bool
@@ -244,13 +228,16 @@ def verify_pps(
     every breakpoint, and that each partition attains g throughout its
     segment.  One minimize_g call per breakpoint records, for every chain
     member, whether it attains g at its left and at its right breakpoint.
-    A member that attains g at both finite ends of its segment is optimal on
-    all of it, because g is concave and the member's line lies on or above
-    g; an unbounded end needs |P| = 1 on the left and |P| = n on the right
-    instead.  Only segments this does not prove are sampled with minimize_g:
-    at the midpoint, one unit beyond a missing end, and `interior_samples`
-    evenly spaced interior points.  A correct chain thus costs exactly one
-    call per breakpoint.
+    A member is optimal on all of its closed segment exactly when it attains
+    g at both finite ends, because g is concave and the member's line lies
+    on or above g; an unbounded end needs |P| = 1 on the left and |P| = n on
+    the right instead.  Every input thus costs exactly one call per
+    breakpoint.
+
+    `interior_samples` is accepted and ignored: it set the density of a
+    sampling fallback that the exact rule above made redundant, and is kept
+    so that existing callers and the CLI option keep working.  A negative
+    value still raises ValueError.
     """
     if interior_samples < 0:
         raise ValueError("interior_samples must be nonnegative")
@@ -291,46 +278,16 @@ def verify_pps(
     # fastest, so each counts as attained at its open end
     attains_left = [len(parts[0]) == 1] + [False] * (r - 1)
     attains_right = [False] * (r - 1) + [len(parts[-1]) == n]
-    samples = 0
     attained_ok = True
     for j, b in enumerate(bps):
         result = minimize_g(oracle, b)
-        samples += 1
         attains_right[j] = g_value(oracle, parts[j], b) == result.value
         attains_left[j + 1] = g_value(oracle, parts[j + 1], b) == result.value
         if not (attains_right[j] and attains_left[j + 1]):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")
 
-    segments_ok = True
-    for j in range(r):
-        if attains_left[j] and attains_right[j]:
-            continue
-        lo = bps[j - 1] if j > 0 else None
-        hi = bps[j] if j < r - 1 else None
-        points: set[Fraction] = set()
-        if lo is None and hi is None:
-            points.update(Fraction(t) for t in range(-1, interior_samples + 1))
-        elif lo is None:
-            points.update(hi - 1 - t for t in range(interior_samples + 1))
-        elif hi is None:
-            points.update(lo + 1 + t for t in range(interior_samples + 1))
-        elif lo < hi:
-            span = hi - lo
-            points.add(lo + span / 2)
-            points.update(
-                lo + span * Fraction(i, interior_samples + 1)
-                for i in range(1, interior_samples + 1)
-            )
-        # lo == hi: degenerate segment, fully covered by the breakpoint check
-        for point in sorted(points):
-            result = minimize_g(oracle, point)
-            samples += 1
-            if g_value(oracle, parts[j], point) != result.value:
-                segments_ok = False
-                failures.append(
-                    f"chain entry {j} is not optimal at b={point} inside its segment"
-                )
+    segments_ok = all(left and right for left, right in zip(attains_left, attains_right))
 
     return PpsVerification(
         ok=not failures,
@@ -340,7 +297,7 @@ def verify_pps(
         breakpoints_attained_ok=attained_ok,
         segments_optimal_ok=segments_ok,
         formula_ok=formula_ok,
-        samples_checked=samples,
+        samples_checked=len(bps),
         failures=tuple(failures),
     )
 

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +159,16 @@ def test_enumeration_cap_env_lowers_only(monkeypatch):
     monkeypatch.setenv("SUBMOD_N_CAP", "zero")
     with pytest.raises(ValueError):
         sp.enumeration_cap()
+
+
+def test_no_assert_statements_in_package():
+    # assert is gone under python -O, so no guarantee may rest on one
+    sources = sorted(Path(sp.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
-from subpartition.cli import RANDOM_FAMILIES
+from subpartition.cli import RANDOM_FAMILIES, main
 
 from helpers import (
     BIG_A,
@@ -223,17 +223,22 @@ def test_verify_reports_decreasing_breakpoints():
 def test_verify_reports_shifted_breakpoint():
     # structure intact, first breakpoint moved off its crossing value: the
     # formula check and the attainment check at that point must both trip,
-    # everything else stays clean
+    # and so must segment optimality, without a failure line of its own
     oracle = two_edges().oracle()
     good = sp.compute_pps(oracle)
     bad = sp.PrincipalSequence(good.partitions, (Fraction(1), Fraction(2), Fraction(2)))
     res = sp.verify_pps(oracle, bad)
     assert not res.ok
     assert res.endpoints_ok and res.refinement_ok
-    assert res.breakpoints_nondecreasing_ok and res.segments_optimal_ok
+    assert res.breakpoints_nondecreasing_ok
+    assert not res.segments_optimal_ok
     assert not res.formula_ok
     assert not res.breakpoints_attained_ok
     assert len(res.failures) == 2
+    # the witness: {V} claims [.., 1] but is beaten inside it, at b = 1/2
+    half = Fraction(1, 2)
+    assert sp.g_value(oracle, bad.partitions[0], half) == Fraction(-1, 2)
+    assert sp.minimize_g(oracle, half).value == -1
 
 
 def test_verify_reports_wrong_middle_partition():
@@ -251,27 +256,78 @@ def test_verify_reports_wrong_middle_partition():
     assert res.endpoints_ok
 
 
-def test_verify_interior_samples():
-    # a correct chain is proven from attainment at the breakpoints, so the
-    # fallback samples never run, however many are requested
+def test_verify_interior_samples(tmp_path, capsys):
+    # the count is accepted and ignored: segment optimality is decided from
+    # attainment at the breakpoints, on correct and broken chains alike
     oracle = weighted_path4().oracle()
     seq = sp.compute_pps(oracle)
-    for count in (0, 5):
-        res = sp.verify_pps(oracle, seq, interior_samples=count)
-        assert res.ok
-        assert res.samples_checked == len(seq.breakpoints)
-    # with the first breakpoint shifted (as in
-    # test_verify_reports_shifted_breakpoint), the first segment is unproven
-    # and sampled, more densely on request
-    oracle = two_edges().oracle()
-    good = sp.compute_pps(oracle)
+    two = two_edges().oracle()
+    good = sp.compute_pps(two)
     bad = sp.PrincipalSequence(good.partitions, (Fraction(1), Fraction(2), Fraction(2)))
-    sparse = sp.verify_pps(oracle, bad, interior_samples=0)
-    dense = sp.verify_pps(oracle, bad, interior_samples=5)
-    assert sparse.samples_checked > len(bad.breakpoints)
-    assert dense.samples_checked > sparse.samples_checked
+    for orc, chain, ok in ((oracle, seq, True), (two, bad, False)):
+        sparse = sp.verify_pps(orc, chain, interior_samples=0)
+        dense = sp.verify_pps(orc, chain, interior_samples=5)
+        assert sparse == dense
+        assert sparse.ok is ok
+        assert sparse.samples_checked == len(chain.breakpoints)
     with pytest.raises(ValueError):
         sp.verify_pps(oracle, seq, interior_samples=-1)
+    path = tmp_path / "inst.json"
+    sp.save_instance(weighted_path4(), path)
+    outputs = []
+    for count in ("0", "5"):
+        assert main(["pps", str(path), "--interior-samples", count]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def _segment_witness(oracle, seq):
+    """Whether some chain member is beaten inside its claimed segment, found
+    by direct search: at each finite end, at the midpoint, and 10^6 beyond
+    an open end."""
+    bps = seq.breakpoints
+    far = Fraction(10**6)
+    for j, part in enumerate(seq.partitions):
+        lo = bps[j - 1] if j > 0 else None
+        hi = bps[j] if j < len(bps) else None
+        points = [b for b in (lo, hi) if b is not None]
+        if lo is None:
+            points.append(hi - far)
+        elif hi is None:
+            points.append(lo + far)
+        else:
+            points.append((lo + hi) / 2)
+        for point in points:
+            if sp.g_value(oracle, part, point) > sp.minimize_g(oracle, point).value:
+                return True
+    return False
+
+
+def test_segment_flag_is_exact_on_broken_chains():
+    # shift one breakpoint of a correct chain at a time, keeping the
+    # breakpoints nondecreasing: the flag must fail exactly when a member is
+    # beaten somewhere in its claimed segment; the unshifted chain is the
+    # control on which it must pass
+    outcomes = []
+    for family in sorted(sp.GENERATOR_FAMILIES):
+        for n in range(3, 9):
+            for seed in range(4):
+                oracle = sp.random_instance(family, n, seed).oracle()
+                seq = sp.compute_pps(oracle)
+                chains = [seq.breakpoints]
+                for i in range(len(seq.breakpoints)):
+                    for shift in (Fraction(-1, 3), Fraction(1, 2), Fraction(2)):
+                        bps = list(seq.breakpoints)
+                        bps[i] += shift
+                        if all(b1 <= b2 for b1, b2 in zip(bps, bps[1:])):
+                            chains.append(tuple(bps))
+                for bps in chains:
+                    chain = sp.PrincipalSequence(seq.partitions, bps)
+                    res = sp.verify_pps(oracle, chain)
+                    witness = _segment_witness(oracle, chain)
+                    assert res.segments_optimal_ok is not witness, (family, n, seed, bps)
+                    outcomes.append(witness)
+    assert sum(outcomes) > 1000 and len(outcomes) - sum(outcomes) > 100
 
 
 def _old_sample_points(lo, hi, interior=3):
