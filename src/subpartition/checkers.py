@@ -69,10 +69,6 @@ class CheckResult:
         )
 
 
-def _descale(d, x):
-    return Fraction(x, d)
-
-
 def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
     """Diminishing returns for single elements: f(S+i) + f(S+j) >=
     f(S+i+j) + f(S) for all S and i < j outside S."""
@@ -106,7 +102,7 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
             rhs = tab[a | b] + tab[a & b]
             if lhs < rhs:
                 return CheckResult(
-                    "submodular", False, (a, b), _descale(d, lhs), _descale(d, rhs)
+                    "submodular", False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
                 )
     return CheckResult("submodular", True)
 
@@ -127,7 +123,7 @@ def check_monotone(oracle: ValueOracle) -> CheckResult:
             t = s | bit
             if fs > tab[t]:
                 return CheckResult(
-                    "monotone", False, (s, t), _descale(d, fs), _descale(d, tab[t])
+                    "monotone", False, (s, t), Fraction(fs, d), Fraction(tab[t], d)
                 )
     return CheckResult("monotone", True)
 
@@ -141,7 +137,7 @@ def check_symmetric(oracle: ValueOracle) -> CheckResult:
         c = full ^ s
         if tab[s] != tab[c]:
             return CheckResult(
-                "symmetric", False, (s, c), _descale(d, tab[s]), _descale(d, tab[c])
+                "symmetric", False, (s, c), Fraction(tab[s], d), Fraction(tab[c], d)
             )
     return CheckResult("symmetric", True)
 
@@ -195,6 +191,6 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
             rhs = tab[a & ~b] + tab[b & ~a]
             if lhs < rhs:
                 return CheckResult(
-                    "posimodular", False, (a, b), _descale(d, lhs), _descale(d, rhs)
+                    "posimodular", False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
                 )
     return CheckResult("posimodular", True)

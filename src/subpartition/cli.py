@@ -8,6 +8,12 @@ Subcommands:
     random     write seeded random instance files
     verify     exhaustive function-class report for an instance
 
+Each reproduce row is shown and decided from one comparison: `_compare`
+builds the expected cell and the PASS/FAIL verdict from the same operator
+and expected value, and `_near` does the same for the 1e-5 ratio rows.
+`solve` runs the algorithms named in the `SOLVERS` table, which also gives
+the `--algorithms` default.
+
 Exit codes: 0 success, 1 failed check (a reproduce FAIL, a violated bound,
 a non-submodular instance under `verify`), 2 usage, parse, or validation
 error, 3 internal invariant failure.
@@ -26,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import decimal
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -39,7 +47,7 @@ from .checkers import (
     check_submodular,
     check_symmetric,
 )
-from .core import GroundSetCapError, NonSubmodularError, ValueOracle
+from .core import NonSubmodularError
 from .families import (
     FUNCTION_CLASSES,
     DigraphHyperFn,
@@ -48,7 +56,7 @@ from .families import (
     PartitionMatroidRankFn,
     PosiTight3Fn,
 )
-from .instances import InstanceFormatError, generate_batch, load_instance
+from .instances import generate_batch, load_instance
 from .kpartition import (
     algorithm_guarantee,
     cheapest_singleton,
@@ -126,9 +134,7 @@ def _print_table(headers, rows) -> None:
 
 
 def _blocks_as_indices(partition) -> list[list[int]]:
-    return [
-        [i for i in range(partition.n) if mask >> i & 1] for mask in partition
-    ]
+    return [[i for i in range(partition.n) if mask >> i & 1] for mask in partition]
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +154,7 @@ def cmd_pps(args) -> int:
             "minimize_calls": sequence.minimize_calls,
             "n": gs.n,
             "partitions": [_blocks_as_indices(p) for p in sequence.partitions],
-            "verification": {
-                "ok": report.ok,
-                "endpoints_ok": report.endpoints_ok,
-                "refinement_ok": report.refinement_ok,
-                "breakpoints_nondecreasing_ok": report.breakpoints_nondecreasing_ok,
-                "breakpoints_attained_ok": report.breakpoints_attained_ok,
-                "segments_optimal_ok": report.segments_optimal_ok,
-                "formula_ok": report.formula_ok,
-                "samples_checked": report.samples_checked,
-                "failures": list(report.failures),
-            },
+            "verification": dataclasses.asdict(report),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -192,17 +188,8 @@ def cmd_pps(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-def _solve_one(oracle: ValueOracle, algorithm: str, k: int):
-    if algorithm == "pps":
-        run = pps_k_partition(oracle, k)
-        return run.partition, run.value
-    if algorithm == "greedy":
-        res = greedy_splitting(oracle, k)
-        return res.partition, res.value
-    if algorithm == "singleton":
-        res = cheapest_singleton(oracle, k)
-        return res.partition, res.value
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+# name -> algorithm(oracle, k); each result has `.partition` and `.value`
+SOLVERS = {"pps": pps_k_partition, "greedy": greedy_splitting, "singleton": cheapest_singleton}
 
 
 def cmd_solve(args) -> int:
@@ -213,11 +200,10 @@ def cmd_solve(args) -> int:
         print(f"error: k={k} out of range for n={n}", file=sys.stderr)
         return EXIT_USAGE
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    known = ("pps", "greedy", "singleton")
     for a in algorithms:
-        if a not in known:
+        if a not in SOLVERS:
             print(
-                f"error: unknown algorithm {a!r} (choose from {', '.join(known)})",
+                f"error: unknown algorithm {a!r} (choose from {', '.join(SOLVERS)})",
                 file=sys.stderr,
             )
             return EXIT_USAGE
@@ -235,8 +221,9 @@ def cmd_solve(args) -> int:
     for algorithm in algorithms:
         oracle = fam.oracle()
         started = time.perf_counter()
-        partition, value = _solve_one(oracle, algorithm, k)
+        result = SOLVERS[algorithm](oracle, k)
         elapsed = time.perf_counter() - started
+        partition, value = result.partition, result.value
         evals = oracle.distinct_evaluations
 
         bound = None
@@ -294,8 +281,7 @@ def cmd_solve(args) -> int:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([row[c] for c in CSV_COLUMNS])
+            writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
         print(f"wrote {args.csv}")
 
     return EXIT_FAIL if any_violation else EXIT_OK
@@ -304,33 +290,33 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
+_RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
+_NEAR = Fraction(1, 10**5)
+
+
+def _compare(case, check, op, expected, observed, fmt=fmt_rational):
+    """A reproduce row whose expected cell and verdict both come from
+    `observed op expected`; an inequality shows its operator in the cell."""
+    shown = fmt(expected) if op == "==" else f"{op} {fmt(expected)}"
+    return (case, check, shown, fmt(observed), _RELATIONS[op](observed, expected))
+
+
+def _near(case, check, target, observed):
+    """A reproduce row that passes when `observed` is within 1e-5 of `target`."""
+    ok = abs(observed - target) <= _NEAR
+    return (case, check, fmt_decimal(target), fmt_decimal(observed), ok)
+
+
 def _case_mono3(args):
     fam = MonoTight3Fn(args.eps)
     e = fam.eps
     rr = ratio_report(fam.oracle(), 2, "monotone")
-    tol = Fraction(1, 10**5)
     return [
-        (
-            "mono3",
-            "chain 2-partition value",
-            fmt_rational(3 + 2 * e),
-            fmt_rational(rr.algorithm_value),
-            rr.algorithm_value == 3 + 2 * e,
+        _compare("mono3", "chain 2-partition value", "==", 3 + 2 * e, rr.algorithm_value),
+        _compare(
+            "mono3", "optimal 2-partition value", "==", Fraction(5, 2) + 2 * e, rr.optimal_value
         ),
-        (
-            "mono3",
-            "optimal 2-partition value",
-            fmt_rational(Fraction(5, 2) + 2 * e),
-            fmt_rational(rr.optimal_value),
-            rr.optimal_value == Fraction(5, 2) + 2 * e,
-        ),
-        (
-            "mono3",
-            "ratio within 1e-5 of 6/5",
-            fmt_decimal(Fraction(6, 5)),
-            fmt_decimal(rr.ratio),
-            abs(rr.ratio - Fraction(6, 5)) <= tol,
-        ),
+        _near("mono3", "ratio within 1e-5 of 6/5", Fraction(6, 5), rr.ratio),
     ]
 
 
@@ -339,31 +325,15 @@ def _case_mono_n(args):
     k = (n + 1) // 2
     fam = MonoTightNFn(n, args.eps)
     rr = ratio_report(fam.oracle(), k, "monotone")
-    comparison = Fraction(3 * n + 3, 4) + Fraction(n + 1, 2) * fam.eps
-    lower = Fraction(4, 3) - Fraction(4, 3 * n + 3) - Fraction(1, 10**5)
+    upper = Fraction(3 * n + 3, 4) + Fraction(n + 1, 2) * fam.eps
+    lower = Fraction(4, 3) - Fraction(4, 3 * n + 3) - _NEAR
     case = f"monoN(n={n})"
     return [
-        (
-            case,
-            f"chain {k}-partition value is n",
-            fmt_rational(Fraction(n)),
-            fmt_rational(rr.algorithm_value),
-            rr.algorithm_value == n,
+        _compare(case, f"chain {k}-partition value is n", "==", n, rr.algorithm_value),
+        _compare(
+            case, "optimum at most the split-one-deep partition", "<=", upper, rr.optimal_value
         ),
-        (
-            case,
-            "optimum at most the split-one-deep partition",
-            "<= " + fmt_rational(comparison),
-            fmt_rational(rr.optimal_value),
-            rr.optimal_value <= comparison,
-        ),
-        (
-            case,
-            "ratio >= 4/3 - 4/(3n+3) - 1e-5",
-            ">= " + fmt_decimal(lower),
-            fmt_decimal(rr.ratio),
-            rr.ratio >= lower,
-        ),
+        _compare(case, "ratio >= 4/3 - 4/(3n+3) - 1e-5", ">=", lower, rr.ratio, fmt_decimal),
         (
             case,
             "ratio within the class bound 4/3 - 4/(9n+3)",
@@ -378,29 +348,10 @@ def _case_posi3(args):
     fam = PosiTight3Fn(args.eps)
     e = fam.eps
     rr = ratio_report(fam.oracle(), 2, "posimodular")
-    tol = Fraction(1, 10**5)
     return [
-        (
-            "posi3",
-            "chain 2-partition value",
-            "3/1",
-            fmt_rational(rr.algorithm_value),
-            rr.algorithm_value == 3,
-        ),
-        (
-            "posi3",
-            "optimal 2-partition value",
-            fmt_rational(2 + 2 * e),
-            fmt_rational(rr.optimal_value),
-            rr.optimal_value == 2 + 2 * e,
-        ),
-        (
-            "posi3",
-            "ratio within 1e-5 of 3/2",
-            fmt_decimal(Fraction(3, 2)),
-            fmt_decimal(rr.ratio),
-            abs(rr.ratio - Fraction(3, 2)) <= tol,
-        ),
+        _compare("posi3", "chain 2-partition value", "==", 3, rr.algorithm_value),
+        _compare("posi3", "optimal 2-partition value", "==", 2 + 2 * e, rr.optimal_value),
+        _near("posi3", "ratio within 1e-5 of 3/2", Fraction(3, 2), rr.ratio),
     ]
 
 
@@ -413,7 +364,8 @@ def _case_omega(args):
         raise ValueError(f"omega case needs 2 <= k <= n, got k={k}, n={n}")
     rr = ratio_report(fam.oracle(), k, "general")
     expected_alg = (n - 1) * a if k == 2 else (n - 1) * a + k - 1
-    comparison = (k - 1) * (1 + a) + 1
+    upper = (k - 1) * (1 + a) + 1
+    quotient = expected_alg / upper
     case = f"omega(n={n},k={k})"
     return [
         (
@@ -430,27 +382,11 @@ def _case_omega(args):
             _fmt_bool(1 in rr.run.partition),
             1 in rr.run.partition,
         ),
-        (
-            case,
-            "chain value",
-            fmt_rational(expected_alg),
-            fmt_rational(rr.algorithm_value),
-            rr.algorithm_value == expected_alg,
+        _compare(case, "chain value", "==", expected_alg, rr.algorithm_value),
+        _compare(
+            case, "optimum at most the tail-grouped partition", "<=", upper, rr.optimal_value
         ),
-        (
-            case,
-            "optimum at most the tail-grouped partition",
-            "<= " + fmt_rational(comparison),
-            fmt_rational(rr.optimal_value),
-            rr.optimal_value <= comparison,
-        ),
-        (
-            case,
-            "ratio at least their quotient",
-            ">= " + fmt_decimal(expected_alg / comparison),
-            fmt_decimal(rr.ratio),
-            rr.ratio >= expected_alg / comparison,
-        ),
+        _compare(case, "ratio at least their quotient", ">=", quotient, rr.ratio, fmt_decimal),
     ]
 
 
@@ -467,20 +403,8 @@ def _case_footnote(args):
     _, within = ratio_to_optimum(base.value, opt_value, guarantee)
     case = f"matroid-footnote(k={k})"
     return [
-        (
-            case,
-            "cheapest-singleton value is 2k-1",
-            fmt_rational(Fraction(2 * k - 1)),
-            fmt_rational(base.value),
-            base.value == 2 * k - 1,
-        ),
-        (
-            case,
-            "optimal value is k",
-            fmt_rational(Fraction(k)),
-            fmt_rational(opt_value),
-            opt_value == k,
-        ),
+        _compare(case, "cheapest-singleton value is 2k-1", "==", 2 * k - 1, base.value),
+        _compare(case, "optimal value is k", "==", k, opt_value),
         (
             case,
             "singleton guarantee 2 - 1/k holds",
@@ -528,8 +452,7 @@ def cmd_random(args) -> int:
     if args.count < 1:
         print("error: --count must be positive", file=sys.stderr)
         return EXIT_USAGE
-    paths = generate_batch(args.family, args.n, args.seed, args.count, args.out_dir)
-    for path in paths:
+    for path in generate_batch(args.family, args.n, args.seed, args.count, args.out_dir):
         print(path)
     return EXIT_OK
 
@@ -564,6 +487,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry points
 
+def _sample_count(text: str) -> int:
+    """argparse type of --interior-samples: a negative count is a usage error
+    before any work, with int's own message for text that is no integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subpartition",
@@ -571,14 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "pps", help="compute and verify the principal partition sequence"
-    )
+    p = sub.add_parser("pps", help="compute and verify the principal partition sequence")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument(
         "--interior-samples",
-        type=int,
+        type=_sample_count,
         default=3,
         metavar="COUNT",
         help="accepted and ignored: segment optimality is decided exactly from "
@@ -596,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of blocks")
     p.add_argument(
         "--algorithms",
-        default="pps,greedy,singleton",
-        help="comma-separated subset of pps,greedy,singleton",
+        default=",".join(SOLVERS),
+        help=f"comma-separated subset of {','.join(SOLVERS)}",
     )
     p.add_argument(
         "--brute-force",
@@ -622,11 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reproduce", help="rebuild the named worst-case constructions and check them"
     )
-    p.add_argument(
-        "--case",
-        choices=("all",) + tuple(REPRODUCE_CASES),
-        default="all",
-    )
+    p.add_argument("--case", choices=("all",) + tuple(REPRODUCE_CASES), default="all")
     p.add_argument("--n", type=int, default=None, help="ground-set size override")
     p.add_argument(
         "--eps",
@@ -668,10 +597,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InstanceFormatError, GroundSetCapError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonSubmodularError as exc:

@@ -127,15 +127,8 @@ def instance_to_json(family: SetFunctionFamily) -> dict:
         doc["params"] = {"eps": _rat_to_json(family.eps)}
     elif isinstance(family, DigraphHyperFn):
         doc["params"] = {"a": _rat_to_json(family.a)}
-    elif isinstance(family, ExplicitTableFn):
-        # display names are not family tags; files always load as explicit_table
-        doc["family"] = "explicit_table"
-        doc["params"] = {
-            "values": [_rat_to_json(v) for v in family.table],
-            "function_class": family.function_class,
-        }
-    elif isinstance(family, CombinationFn):
-        # combinations are saved as their explicit table
+    elif isinstance(family, (ExplicitTableFn, CombinationFn)):
+        # saved as the explicit table; display names are not family tags
         doc["family"] = "explicit_table"
         doc["params"] = {
             "values": [_rat_to_json(family.value(m)) for m in range(1 << family.n)],
@@ -197,7 +190,7 @@ def instance_from_json(doc, validate: bool = True) -> SetFunctionFamily:
     return fam
 
 
-def _edge_list(params, n, weighted=True):
+def _edge_list(params, weighted=True):
     edges = params.get("edges")
     if not isinstance(edges, list):
         raise InstanceFormatError("params.edges must be a list")
@@ -217,9 +210,9 @@ def _edge_list(params, n, weighted=True):
 
 def _build_family(family, n, labels, params) -> SetFunctionFamily:
     if family == "graph_cut":
-        return GraphCutFn(n, _edge_list(params, n), labels=labels)
+        return GraphCutFn(n, _edge_list(params), labels=labels)
     if family == "graph_coverage":
-        return GraphCoverageFn(n, _edge_list(params, n), labels=labels)
+        return GraphCoverageFn(n, _edge_list(params), labels=labels)
     if family == "hypergraph_cut":
         hyperedges = params.get("hyperedges")
         if not isinstance(hyperedges, list):
@@ -237,7 +230,7 @@ def _build_family(family, n, labels, params) -> SetFunctionFamily:
         return PartitionMatroidRankFn(n, blocks, labels=labels)
     if family == "graphic_matroid":
         num_vertices = _int_field(params, "num_vertices", "params.num_vertices")
-        edges = _edge_list(params, n, weighted=False)
+        edges = _edge_list(params, weighted=False)
         if len(edges) != n:
             raise InstanceFormatError(
                 f"graphic matroid needs n == number of edges, got n={n} and {len(edges)} edges"

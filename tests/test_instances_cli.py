@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
+from subpartition import cli
 from subpartition.cli import CSV_COLUMNS, fmt_decimal, fmt_rational, main
 
 from helpers import (
@@ -238,12 +239,32 @@ def test_cli_pps_json_deterministic(tmp_path, capsys):
     assert doc["breakpoints"] == [[2, 1], [4, 1], [6, 1]]
     assert doc["partitions"][0] == [[0, 1, 2, 3]]
     assert doc["partitions"][-1] == [[0], [1], [2], [3]]
-    assert doc["verification"]["ok"] is True
+    assert doc["verification"] == {
+        "ok": True,
+        "endpoints_ok": True,
+        "refinement_ok": True,
+        "breakpoints_nondecreasing_ok": True,
+        "breakpoints_attained_ok": True,
+        "segments_optimal_ok": True,
+        "formula_ok": True,
+        "samples_checked": 3,
+        "failures": [],
+    }
 
 
 def test_cli_pps_interior_samples(tmp_path):
     path = write_instance(tmp_path, weighted_path4())
     assert main(["pps", str(path), "--interior-samples", "0"]) == 0
+
+
+def test_cli_pps_negative_interior_samples_rejected_before_work(tmp_path, monkeypatch):
+    path = write_instance(tmp_path, weighted_path4())
+
+    def no_work(oracle):
+        raise AssertionError("compute_pps ran before the usage error")
+
+    monkeypatch.setattr(cli, "compute_pps", no_work)
+    assert main(["pps", str(path), "--interior-samples", "-1"]) == 2
 
 
 def test_cli_solve_csv(tmp_path):
@@ -356,9 +377,56 @@ def test_cli_reproduce_mono3(capsys):
     assert "reproduce: PASS" in out
 
 
+REPRODUCE_ALL_STDOUT = """\
+case                   check                                         expected           observed        status
+mono3                  chain 2-partition value                       1500001/500000     1500001/500000  PASS
+mono3                  optimal 2-partition value                     1250001/500000     1250001/500000  PASS
+mono3                  ratio within 1e-5 of 6/5                      1.2                1.19999984000   PASS
+monoN(n=9)             chain 5-partition value is n                  9/1                9/1             PASS
+monoN(n=9)             optimum at most the split-one-deep partition  <= 1500001/200000  1500001/200000  PASS
+monoN(n=9)             ratio >= 4/3 - 4/(3n+3) - 1e-5                >= 1.19999         1.19999920000   PASS
+monoN(n=9)             ratio within the class bound 4/3 - 4/(9n+3)   <= 1.28571428571   1.19999920000   PASS
+posi3                  chain 2-partition value                       3/1                3/1             PASS
+posi3                  optimal 2-partition value                     1000001/500000     1000001/500000  PASS
+posi3                  ratio within 1e-5 of 3/2                      1.5                1.49999850000   PASS
+omega(n=8,k=3)         chain jumps from trivial to singletons        2 partitions       2 partitions    PASS
+omega(n=8,k=3)         chain partition isolates the arc tail         true               true            PASS
+omega(n=8,k=3)         chain value                                   7000002/1          7000002/1       PASS
+omega(n=8,k=3)         optimum at most the tail-grouped partition    <= 2000003/1       2000003/1       PASS
+omega(n=8,k=3)         ratio at least their quotient                 >= 3.49999575001   3.49999575001   PASS
+matroid-footnote(k=4)  cheapest-singleton value is 2k-1              7/1                7/1             PASS
+matroid-footnote(k=4)  optimal value is k                            4/1                4/1             PASS
+matroid-footnote(k=4)  singleton guarantee 2 - 1/k holds             <= 7/1             7/1             PASS
+reproduce: PASS (18 checks)
+"""
+
+
 def test_cli_reproduce_all(capsys):
     assert main(["reproduce", "--case", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "reproduce: PASS" in out
+    assert out == REPRODUCE_ALL_STDOUT
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["--case", "omega", "--n", "6", "--k", "2"],
+        ["--case", "monoN", "--n", "5"],
+        ["--case", "matroid-footnote", "--k", "3"],
+    ],
+)
+def test_cli_reproduce_overrides(capsys, overrides):
+    assert main(["reproduce"] + overrides) == 0
     assert "reproduce: PASS" in capsys.readouterr().out
+
+
+def test_cli_installed_entry_point(monkeypatch):
+    # `run` is the `subpartition` console script named in pyproject.toml
+    monkeypatch.setattr("sys.argv", ["subpartition", "reproduce", "--case", "mono3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
 
 
 def test_cli_random(tmp_path, capsys):
