@@ -12,7 +12,7 @@ Each reproduce row is shown and decided from one comparison: `_compare`
 builds the expected cell and the PASS/FAIL verdict from the same operator
 and expected value, and `_near` does the same for the 1e-5 ratio rows.
 `solve` runs the algorithms named in the `SOLVERS` table, which also gives
-the `--algorithms` default.
+the `--algorithms` default and checks the names at parse time.
 
 Exit codes: 0 success, 1 failed check (a reproduce FAIL, a violated bound,
 a non-submodular instance under `verify`), 2 usage, parse, or validation
@@ -47,7 +47,7 @@ from .checkers import (
     check_submodular,
     check_symmetric,
 )
-from .core import NonSubmodularError
+from .core import NonSubmodularError, require_block_count
 from .families import (
     FUNCTION_CLASSES,
     DigraphHyperFn,
@@ -196,17 +196,7 @@ def cmd_solve(args) -> int:
     fam = load_instance(args.instance, validate=not args.no_validate)
     n = fam.n
     k = args.k
-    if not 1 <= k <= n:
-        print(f"error: k={k} out of range for n={n}", file=sys.stderr)
-        return EXIT_USAGE
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for a in algorithms:
-        if a not in SOLVERS:
-            print(
-                f"error: unknown algorithm {a!r} (choose from {', '.join(SOLVERS)})",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    require_block_count(k, n)
     function_class = args.function_class or fam.function_class
     instance_id = Path(args.instance).stem
 
@@ -218,7 +208,7 @@ def cmd_solve(args) -> int:
     rows = []
     partitions = []
     any_violation = False
-    for algorithm in algorithms:
+    for algorithm in args.algorithms:
         oracle = fam.oracle()
         started = time.perf_counter()
         result = SOLVERS[algorithm](oracle, k)
@@ -307,17 +297,21 @@ def _near(case, check, target, observed):
     return (case, check, fmt_decimal(target), fmt_decimal(observed), ok)
 
 
+def _tight3(case, fam, cls, chain, optimum, ratio):
+    """The three rows of a 3-element tight table at k = 2: the chain value,
+    the optimum, and their ratio near the class bound it meets."""
+    rr = ratio_report(fam.oracle(), 2, cls)
+    return [
+        _compare(case, "chain 2-partition value", "==", chain, rr.algorithm_value),
+        _compare(case, "optimal 2-partition value", "==", optimum, rr.optimal_value),
+        _near(case, f"ratio within 1e-5 of {ratio}", ratio, rr.ratio),
+    ]
+
+
 def _case_mono3(args):
     fam = MonoTight3Fn(args.eps)
     e = fam.eps
-    rr = ratio_report(fam.oracle(), 2, "monotone")
-    return [
-        _compare("mono3", "chain 2-partition value", "==", 3 + 2 * e, rr.algorithm_value),
-        _compare(
-            "mono3", "optimal 2-partition value", "==", Fraction(5, 2) + 2 * e, rr.optimal_value
-        ),
-        _near("mono3", "ratio within 1e-5 of 6/5", Fraction(6, 5), rr.ratio),
-    ]
+    return _tight3("mono3", fam, "monotone", 3 + 2 * e, Fraction(5, 2) + 2 * e, Fraction(6, 5))
 
 
 def _case_mono_n(args):
@@ -346,13 +340,7 @@ def _case_mono_n(args):
 
 def _case_posi3(args):
     fam = PosiTight3Fn(args.eps)
-    e = fam.eps
-    rr = ratio_report(fam.oracle(), 2, "posimodular")
-    return [
-        _compare("posi3", "chain 2-partition value", "==", 3, rr.algorithm_value),
-        _compare("posi3", "optimal 2-partition value", "==", 2 + 2 * e, rr.optimal_value),
-        _near("posi3", "ratio within 1e-5 of 3/2", Fraction(3, 2), rr.ratio),
-    ]
+    return _tight3("posi3", fam, "posimodular", 3, 2 + 2 * fam.eps, Fraction(3, 2))
 
 
 def _case_omega(args):
@@ -499,6 +487,18 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _algorithm_list(text: str) -> list[str]:
+    """argparse type of --algorithms: the comma-separated names, each a key
+    of SOLVERS, so an unknown name is a usage error before any work."""
+    names = [a.strip() for a in text.split(",") if a.strip()]
+    for name in names:
+        if name not in SOLVERS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {name!r} (choose from {', '.join(SOLVERS)})"
+            )
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subpartition",
@@ -529,6 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of blocks")
     p.add_argument(
         "--algorithms",
+        type=_algorithm_list,
         default=",".join(SOLVERS),
         help=f"comma-separated subset of {','.join(SOLVERS)}",
     )

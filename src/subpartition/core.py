@@ -43,6 +43,7 @@ __all__ = [
     "partition_value",
     "refined_part",
     "refines",
+    "require_block_count",
     "require_within_cap",
     "singleton_partition",
     "trivial_partition",
@@ -85,6 +86,12 @@ def require_within_cap(n: int, operation: str) -> None:
             f"{operation} enumerates over a ground set of {n} elements, "
             f"above the cap of {cap} (cap is min(13, SUBMOD_N_CAP))"
         )
+
+
+def require_block_count(k: int, n: int) -> None:
+    """Reject a block count k outside 1..n for an n-element ground set."""
+    if not 1 <= k <= n:
+        raise ValueError(f"block count k={k} must be between 1 and n={n}")
 
 
 def as_fraction(x) -> Fraction:

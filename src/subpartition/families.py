@@ -1,9 +1,12 @@
 """Submodular set-function families: graph-style instances and tight constructions.
 
-Each family is a small object with a ground-set size, display labels, a
-declared function class, and an exact `value(mask)` method; `oracle()` wraps
-it in a memoizing ValueOracle.  The declared class is what the approximation
-bounds key on:
+Each family is a small object with one `GroundSet` (which checks the size
+and the distinct labels), a declared function class, and an exact
+`value(mask)` method; `oracle()` wraps it in a memoizing ValueOracle.  Two
+private bases hold the shared constructors: `_EdgeFamily` cleans the edge
+list of the graph cut and coverage families, and `_TableFamily` checks the
+value table and class of the explicit and the two 3-element tight tables.
+The declared class is what the approximation bounds key on:
 
 * "monotone":     f(A) <= f(B) for A subset of B (coverage, matroid ranks),
 * "symmetric":    f(A) = f(V - A) (graph and hypergraph cuts),
@@ -19,9 +22,9 @@ instances that meet their class bounds with equality in the limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import GroundSet, ValueOracle, as_fraction, default_labels
+from .core import GroundSet, ValueOracle, as_fraction
 
 __all__ = [
     "FUNCTION_CLASSES",
@@ -49,21 +52,24 @@ class SetFunctionFamily:
     function_class = "general"
 
     def __init__(self, n: int, labels: Sequence[str] | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("family ground-set size must be a positive int")
-        self.n = n
-        self.labels = tuple(labels) if labels else default_labels(n)
-        if len(self.labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(self.labels)}")
+        self._ground_set = GroundSet(n, labels or ())
+
+    @property
+    def n(self) -> int:
+        return self._ground_set.n
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._ground_set.labels
 
     def ground_set(self) -> GroundSet:
-        return GroundSet(self.n, self.labels)
+        return self._ground_set
 
     def value(self, mask: int) -> Fraction:
         raise NotImplementedError
 
     def oracle(self) -> ValueOracle:
-        return ValueOracle(self.ground_set(), self.value, name=self.name)
+        return ValueOracle(self._ground_set, self.value, name=self.name)
 
 
 def _check_endpoint(i, n, what):
@@ -78,14 +84,9 @@ def _nonneg_weight(w):
     return w
 
 
-class GraphCutFn(SetFunctionFamily):
-    """Weighted graph cut: f(S) = total weight of edges with one endpoint in S.
-
-    Edges are (u, v, weight) with u != v; parallel edges add up.  Symmetric.
-    """
-
-    name = "graph_cut"
-    function_class = "symmetric"
+class _EdgeFamily(SetFunctionFamily):
+    """Shared constructor of the weighted edge-list families: edges are
+    (u, v, weight) with u != v and weight >= 0; parallel edges add up."""
 
     def __init__(self, n, edges, labels=None):
         super().__init__(n, labels)
@@ -94,9 +95,17 @@ class GraphCutFn(SetFunctionFamily):
             _check_endpoint(u, n, "edge endpoint")
             _check_endpoint(v, n, "edge endpoint")
             if u == v:
-                raise ValueError("graph cut edges must join distinct elements")
+                raise ValueError("edges must join distinct elements")
             cleaned.append((u, v, _nonneg_weight(w)))
         self.edges = tuple(cleaned)
+
+
+class GraphCutFn(_EdgeFamily):
+    """Weighted graph cut: f(S) = total weight of edges with one endpoint in S.
+    Symmetric."""
+
+    name = "graph_cut"
+    function_class = "symmetric"
 
     def value(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -138,23 +147,12 @@ class HypergraphCutFn(SetFunctionFamily):
         return total
 
 
-class GraphCoverageFn(SetFunctionFamily):
+class GraphCoverageFn(_EdgeFamily):
     """Edge coverage: f(S) = total weight of edges with at least one endpoint
     in S, i.e. w(E[S]) + w(delta(S)).  Monotone."""
 
     name = "graph_coverage"
     function_class = "monotone"
-
-    def __init__(self, n, edges, labels=None):
-        super().__init__(n, labels)
-        cleaned = []
-        for u, v, w in edges:
-            _check_endpoint(u, n, "edge endpoint")
-            _check_endpoint(v, n, "edge endpoint")
-            if u == v:
-                raise ValueError("coverage edges must join distinct elements")
-            cleaned.append((u, v, _nonneg_weight(w)))
-        self.edges = tuple(cleaned)
 
     def value(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -235,25 +233,34 @@ class GraphicMatroidRankFn(SetFunctionFamily):
         return Fraction(rank)
 
 
-class ExplicitTableFn(SetFunctionFamily):
-    """Set function given by its full value table, indexed by subset mask."""
+def _known_class(function_class: str) -> str:
+    if function_class not in FUNCTION_CLASSES:
+        raise ValueError(f"unknown function class {function_class!r}")
+    return function_class
 
-    name = "explicit_table"
+
+class _TableFamily(SetFunctionFamily):
+    """Shared base of the families given by their full value table, indexed
+    by subset mask, with a declared function class."""
 
     def __init__(self, n, values, function_class="general", labels=None, name=None):
         super().__init__(n, labels)
         values = tuple(as_fraction(v) for v in values)
         if len(values) != 1 << n:
             raise ValueError(f"expected {1 << n} table entries, got {len(values)}")
-        if function_class not in FUNCTION_CLASSES:
-            raise ValueError(f"unknown function class {function_class!r}")
         self.table = values
-        self.function_class = function_class
+        self.function_class = _known_class(function_class)
         if name:
             self.name = name
 
     def value(self, mask: int) -> Fraction:
         return self.table[mask]
+
+
+class ExplicitTableFn(_TableFamily):
+    """Set function given by its full value table, indexed by subset mask."""
+
+    name = "explicit_table"
 
 
 class CombinationFn(SetFunctionFamily):
@@ -277,11 +284,9 @@ class CombinationFn(SetFunctionFamily):
         coefficients = tuple(_nonneg_weight(c) for c in coefficients)
         if len(coefficients) != len(parts):
             raise ValueError("one coefficient per part, please")
-        if function_class not in FUNCTION_CLASSES:
-            raise ValueError(f"unknown function class {function_class!r}")
         self.parts = parts
         self.coefficients = coefficients
-        self.function_class = function_class
+        self.function_class = _known_class(function_class)
         if name:
             self.name = name
 
@@ -299,7 +304,7 @@ def _eps_in_window(eps):
     return eps
 
 
-class MonoTight3Fn(SetFunctionFamily):
+class MonoTight3Fn(_TableFamily):
     """Monotone 3-element instance meeting the 6/5 class bound in the eps -> 0
     limit.  Values on {a, b, c}:
 
@@ -314,22 +319,9 @@ class MonoTight3Fn(SetFunctionFamily):
     function_class = "monotone"
 
     def __init__(self, eps=Fraction(1, 10**6)):
-        super().__init__(3, ("a", "b", "c"))
-        e = _eps_in_window(eps)
-        self.eps = e
-        self.table = (
-            Fraction(0),      # {}
-            Fraction(1),      # {a}
-            1 + e,            # {b}
-            Fraction(3, 2) + e,  # {a,b}
-            1 + e,            # {c}
-            Fraction(3, 2) + e,  # {a,c}
-            2 + 2 * e,        # {b,c}
-            2 + 2 * e,        # {a,b,c}
-        )
-
-    def value(self, mask: int) -> Fraction:
-        return self.table[mask]
+        e = self.eps = _eps_in_window(eps)
+        table = (0, 1, 1 + e, Fraction(3, 2) + e, 1 + e, Fraction(3, 2) + e, 2 + 2 * e, 2 + 2 * e)
+        super().__init__(3, table, self.function_class, ("a", "b", "c"))
 
 
 class MonoTightNFn(SetFunctionFamily):
@@ -368,7 +360,7 @@ class MonoTightNFn(SetFunctionFamily):
         return min(self.unclamped(mask), self.cap_value)
 
 
-class PosiTight3Fn(SetFunctionFamily):
+class PosiTight3Fn(_TableFamily):
     """Posimodular (not monotone, not symmetric) 3-element instance meeting
     the 2 - 2/(n+1) = 3/2 bound in the eps -> 0 limit.  Values on {a, b, c}:
 
@@ -383,22 +375,9 @@ class PosiTight3Fn(SetFunctionFamily):
     function_class = "posimodular"
 
     def __init__(self, eps=Fraction(1, 10**6)):
-        super().__init__(3, ("a", "b", "c"))
-        e = _eps_in_window(eps)
-        self.eps = e
-        self.table = (
-            Fraction(0),  # {}
-            Fraction(1),  # {a}
-            Fraction(1),  # {b}
-            1 + e,        # {a,b}
-            1 + e,        # {c}
-            Fraction(2),  # {a,c}
-            Fraction(2),  # {b,c}
-            1 + e,        # {a,b,c}
-        )
-
-    def value(self, mask: int) -> Fraction:
-        return self.table[mask]
+        e = self.eps = _eps_in_window(eps)
+        table = (0, 1, 1, 1 + e, 1 + e, 2, 2, 1 + e)
+        super().__init__(3, table, self.function_class, ("a", "b", "c"))
 
 
 class DigraphHyperFn(SetFunctionFamily):

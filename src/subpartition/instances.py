@@ -40,7 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .checkers import check_submodular
-from .core import GroundSetCapError, enumeration_cap
+from .core import require_within_cap
 from .families import (
     CombinationFn,
     DigraphHyperFn,
@@ -156,11 +156,7 @@ def instance_from_json(doc, validate: bool = True) -> SetFunctionFamily:
     n = _int_field(doc, "n", "n")
     if n < 1:
         raise InstanceFormatError("n must be at least 1")
-    cap = enumeration_cap()
-    if n > cap:
-        raise GroundSetCapError(
-            f"instance has n={n}, above the enumeration cap of {cap}"
-        )
+    require_within_cap(n, "instance_from_json")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

@@ -5,7 +5,7 @@ partitions into exactly k blocks, approximately, by reading the principal
 sequence of f:
 
 * if some chain member has exactly k blocks, return it (this is provably an
-  optimal k-partition, re-checkable with `check_exact_hit_optimality`);
+  optimal k-partition; `ratio_report` re-checks it against brute force);
 * otherwise two neighbors straddle k.  The finer one splits a single block S
   of the coarser one into smaller pieces; keep the cheapest of those pieces
   as their own blocks, as many as needed to reach k, and merge the rest back
@@ -33,6 +33,7 @@ from .core import (
     ValueOracle,
     partition_value,
     refined_part,
+    require_block_count,
 )
 from .partition_opt import brute_force_optimal_k_partition
 from .pps import PrincipalSequence, compute_pps
@@ -40,14 +41,12 @@ from .pps import PrincipalSequence, compute_pps
 __all__ = [
     "BaselineResult",
     "ChainBoundsReport",
-    "ExactHitReport",
     "KPartitionRun",
     "RatioReport",
     "algorithm_guarantee",
     "approximation_bound",
     "cheapest_singleton",
     "check_chain_lower_bounds",
-    "check_exact_hit_optimality",
     "greedy_splitting",
     "pps_k_partition",
     "ratio_report",
@@ -95,8 +94,7 @@ def pps_k_partition(
     Pass a precomputed sequence to amortize it across several k values.
     """
     n = oracle.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be between 1 and n={n}")
+    require_block_count(k, n)
     if pps is None:
         pps = compute_pps(oracle)
     counts = pps.block_counts()
@@ -156,8 +154,7 @@ def cheapest_singleton(oracle: ValueOracle, k: int) -> BaselineResult:
     factor 2 - 1/k of the optimal k-partition.
     """
     n = oracle.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be between 1 and n={n}")
+    require_block_count(k, n)
     order = sorted(range(n), key=lambda i: (oracle.eval(1 << i), i))
     taken = order[: k - 1]
     rest = oracle.ground_set.full_mask
@@ -189,8 +186,7 @@ def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
     mask order; the first split minimizing f(X) + f(A-X) - f(A) wins.
     """
     n = oracle.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be between 1 and n={n}")
+    require_block_count(k, n)
     blocks = [oracle.ground_set.full_mask]
     for _ in range(k - 1):
         best = None  # (cost, block_index, submask)
@@ -273,8 +269,7 @@ def check_chain_lower_bounds(
     optimal_value: Fraction,
 ) -> ChainBoundsReport:
     """Evaluate both chain lower bounds against a known optimal value."""
-    if not 1 <= k <= oracle.n:
-        raise ValueError(f"k={k} must be between 1 and n={oracle.n}")
+    require_block_count(k, oracle.n)
     if k in pps.block_counts():
         return ChainBoundsReport(applicable=False)
     below, above = _straddle(pps, k)
@@ -288,37 +283,6 @@ def check_chain_lower_bounds(
         coarse_bound=f_below,
         interpolated_ok=optimal_value >= interpolated,
         coarse_ok=optimal_value >= f_below,
-    )
-
-
-@dataclass(frozen=True)
-class ExactHitReport:
-    """Exact-hit optimality check: a chain member with k blocks must match
-    the brute-force optimum value exactly."""
-
-    applicable: bool
-    chain_value: Fraction | None = None
-    brute_value: Fraction | None = None
-    ok: bool | None = None
-
-
-def check_exact_hit_optimality(
-    oracle: ValueOracle, k: int, pps: PrincipalSequence | None = None
-) -> ExactHitReport:
-    if not 1 <= k <= oracle.n:
-        raise ValueError(f"k={k} must be between 1 and n={oracle.n}")
-    if pps is None:
-        pps = compute_pps(oracle)
-    counts = pps.block_counts()
-    if k not in counts:
-        return ExactHitReport(applicable=False)
-    chain_value = partition_value(oracle, pps.partitions[counts.index(k)])
-    _, brute_value = brute_force_optimal_k_partition(oracle, k)
-    return ExactHitReport(
-        applicable=True,
-        chain_value=chain_value,
-        brute_value=brute_value,
-        ok=chain_value == brute_value,
     )
 
 

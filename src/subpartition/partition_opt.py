@@ -38,6 +38,7 @@ from .core import (
     Partition,
     ValueOracle,
     as_fraction,
+    require_block_count,
     require_within_cap,
 )
 
@@ -87,8 +88,8 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
     enumeration cap.
     """
     require_within_cap(n, "enumerate_partitions")
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"block count k={k} must be between 1 and n={n}")
+    if k is not None:
+        require_block_count(k, n)
     for masks in _raw_partitions(n, k):
         yield Partition._trusted(n, masks)
 
@@ -174,8 +175,7 @@ def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partit
     """
     n = oracle.n
     require_within_cap(n, "brute_force_optimal_k_partition")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be between 1 and n={n}")
+    require_block_count(k, n)
     d, tab = oracle.scaled_table()
     best = None
     best_masks = None

@@ -36,6 +36,12 @@ def test_graph_cut_rejects_bad_edges():
         sp.GraphCutFn(3, [(0, 1, 0.5)])
 
 
+def test_duplicate_labels_rejected():
+    # the family's ground set checks its labels, so a repeat fails at once
+    with pytest.raises(ValueError, match="distinct"):
+        sp.GraphCutFn(3, [(0, 1, 1)], labels=("a", "a", "b"))
+
+
 def test_hypergraph_cut_values():
     fam = sp.HypergraphCutFn(4, [([0, 1, 2], 2), ([2, 3], Fraction(1, 2))])
     assert fam.value(0) == 0

@@ -1,8 +1,12 @@
 import copy
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,64 @@ def test_graphic_matroid_edge_count_mismatch():
     }
     with pytest.raises(sp.InstanceFormatError):
         sp.instance_from_json(doc)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_duplicate_labels_are_a_format_error(validate):
+    doc = {
+        "format_version": 1,
+        "family": "graph_cut",
+        "n": 3,
+        "labels": ["a", "a", "b"],
+        "params": {"edges": [[0, 1, [1, 1]]]},
+    }
+    with pytest.raises(sp.InstanceFormatError, match="distinct"):
+        sp.instance_from_json(doc, validate=validate)
+
+
+def _file(family, n, params):
+    return json.dumps({"format_version": 1, "family": family, "n": n, "params": params})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _file("mono_tight3", 4, {"eps": [1, 1000000]}),
+        _file("graph_cut", 3, {"edges": 5}),
+        _file("graphic_matroid", 1, {"num_vertices": 3, "edges": [[0, 1, 2]]}),
+        _file("hypergraph_cut", 3, {"hyperedges": {}}),
+        _file("hypergraph_cut", 3, {"hyperedges": [[0, 1]]}),
+        _file("hypergraph_cut", 3, {"hyperedges": [[[0], [1, 1]]]}),
+        _file("partition_matroid", 2, {"blocks": [0, 1]}),
+        _file("explicit_table", 1, {"values": 3}),
+        "{not json",
+    ],
+    ids=[
+        "declared-n-mismatch",
+        "edges-not-a-list",
+        "unweighted-edge-shape",
+        "hyperedges-not-a-list",
+        "hyperedge-entry-shape",
+        "hyperedge-one-member",
+        "blocks-not-lists",
+        "values-not-a-list",
+        "invalid-json",
+    ],
+)
+def test_loader_error_branches(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(sp.InstanceFormatError):
+        sp.load_instance(path)
+    assert main(["pps", str(path)]) == 2
+
+
+def test_unknown_family_cannot_be_serialized():
+    class Unsaved(sp.SetFunctionFamily):
+        name = "unsaved"
+
+    with pytest.raises(sp.InstanceFormatError, match="cannot serialize"):
+        sp.instance_to_json(Unsaved(2))
 
 
 def test_cap_violation_is_its_own_error(monkeypatch):
@@ -267,6 +329,29 @@ def test_cli_pps_negative_interior_samples_rejected_before_work(tmp_path, monkey
     assert main(["pps", str(path), "--interior-samples", "-1"]) == 2
 
 
+def test_cli_pps_interior_samples_not_an_int(tmp_path):
+    path = write_instance(tmp_path, weighted_path4())
+    assert main(["pps", str(path), "--interior-samples", "abc"]) == 2
+
+
+def test_cli_solve_unknown_algorithm_rejected_before_loading(tmp_path, monkeypatch):
+    path = write_instance(tmp_path, weighted_path4())
+
+    def no_load(path, validate=True):
+        raise AssertionError("load_instance ran before the usage error")
+
+    monkeypatch.setattr(cli, "load_instance", no_load)
+    assert main(["solve", str(path), "--k", "2", "--algorithms", "pps,magic"]) == 2
+
+
+def test_cli_solve_k_out_of_range_without_algorithms(tmp_path, capsys):
+    # no algorithm and no brute force reads k, and k = 0 is still an error
+    path = write_instance(tmp_path, weighted_path4())
+    assert main(["solve", str(path), "--k", "0", "--algorithms", ""]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["solve", str(path), "--k", "2", "--algorithms", "", "--no-timing"]) == 0
+
+
 def test_cli_solve_csv(tmp_path):
     path = write_instance(tmp_path, mono3())
     out = tmp_path / "rows.csv"
@@ -371,6 +456,15 @@ def test_cli_verify(tmp_path, capsys):
     assert "submodular" in out
 
 
+def test_cli_verify_unconfirmed_declared_class(tmp_path, capsys):
+    # a cut table is submodular but not monotone
+    path = write_instance(tmp_path, sp.ExplicitTableFn(2, [0, 1, 1, 0], "monotone"))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "declared class 'monotone' not confirmed" in out
+    assert "verify: FAIL" in out
+
+
 def test_cli_reproduce_mono3(capsys):
     assert main(["reproduce", "--case", "mono3"]) == 0
     out = capsys.readouterr().out
@@ -421,6 +515,26 @@ def test_cli_reproduce_overrides(capsys, overrides):
     assert "reproduce: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("case", ["omega", "matroid-footnote"])
+def test_cli_reproduce_k_below_range(case):
+    assert main(["reproduce", "--case", case, "--k", "1"]) == 2
+
+
+def test_python_m_subpartition():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "subpartition", "reproduce", "--case", "mono3"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "reproduce: PASS" in done.stdout
+
+
 def test_cli_installed_entry_point(monkeypatch):
     # `run` is the `subpartition` console script named in pyproject.toml
     monkeypatch.setattr("sys.argv", ["subpartition", "reproduce", "--case", "mono3"])
@@ -457,6 +571,12 @@ def test_cli_cap_env(tmp_path, monkeypatch):
     path = write_instance(tmp_path, omega(5, 10))
     monkeypatch.setenv("SUBMOD_N_CAP", "4")
     assert main(["solve", str(path), "--k", "2"]) == 2
+
+
+def test_cli_random_count_zero(tmp_path):
+    args = ["random", "--family", "graph_cut", "--n", "4", "--seed", "1", "--count", "0"]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_mislabeled_class_fails_bound(tmp_path):

@@ -108,12 +108,11 @@ def test_exact_hit_reports():
     oracle = weighted_path4().oracle()
     pps = sp.compute_pps(oracle)
     for k in range(1, 5):
-        rep = sp.check_exact_hit_optimality(oracle, k, pps)
-        assert rep.applicable
-        assert rep.ok
-        assert rep.chain_value == rep.brute_value
+        rep = sp.ratio_report(oracle, k, pps=pps)
+        assert rep.exact_hit
+        assert rep.algorithm_value == rep.optimal_value
     mono = mono3().oracle()
-    assert not sp.check_exact_hit_optimality(mono, 2).applicable
+    assert not sp.ratio_report(mono, 2, "monotone").exact_hit
 
 
 def test_chain_checks_reject_k_out_of_range():
@@ -123,7 +122,7 @@ def test_chain_checks_reject_k_out_of_range():
         with pytest.raises(ValueError):
             sp.check_chain_lower_bounds(oracle, k, pps, Fraction(2))
         with pytest.raises(ValueError):
-            sp.check_exact_hit_optimality(oracle, k, pps)
+            sp.ratio_report(oracle, k, pps=pps)
 
 
 def test_two_triangles_k2_exact_hit():
