@@ -4,151 +4,25 @@ Exact-arithmetic implementation of the parametric-chain approximation
 algorithm for minimum submodular k-partition, with the function families,
 baselines, brute-force oracles, and worst-case constructions needed to
 check its guarantees at small n.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package exports the union of those lists. Helpers left out
+of a module's ``__all__`` stay importable from that module by name.
 """
 
-from .core import (
-    ENUMERATION_CAP,
-    GroundSet,
-    GroundSetCapError,
-    NonSubmodularError,
-    Partition,
-    ValueOracle,
-    as_fraction,
-    enumeration_cap,
-    g_value,
-    partition_value,
-    refined_part,
-    refines,
-    singleton_partition,
-    trivial_partition,
-)
-from .families import (
-    FUNCTION_CLASSES,
-    CombinationFn,
-    DigraphHyperFn,
-    ExplicitTableFn,
-    GraphCoverageFn,
-    GraphCutFn,
-    GraphicMatroidRankFn,
-    HypergraphCutFn,
-    MonoTight3Fn,
-    MonoTightNFn,
-    PartitionMatroidRankFn,
-    PosiTight3Fn,
-    SetFunctionFamily,
-)
-from .checkers import (
-    CheckResult,
-    check_monotone,
-    check_posimodular,
-    check_submodular,
-    check_symmetric,
-)
-from .partition_opt import (
-    GMinResult,
-    brute_force_all_k,
-    brute_force_optimal_k_partition,
-    enumerate_partitions,
-    minimize_g,
-)
-from .pps import (
-    PpsVerification,
-    PrincipalSequence,
-    check_two_level_condition,
-    compute_pps,
-    repair_chain,
-    verify_pps,
-)
-from .kpartition import (
-    BaselineResult,
-    ChainBoundsReport,
-    KPartitionRun,
-    RatioReport,
-    algorithm_guarantee,
-    approximation_bound,
-    check_chain_lower_bounds,
-    cheapest_singleton,
-    greedy_splitting,
-    pps_k_partition,
-    ratio_report,
-    ratio_to_optimum,
-)
-from .instances import (
-    GENERATOR_FAMILIES,
-    InstanceFormatError,
-    generate_batch,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    random_instance,
-    save_instance,
-)
+from . import checkers, core, families, instances, kpartition, partition_opt, pps
+from .core import *
+from .families import *
+from .checkers import *
+from .partition_opt import *
+from .pps import *
+from .kpartition import *
+from .instances import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENUMERATION_CAP",
-    "FUNCTION_CLASSES",
-    "GENERATOR_FAMILIES",
-    "BaselineResult",
-    "ChainBoundsReport",
-    "CheckResult",
-    "CombinationFn",
-    "DigraphHyperFn",
-    "ExplicitTableFn",
-    "GMinResult",
-    "GraphCoverageFn",
-    "GraphCutFn",
-    "GraphicMatroidRankFn",
-    "GroundSet",
-    "GroundSetCapError",
-    "HypergraphCutFn",
-    "InstanceFormatError",
-    "KPartitionRun",
-    "MonoTight3Fn",
-    "MonoTightNFn",
-    "NonSubmodularError",
-    "Partition",
-    "PartitionMatroidRankFn",
-    "PosiTight3Fn",
-    "PpsVerification",
-    "PrincipalSequence",
-    "RatioReport",
-    "SetFunctionFamily",
-    "ValueOracle",
-    "algorithm_guarantee",
-    "approximation_bound",
-    "as_fraction",
-    "brute_force_all_k",
-    "brute_force_optimal_k_partition",
-    "check_chain_lower_bounds",
-    "check_monotone",
-    "check_posimodular",
-    "check_submodular",
-    "check_symmetric",
-    "check_two_level_condition",
-    "cheapest_singleton",
-    "compute_pps",
-    "enumerate_partitions",
-    "enumeration_cap",
-    "g_value",
-    "generate_batch",
-    "greedy_splitting",
-    "instance_from_json",
-    "instance_to_json",
-    "load_instance",
-    "minimize_g",
-    "partition_value",
-    "pps_k_partition",
-    "random_instance",
-    "ratio_report",
-    "ratio_to_optimum",
-    "refined_part",
-    "refines",
-    "repair_chain",
-    "save_instance",
-    "singleton_partition",
-    "trivial_partition",
-    "verify_pps",
-    "__version__",
-]
+    name
+    for module in (core, families, checkers, partition_opt, pps, kpartition, instances)
+    for name in module.__all__
+] + ["__version__"]

@@ -69,6 +69,18 @@ class CheckResult:
         )
 
 
+def _first_pair_witness(name, d, tab, rhs) -> CheckResult:
+    """The failed check for the first pair (A, B), scanning A then B in mask
+    order, with f(A) + f(B) < rhs(A, B); `tab` is scaled by `d`.  Called only
+    after a local test failed, so a scan without a witness is a bug."""
+    for a, fa in enumerate(tab):
+        for b, fb in enumerate(tab):
+            lhs, r = fa + fb, rhs(a, b)
+            if lhs < r:
+                return CheckResult(name, False, (a, b), Fraction(lhs, d), Fraction(r, d))
+    raise RuntimeError(f"{name}: the local test failed but no pair violates it")
+
+
 def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
     """Diminishing returns for single elements: f(S+i) + f(S+j) >=
     f(S+i+j) + f(S) for all S and i < j outside S."""
@@ -94,17 +106,7 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
     d, tab = oracle.scaled_table()
     if _locally_submodular(oracle.n, tab):
         return CheckResult("submodular", True)
-    full = oracle.ground_set.full_mask
-    for a in range(full + 1):
-        fa = tab[a]
-        for b in range(full + 1):
-            lhs = fa + tab[b]
-            rhs = tab[a | b] + tab[a & b]
-            if lhs < rhs:
-                return CheckResult(
-                    "submodular", False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
-                )
-    return CheckResult("submodular", True)
+    return _first_pair_witness("submodular", d, tab, lambda a, b: tab[a | b] + tab[a & b])
 
 
 def check_monotone(oracle: ValueOracle) -> CheckResult:
@@ -183,14 +185,4 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
     d, tab = oracle.scaled_table()
     if _locally_posimodular(oracle.n, tab):
         return CheckResult("posimodular", True)
-    full = oracle.ground_set.full_mask
-    for a in range(full + 1):
-        fa = tab[a]
-        for b in range(full + 1):
-            lhs = fa + tab[b]
-            rhs = tab[a & ~b] + tab[b & ~a]
-            if lhs < rhs:
-                return CheckResult(
-                    "posimodular", False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
-                )
-    return CheckResult("posimodular", True)
+    return _first_pair_witness("posimodular", d, tab, lambda a, b: tab[a & ~b] + tab[b & ~a])

@@ -37,14 +37,11 @@ __all__ = [
     "Partition",
     "ValueOracle",
     "as_fraction",
-    "default_labels",
     "enumeration_cap",
     "g_value",
     "partition_value",
     "refined_part",
     "refines",
-    "require_block_count",
-    "require_within_cap",
     "singleton_partition",
     "trivial_partition",
 ]

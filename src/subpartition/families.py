@@ -318,10 +318,10 @@ class MonoTight3Fn(_TableFamily):
     name = "mono_tight3"
     function_class = "monotone"
 
-    def __init__(self, eps=Fraction(1, 10**6)):
+    def __init__(self, eps=Fraction(1, 10**6), labels=None):
         e = self.eps = _eps_in_window(eps)
         table = (0, 1, 1 + e, Fraction(3, 2) + e, 1 + e, Fraction(3, 2) + e, 2 + 2 * e, 2 + 2 * e)
-        super().__init__(3, table, self.function_class, ("a", "b", "c"))
+        super().__init__(3, table, self.function_class, labels)
 
 
 class MonoTightNFn(SetFunctionFamily):
@@ -342,10 +342,10 @@ class MonoTightNFn(SetFunctionFamily):
     name = "mono_tight_n"
     function_class = "monotone"
 
-    def __init__(self, n, eps=Fraction(1, 10**6)):
+    def __init__(self, n, eps=Fraction(1, 10**6), labels=None):
         if not isinstance(n, int) or n < 5 or n % 2 == 0:
             raise ValueError("this family needs odd n >= 5")
-        super().__init__(n, tuple(f"v{i}" for i in range(1, n + 1)))
+        super().__init__(n, labels or tuple(f"v{i}" for i in range(1, n + 1)))
         self.eps = _eps_in_window(eps)
         self.u_mask = (1 << ((n - 1) // 2)) - 1
         self.d_mask = ((1 << n) - 1) ^ self.u_mask
@@ -374,10 +374,10 @@ class PosiTight3Fn(_TableFamily):
     name = "posi_tight3"
     function_class = "posimodular"
 
-    def __init__(self, eps=Fraction(1, 10**6)):
+    def __init__(self, eps=Fraction(1, 10**6), labels=None):
         e = self.eps = _eps_in_window(eps)
         table = (0, 1, 1, 1 + e, 1 + e, 2, 2, 1 + e)
-        super().__init__(3, table, self.function_class, ("a", "b", "c"))
+        super().__init__(3, table, self.function_class, labels)
 
 
 class DigraphHyperFn(SetFunctionFamily):
@@ -396,10 +396,10 @@ class DigraphHyperFn(SetFunctionFamily):
     name = "digraph_hyper"
     function_class = "general"
 
-    def __init__(self, n, a=10**6):
+    def __init__(self, n, a=10**6, labels=None):
         if not isinstance(n, int) or n < 3:
             raise ValueError("this family needs n >= 3")
-        super().__init__(n, tuple(f"v{i}" for i in range(n)))
+        super().__init__(n, labels or tuple(f"v{i}" for i in range(n)))
         a = as_fraction(a)
         if a < 1:
             raise ValueError("arc weight a must be at least 1")

@@ -57,7 +57,6 @@ from .families import (
 )
 
 __all__ = [
-    "FORMAT_VERSION",
     "GENERATOR_FAMILIES",
     "InstanceFormatError",
     "generate_batch",
@@ -233,13 +232,13 @@ def _build_family(family, n, labels, params) -> SetFunctionFamily:
             )
         return GraphicMatroidRankFn(num_vertices, edges, labels=labels)
     if family == "mono_tight3":
-        return MonoTight3Fn(_rat_from_json(params.get("eps"), "eps"))
+        return MonoTight3Fn(_rat_from_json(params.get("eps"), "eps"), labels=labels)
     if family == "posi_tight3":
-        return PosiTight3Fn(_rat_from_json(params.get("eps"), "eps"))
+        return PosiTight3Fn(_rat_from_json(params.get("eps"), "eps"), labels=labels)
     if family == "mono_tight_n":
-        return MonoTightNFn(n, _rat_from_json(params.get("eps"), "eps"))
+        return MonoTightNFn(n, _rat_from_json(params.get("eps"), "eps"), labels=labels)
     if family == "digraph_hyper":
-        return DigraphHyperFn(n, _rat_from_json(params.get("a"), "a"))
+        return DigraphHyperFn(n, _rat_from_json(params.get("a"), "a"), labels=labels)
     if family == "explicit_table":
         values = params.get("values")
         if not isinstance(values, list):

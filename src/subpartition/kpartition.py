@@ -198,8 +198,7 @@ def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
                 cost = oracle.eval(sub) + oracle.eval(blk ^ sub) - f_blk
                 if best is None or cost < best[0]:
                     best = (cost, bi, sub)
-        if best is None:
-            raise ValueError("ran out of splittable blocks before reaching k")
+        # k <= n leaves fewer than n blocks here, so some block can split
         _, bi, sub = best
         blk = blocks.pop(bi)
         blocks.extend([sub, blk ^ sub])

@@ -43,7 +43,6 @@ from .core import (
 )
 
 __all__ = [
-    "BELL",
     "GMinResult",
     "brute_force_all_k",
     "brute_force_optimal_k_partition",

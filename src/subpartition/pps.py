@@ -316,8 +316,7 @@ def check_two_level_condition(oracle: ValueOracle) -> bool:
     require_within_cap(n, "check_two_level_condition")
     if n == 1:
         return True
-    f_trivial = oracle.eval(oracle.ground_set.full_mask)
-    f_singletons = sum(oracle.eval(1 << i) for i in range(n))
-    b = (f_singletons - f_trivial) / (n - 1)
+    trivial = trivial_partition(n)
+    b = _crossing(oracle, trivial, singleton_partition(n))
     result = minimize_g(oracle, b)
-    return result.value == f_trivial - b and result.num_minimizers == 2
+    return result.value == g_value(oracle, trivial, b) and result.num_minimizers == 2

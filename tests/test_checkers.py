@@ -192,3 +192,20 @@ def test_local_posimodular_check_matches_pair_scan():
         assert _locally_posimodular(fam.n, oracle.scaled_table()[1]) == ok
         outcomes[ok] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+@pytest.mark.parametrize(
+    "check, local",
+    [
+        (sp.check_submodular, "_locally_submodular"),
+        (sp.check_posimodular, "_locally_posimodular"),
+    ],
+)
+def test_failed_local_test_without_pair_witness_raises(monkeypatch, check, local):
+    # a cut is submodular and posimodular, so no pair can back a failed local
+    # test; the checker must say so rather than report the table as ok
+    oracle = two_edges().oracle()
+    assert check(oracle).ok
+    monkeypatch.setattr(f"subpartition.checkers.{local}", lambda n, tab: False)
+    with pytest.raises(RuntimeError, match="no pair violates"):
+        check(oracle)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,3 +173,18 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_namespace_is_the_union_of_module_exports():
+    # a name in two module lists would be shadowed silently by the star
+    # imports, so the lists must be disjoint and each name must resolve to
+    # its defining module's object
+    names = "core families checkers partition_opt pps kpartition instances".split()
+    modules = [importlib.import_module(f"subpartition.{name}") for name in names]
+    exports = [name for module in modules for name in module.__all__]
+    assert len(exports) == len(set(exports))
+    assert sorted(sp.__all__) == sorted(exports + ["__version__"])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(sp, name) is getattr(module, name), (module.__name__, name)
+    assert "cli" not in sp.__all__

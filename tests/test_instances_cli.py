@@ -15,6 +15,7 @@ from subpartition import cli
 from subpartition.cli import CSV_COLUMNS, fmt_decimal, fmt_rational, main
 
 from helpers import (
+    EPS,
     cardinality,
     coverage_path3,
     footnote_matroid,
@@ -129,6 +130,49 @@ def test_duplicate_labels_are_a_format_error(validate):
     }
     with pytest.raises(sp.InstanceFormatError, match="distinct"):
         sp.instance_from_json(doc, validate=validate)
+
+
+@pytest.mark.parametrize(
+    "family, n, params",
+    [
+        ("mono_tight3", 3, {"eps": [1, 1000000]}),
+        ("posi_tight3", 3, {"eps": [1, 1000000]}),
+        ("mono_tight_n", 5, {"eps": [1, 1000000]}),
+        ("digraph_hyper", 4, {"a": [10, 1]}),
+    ],
+    ids=["mono_tight3", "posi_tight3", "mono_tight_n", "digraph_hyper"],
+)
+@pytest.mark.parametrize("validate", [True, False])
+def test_self_naming_families_reject_duplicate_labels(validate, family, n, params):
+    doc = {
+        "format_version": 1,
+        "family": family,
+        "n": n,
+        "labels": ["a", "a"] + [f"x{i}" for i in range(n - 2)],
+        "params": params,
+    }
+    with pytest.raises(sp.InstanceFormatError, match="distinct"):
+        sp.instance_from_json(doc, validate=validate)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        sp.MonoTight3Fn(EPS, labels=("p", "q", "r")),
+        sp.PosiTight3Fn(EPS, labels=("p", "q", "r")),
+        sp.MonoTightNFn(5, EPS, labels=("u1", "u2", "d1", "d2", "d3")),
+        sp.DigraphHyperFn(4, 10, labels=("tail", "h1", "h2", "h3")),
+    ],
+    ids=lambda fam: fam.name,
+)
+def test_self_naming_families_keep_custom_labels(tmp_path, capsys, fam):
+    path = write_instance(tmp_path, fam)
+    assert json.loads(path.read_text())["labels"] == list(fam.labels)
+    back = sp.load_instance(path)
+    assert back.labels == fam.labels
+    assert table_of(back) == table_of(fam)
+    assert main(["pps", str(path)]) == 0
+    assert "{" + ",".join(fam.labels) + "}" in capsys.readouterr().out
 
 
 def _file(family, n, params):
@@ -289,6 +333,23 @@ def test_cli_pps_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verification: PASS" in out
     assert "breakpoint 2" in out
+
+
+def test_cli_pps_text_reports_failures(tmp_path, capsys, monkeypatch):
+    # a chain with its middle breakpoint moved: the text report lists each
+    # failure and the command exits 3
+    def shifted_pps(oracle):
+        good = sp.compute_pps(oracle)
+        bps = list(good.breakpoints)
+        bps[1] += 1
+        return sp.PrincipalSequence(good.partitions, tuple(bps))
+
+    monkeypatch.setattr(cli, "compute_pps", shifted_pps)
+    path = write_instance(tmp_path, weighted_path4())
+    assert main(["pps", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "  failure: breakpoint 1 is " in out
+    assert "verification: FAIL" in out
 
 
 def test_cli_pps_json_deterministic(tmp_path, capsys):
@@ -469,6 +530,14 @@ def test_cli_reproduce_mono3(capsys):
     assert main(["reproduce", "--case", "mono3"]) == 0
     out = capsys.readouterr().out
     assert "reproduce: PASS" in out
+
+
+def test_cli_reproduce_reports_failed_check(capsys):
+    # at eps = 1/2 the mono3 ratio is 8/7, far from its eps -> 0 limit 6/5
+    assert main(["reproduce", "--case", "mono3", "--eps", "1/2"]) == 1
+    out = capsys.readouterr().out
+    assert "1.14285714286  FAIL" in out
+    assert out.endswith("reproduce: FAIL (1 of 3 checks failed)\n")
 
 
 REPRODUCE_ALL_STDOUT = """\

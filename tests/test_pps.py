@@ -256,6 +256,33 @@ def test_verify_reports_wrong_middle_partition():
     assert res.endpoints_ok
 
 
+def test_verify_reports_wrong_endpoints():
+    # two_edges without its repair: ({V}, {ab|cd}, singletons) is a valid
+    # sequence object, but a truncated copy of it misses an end of the chain
+    oracle = two_edges().oracle()
+    full, halves, singles = (
+        sp.trivial_partition(4),
+        sp.Partition(4, [0b0011, 0b1100]),
+        sp.singleton_partition(4),
+    )
+    for parts, bps in [((halves, singles), (Fraction(2),)), ((full, halves), (Fraction(0),))]:
+        res = sp.verify_pps(oracle, sp.PrincipalSequence(parts, bps))
+        assert not res.ok
+        assert not res.endpoints_ok
+        assert "chain must start at {V} and end at singletons" in res.failures
+
+
+def test_verify_reports_multi_block_split():
+    oracle = two_edges().oracle()
+    halves = sp.Partition(4, [0b0011, 0b1100])
+    parts = (sp.trivial_partition(4), halves, sp.singleton_partition(4))
+    res = sp.verify_pps(oracle, sp.PrincipalSequence(parts, (Fraction(0), Fraction(2))))
+    assert not res.ok
+    assert res.endpoints_ok
+    assert not res.refinement_ok
+    assert "chain entry 2 splits more than one block of entry 1" in res.failures
+
+
 def test_verify_interior_samples(tmp_path, capsys):
     # the count is accepted and ignored: segment optimality is decided from
     # attainment at the breakpoints, on correct and broken chains alike
