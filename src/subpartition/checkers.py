@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GroundSet, ValueOracle, require_within_cap
+from .core import GroundSet, ValueOracle
 
 __all__ = [
     "CheckResult",
@@ -102,7 +102,6 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
     Decided by the local test; the 4^n pair scan runs only on failure, to
     report the first witness in scan order.
     """
-    require_within_cap(oracle.n, "check_submodular")
     d, tab = oracle.scaled_table()
     if _locally_submodular(oracle.n, tab):
         return CheckResult("submodular", True)
@@ -112,7 +111,6 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
 def check_monotone(oracle: ValueOracle) -> CheckResult:
     """f(S) <= f(S + {v}) for all S and v outside S (implies f(A) <= f(B)
     for every A subset of B)."""
-    require_within_cap(oracle.n, "check_monotone")
     d, tab = oracle.scaled_table()
     n = oracle.n
     full = oracle.ground_set.full_mask
@@ -132,7 +130,6 @@ def check_monotone(oracle: ValueOracle) -> CheckResult:
 
 def check_symmetric(oracle: ValueOracle) -> CheckResult:
     """f(S) = f(V - S) for all S."""
-    require_within_cap(oracle.n, "check_symmetric")
     d, tab = oracle.scaled_table()
     full = oracle.ground_set.full_mask
     for s in range(full + 1):
@@ -181,7 +178,6 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
     the test takes about n^2 2^(n-1) steps.  The 4^n pair scan runs only on
     failure, to report the first witness in scan order.
     """
-    require_within_cap(oracle.n, "check_posimodular")
     d, tab = oracle.scaled_table()
     if _locally_posimodular(oracle.n, tab):
         return CheckResult("posimodular", True)

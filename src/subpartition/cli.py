@@ -56,7 +56,7 @@ from .families import (
     PartitionMatroidRankFn,
     PosiTight3Fn,
 )
-from .instances import generate_batch, load_instance
+from .instances import generate_batch, load_instance, require_submodular
 from .kpartition import (
     algorithm_guarantee,
     cheapest_singleton,
@@ -137,12 +137,20 @@ def _blocks_as_indices(partition) -> list[list[int]]:
     return [[i for i in range(partition.n) if mask >> i & 1] for mask in partition]
 
 
+def _load_oracle(args):
+    """The instance and its one oracle, validated unless --no-validate."""
+    fam = load_instance(args.instance, validate=False)
+    oracle = fam.oracle()
+    if not args.no_validate:
+        require_submodular(oracle)
+    return fam, oracle
+
+
 # ---------------------------------------------------------------------------
 # pps
 
 def cmd_pps(args) -> int:
-    fam = load_instance(args.instance, validate=not args.no_validate)
-    oracle = fam.oracle()
+    fam, oracle = _load_oracle(args)
     sequence = compute_pps(oracle)
     report = verify_pps(oracle, sequence, interior_samples=args.interior_samples)
     gs = oracle.ground_set
@@ -193,7 +201,7 @@ SOLVERS = {"pps": pps_k_partition, "greedy": greedy_splitting, "singleton": chea
 
 
 def cmd_solve(args) -> int:
-    fam = load_instance(args.instance, validate=not args.no_validate)
+    fam, oracle = _load_oracle(args)
     n = fam.n
     k = args.k
     require_block_count(k, n)
@@ -202,19 +210,19 @@ def cmd_solve(args) -> int:
 
     opt_value = None
     if args.brute_force:
-        _, opt_value = brute_force_optimal_k_partition(fam.oracle(), k)
+        _, opt_value = brute_force_optimal_k_partition(oracle, k)
 
     gs = fam.ground_set()
     rows = []
     partitions = []
     any_violation = False
     for algorithm in args.algorithms:
-        oracle = fam.oracle()
+        fresh = fam.oracle()  # its own oracle, so oracle_evals counts its queries only
         started = time.perf_counter()
-        result = SOLVERS[algorithm](oracle, k)
+        result = SOLVERS[algorithm](fresh, k)
         elapsed = time.perf_counter() - started
         partition, value = result.partition, result.value
-        evals = oracle.distinct_evaluations
+        evals = fresh.distinct_evaluations
 
         bound = None
         ratio_cell = ratio_dec = bound_ok_cell = ""
@@ -437,9 +445,6 @@ def cmd_reproduce(args) -> int:
 # random / verify
 
 def cmd_random(args) -> int:
-    if args.count < 1:
-        print("error: --count must be positive", file=sys.stderr)
-        return EXIT_USAGE
     for path in generate_batch(args.family, args.n, args.seed, args.count, args.out_dir):
         print(path)
     return EXIT_OK
@@ -475,16 +480,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry points
 
-def _sample_count(text: str) -> int:
-    """argparse type of --interior-samples: a negative count is a usage error
-    before any work, with int's own message for text that is no integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int, wording: str):
+    """argparse type of an int of at least `low`: a smaller value is a usage
+    error before any work, with int's own message for text that is no integer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {value}")
+        return value
+
+    return parse
 
 
 def _algorithm_list(text: str) -> list[str]:
@@ -511,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument(
         "--interior-samples",
-        type=_sample_count,
+        type=_int_at_least(0, "nonnegative"),
         default=3,
         metavar="COUNT",
         help="accepted and ignored: segment optimality is decided exactly from "
@@ -575,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="write seeded random instance files")
     p.add_argument("--family", required=True, choices=RANDOM_FAMILIES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2, "at least 2"), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(1, "positive"), default=1)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_random)
 

@@ -14,9 +14,10 @@ partition, and lexicographic order on those encodings is the canonical
 total order on partitions of a fixed ground set.  Every "ties broken
 canonically" rule in this package means exactly that order.
 
-Exhaustive operations (partition enumeration, property checking) are capped
-at n <= 13 ground elements; the SUBMOD_N_CAP environment variable can lower
-the cap but never raise it.
+Exhaustive work is capped at n <= 13 ground elements; SUBMOD_N_CAP can lower
+the cap but never raise it.  The 2^n value table that every checker, brute
+force and minimizer reads (`ValueOracle.scaled_table`) checks the cap on
+every call, as do partition enumeration and instance loading.
 """
 
 from __future__ import annotations
@@ -116,15 +117,15 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Ground set {0, ..., n-1} with display labels for each element."""
+    """Ground set {0, ..., n-1} with display labels (default ones for None)."""
 
     n: int
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError("a ground set needs an integer size of at least 1")
-        labels = tuple(self.labels) if self.labels else default_labels(self.n)
+        labels = default_labels(self.n) if self.labels is None else tuple(self.labels)
         if len(labels) != self.n:
             raise ValueError(f"expected {self.n} labels, got {len(labels)}")
         if len(set(labels)) != len(labels):
@@ -164,6 +165,7 @@ class GroundSet:
         return " | ".join(self.format_subset(b) for b in partition.blocks)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Partition:
     """A partition of {0..n-1} into nonempty blocks, canonically ordered.
 
@@ -172,7 +174,8 @@ class Partition:
     the trusted classmethod to skip re-validation of blocks it built itself.
     """
 
-    __slots__ = ("n", "blocks")
+    n: int
+    blocks: tuple[int, ...]
 
     def __init__(self, n: int, blocks: Iterable[int]):
         block_tuple = tuple(int(b) for b in blocks)
@@ -199,9 +202,6 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -210,16 +210,6 @@ class Partition:
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.blocks
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
         sets = [sorted(i for i in range(self.n) if b >> i & 1) for b in self.blocks]
@@ -353,7 +343,9 @@ class ValueOracle:
 
     def scaled_table(self) -> tuple[int, tuple[int, ...]]:
         """(D, values) with D the lcm of all denominators and values integers,
-        so that f(mask) = values[mask] / D.  Cached after the first call."""
+        so that f(mask) = values[mask] / D.  Cached after the first call;
+        every call, cached or not, checks the enumeration cap."""
+        require_within_cap(self.n, "scaled_table")
         if self._scaled is None:
             table = self.full_table()
             d = reduce(lcm, (v.denominator for v in table), 1)

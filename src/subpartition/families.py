@@ -52,7 +52,7 @@ class SetFunctionFamily:
     function_class = "general"
 
     def __init__(self, n: int, labels: Sequence[str] | None = None):
-        self._ground_set = GroundSet(n, labels or ())
+        self._ground_set = GroundSet(n, labels)
 
     @property
     def n(self) -> int:
@@ -345,7 +345,8 @@ class MonoTightNFn(SetFunctionFamily):
     def __init__(self, n, eps=Fraction(1, 10**6), labels=None):
         if not isinstance(n, int) or n < 5 or n % 2 == 0:
             raise ValueError("this family needs odd n >= 5")
-        super().__init__(n, labels or tuple(f"v{i}" for i in range(1, n + 1)))
+        default = tuple(f"v{i}" for i in range(1, n + 1))
+        super().__init__(n, default if labels is None else labels)
         self.eps = _eps_in_window(eps)
         self.u_mask = (1 << ((n - 1) // 2)) - 1
         self.d_mask = ((1 << n) - 1) ^ self.u_mask
@@ -399,7 +400,7 @@ class DigraphHyperFn(SetFunctionFamily):
     def __init__(self, n, a=10**6, labels=None):
         if not isinstance(n, int) or n < 3:
             raise ValueError("this family needs n >= 3")
-        super().__init__(n, labels or tuple(f"v{i}" for i in range(n)))
+        super().__init__(n, tuple(f"v{i}" for i in range(n)) if labels is None else labels)
         a = as_fraction(a)
         if a < 1:
             raise ValueError("arc weight a must be at least 1")

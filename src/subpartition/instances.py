@@ -40,7 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .checkers import check_submodular
-from .core import require_within_cap
+from .core import ValueOracle, require_within_cap
 from .families import (
     CombinationFn,
     DigraphHyperFn,
@@ -72,6 +72,15 @@ FORMAT_VERSION = 1
 
 class InstanceFormatError(ValueError):
     """Malformed or rejected instance file."""
+
+
+def require_submodular(oracle: ValueOracle) -> None:
+    """Raise InstanceFormatError, naming a violating pair, unless submodular."""
+    result = check_submodular(oracle)
+    if not result.ok:
+        raise InstanceFormatError(
+            "instance is not submodular: " + result.describe(oracle.ground_set)
+        )
 
 
 def _rat_to_json(x: Fraction) -> list[int]:
@@ -177,11 +186,7 @@ def instance_from_json(doc, validate: bool = True) -> SetFunctionFamily:
             f"declared n={n} does not match the family ground set of {fam.n}"
         )
     if validate:
-        result = check_submodular(fam.oracle())
-        if not result.ok:
-            raise InstanceFormatError(
-                "instance is not submodular: " + result.describe(fam.ground_set())
-            )
+        require_submodular(fam.oracle())
     return fam
 
 

@@ -24,7 +24,8 @@ OPT_k, the canonically first partition attaining it and how many do.  That
 O(n) summary is cached per oracle; every call then reads g(b) off it in
 O(n) exact integer steps.  Brute force never reads the summary: it scans the
 k-block partitions itself, so it stays an independent reference for the
-optima `minimize_g` is built from.
+optima `minimize_g` is built from.  Both read the oracle's value table, which
+checks the enumeration cap on every call; `enumerate_partitions` checks it.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ _optima: "WeakKeyDictionary[ValueOracle, _BlockCountOptima]" = WeakKeyDictionary
 
 
 def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
+    d, tab = oracle.scaled_table()  # on every call: the table checks the cap
     opt = _optima.get(oracle)
     if opt is None:
         n = oracle.n
-        d, tab = oracle.scaled_table()
         values: list[int | None] = [None] * n
         firsts: list[tuple[int, ...] | None] = [None] * n
         counts = [0] * n
@@ -150,7 +151,6 @@ def minimize_g(oracle: ValueOracle, b) -> GMinResult:
     equal block count keep the canonically first partition.
     """
     n = oracle.n
-    require_within_cap(n, "minimize_g")
     b = as_fraction(b)
     p, q = b.numerator, b.denominator
     opt = _block_count_optima(oracle)
@@ -173,7 +173,6 @@ def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partit
     Ties are broken canonically (first in enumeration order).
     """
     n = oracle.n
-    require_within_cap(n, "brute_force_optimal_k_partition")
     require_block_count(k, n)
     d, tab = oracle.scaled_table()
     best = None
@@ -190,6 +189,4 @@ def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partit
 
 def brute_force_all_k(oracle: ValueOracle) -> dict[int, tuple[Partition, Fraction]]:
     """Exact optimum for every k, by brute force at each block count."""
-    n = oracle.n
-    require_within_cap(n, "brute_force_all_k")
-    return {k: brute_force_optimal_k_partition(oracle, k) for k in range(1, n + 1)}
+    return {k: brute_force_optimal_k_partition(oracle, k) for k in range(1, oracle.n + 1)}

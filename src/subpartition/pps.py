@@ -46,7 +46,6 @@ from .core import (
     partition_value,
     refined_part,
     refines,
-    require_within_cap,
     singleton_partition,
     trivial_partition,
 )
@@ -115,7 +114,6 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     bracket, which bounds the search at 2n-3 calls without a separate budget.
     """
     n = oracle.n
-    require_within_cap(n, "compute_pps")
     if n == 1:
         return PrincipalSequence((trivial_partition(1),), (), 0)
 
@@ -313,7 +311,6 @@ def check_two_level_condition(oracle: ValueOracle) -> bool:
     minimum of g(b*) and they are its only two minimizers.
     """
     n = oracle.n
-    require_within_cap(n, "check_two_level_condition")
     if n == 1:
         return True
     trivial = trivial_partition(n)

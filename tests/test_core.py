@@ -46,6 +46,9 @@ def test_ground_set_rejects_bad_labels():
         sp.GroundSet(2, ("x", "x"))
     with pytest.raises(ValueError):
         sp.GroundSet(2, ("x",))
+    with pytest.raises(ValueError, match="expected 2 labels, got 0"):
+        sp.GroundSet(2, ())
+    assert sp.GroundSet(2).labels == sp.GroundSet(2, None).labels == ("a", "b")
 
 
 def test_partition_canonicalizes_block_order():
@@ -72,6 +75,16 @@ def test_partition_is_immutable():
     p = sp.trivial_partition(3)
     with pytest.raises(AttributeError):
         p.blocks = ()
+    with pytest.raises(AttributeError):
+        del p.n
+
+
+def test_partition_equality_and_hash():
+    p = sp.Partition(3, [0b110, 0b001])
+    assert p == sp.Partition._trusted(3, (0b001, 0b110))
+    assert hash(p) == hash((3, (0b001, 0b110)))
+    assert p != sp.trivial_partition(3)
+    assert p != (3, (0b001, 0b110))
 
 
 def test_partition_block_of_and_rgs():

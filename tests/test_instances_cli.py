@@ -175,6 +175,34 @@ def test_self_naming_families_keep_custom_labels(tmp_path, capsys, fam):
     assert "{" + ",".join(fam.labels) + "}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "make, defaults",
+    [
+        (lambda labels: sp.GraphCutFn(3, [(0, 1, 1)], labels=labels), "a b c"),
+        (lambda labels: sp.MonoTight3Fn(EPS, labels=labels), "a b c"),
+        (lambda labels: sp.MonoTightNFn(5, EPS, labels=labels), "v1 v2 v3 v4 v5"),
+        (lambda labels: sp.DigraphHyperFn(4, 10, labels=labels), "v0 v1 v2 v3"),
+    ],
+)
+def test_empty_labels_rejected(make, defaults):
+    with pytest.raises(ValueError, match="labels, got 0"):
+        make([])
+    assert make(None).labels == tuple(defaults.split())
+
+
+def test_empty_labels_in_file_rejected(tmp_path, capsys):
+    doc = sp.instance_to_json(sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 1)]))
+    doc["labels"] = []
+    with pytest.raises(sp.InstanceFormatError, match="expected 3 labels, got 0"):
+        sp.instance_from_json(doc)
+    path = tmp_path / "empty_labels.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pps", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    del doc["labels"]
+    assert sp.instance_from_json(doc).labels == ("a", "b", "c")
+
+
 def _file(family, n, params):
     return json.dumps({"format_version": 1, "family": family, "n": n, "params": params})
 
@@ -640,6 +668,44 @@ def test_cli_cap_env(tmp_path, monkeypatch):
     path = write_instance(tmp_path, omega(5, 10))
     monkeypatch.setenv("SUBMOD_N_CAP", "4")
     assert main(["solve", str(path), "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--n", "1"], "argument --n: must be at least 2, got 1"),
+        (["--n", "4", "--count", "0"], "argument --count: must be positive, got 0"),
+    ],
+)
+def test_cli_random_usage_error_before_disk(tmp_path, capsys, bad, message):
+    out_dir = tmp_path / "new"
+    args = ["random", "--family", "graph_cut", "--seed", "1", "--out-dir", str(out_dir)]
+    assert main(args + bad) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pps"],
+        ["pps", "--json"],
+        ["solve", "--k", "3", "--algorithms", "", "--brute-force", "--no-timing"],
+    ],
+)
+def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
+    # validation, the chain and brute force all read one oracle's table
+    path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
+    calls = []
+    value = sp.GraphCutFn.value
+
+    def counted(self, mask):
+        calls.append(mask)
+        return value(self, mask)
+
+    monkeypatch.setattr(sp.GraphCutFn, "value", counted)
+    assert main(command + [str(path)]) == 0
+    assert len(calls) == 64
 
 
 def test_cli_random_count_zero(tmp_path):

@@ -195,6 +195,29 @@ def test_enumeration_cap_enforced(monkeypatch):
         sp.brute_force_optimal_k_partition(oracle5, 2)
 
 
+def test_cap_gates_warm_caches(monkeypatch):
+    # the value table checks the cap on every call, so neither a cached table
+    # nor a cached minimize_g summary lets exhaustive work past a lowered cap
+    oracle = sp.GraphCutFn(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 1)]).oracle()
+    oracle.scaled_table()
+    sp.minimize_g(oracle, 1)
+    monkeypatch.setenv("SUBMOD_N_CAP", "4")
+    calls = [
+        lambda: sp.minimize_g(oracle, 1),
+        lambda: sp.brute_force_optimal_k_partition(oracle, 2),
+        lambda: sp.brute_force_all_k(oracle),
+        lambda: sp.compute_pps(oracle),
+        lambda: sp.check_two_level_condition(oracle),
+        lambda: sp.check_submodular(oracle),
+        lambda: sp.check_posimodular(oracle),
+        lambda: sp.check_monotone(oracle),
+        lambda: sp.check_symmetric(oracle),
+    ]
+    for call in calls:
+        with pytest.raises(sp.GroundSetCapError):
+            call()
+
+
 def _minimize_g_by_scan(scored, b):
     """Reference minimizer: scan (partition, f(P)) pairs in canonical order,
     keeping the minimum of f(P) - b|P|, its count and the canonically first
