@@ -165,7 +165,7 @@ class GroundSet:
         return " | ".join(self.format_subset(b) for b in partition.blocks)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Partition:
     """A partition of {0..n-1} into nonempty blocks, canonically ordered.
 
@@ -174,6 +174,9 @@ class Partition:
     the trusted classmethod to skip re-validation of blocks it built itself.
     """
 
+    # Slots written by hand: `dataclass(slots=True)` rebuilds the class, and
+    # the frozen `__setattr__` then raises TypeError for unknown attributes.
+    __slots__ = ("n", "blocks")
     n: int
     blocks: tuple[int, ...]
 
@@ -201,6 +204,10 @@ class Partition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
         return self
+
+    def __reduce__(self):
+        # the default pickle state is restored by setattr, which frozen forbids
+        return (type(self), (self.n, self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -17,15 +17,22 @@ minimizer found" a well-defined deterministic tie-break.
 
 The parametric objective g(b) = min over P of f(P) - b|P| equals
 min over k of OPT_k - b*k, the lower envelope of n lines, one per block
-count k, where OPT_k is the minimum of f over k-block partitions.  So
-`minimize_g` makes one pass per oracle over all Bell(n) partitions, in
-integers scaled by the lcm of the value denominators, keeping for each k
-OPT_k, the canonically first partition attaining it and how many do.  That
-O(n) summary is cached per oracle; every call then reads g(b) off it in
-O(n) exact integer steps.  Brute force never reads the summary: it scans the
-k-block partitions itself, so it stays an independent reference for the
-optima `minimize_g` is built from.  Both read the oracle's value table, which
-checks the enumeration cap on every call; `enumerate_partitions` checks it.
+count k, where OPT_k is the minimum of f over k-block partitions.  The first
+`minimize_g` call on an oracle computes every OPT_k, and how many partitions
+attain it, with a DP over subsets in integers scaled by the lcm of the value
+denominators: about 3^(n-1) (subset, first block) pairs instead of Bell(n)
+partitions.  That summary is cached per oracle; every call then reads g(b)
+off it in O(n) exact integer steps.  The finest and coarsest minimizers are
+the canonically first optimal partitions at the extreme tied block counts,
+built the first time a k is asked for: a unique optimum is read back from
+the DP's stored choices, and a tied one comes from a scan of the k-block
+partitions in canonical order that stops at the first hit.  For submodular
+f the minimizers at each b form a lattice (Narayanan 1991), so the extreme
+ones are unique and the scan never runs; it serves non-submodular input.
+Brute force never reads the summary: it scans the k-block partitions itself,
+so it stays an independent reference for the optima `minimize_g` is built
+from.  Both read the oracle's value table, which checks the enumeration cap
+on every call; `enumerate_partitions` checks it.
 """
 
 from __future__ import annotations
@@ -94,16 +101,82 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
         yield Partition._trusted(n, masks)
 
 
-@dataclass(frozen=True)
 class _BlockCountOptima:
-    """One pass over all partitions of an oracle, indexed by k - 1: the
-    scaled minimum of f over k-block partitions, the canonically first
-    partition attaining it, and how many partitions attain it."""
+    """Per-oracle optima by block count, from a DP over subsets.
 
-    denominator: int
-    values: tuple[int, ...]
-    firsts: tuple[tuple[int, ...], ...]
-    counts: tuple[int, ...]
+    For a mask M and block count k, h_k(M) is the scaled minimum of f over
+    k-block partitions of M.  Every partition of M has exactly one block S
+    holding low(M), the lowest element of M, so
+    h_k(M) = min over S with low(M) in S, S a subset of M, of
+    tab[S] + h_{k-1}(M - S), and the minimizer counts add up exactly.
+    `_rows` holds a row for V and for every mask without element 0 (these
+    include every remainder M - S of a partition of V, and the suffix sets
+    {i..n-1}): the values, counts and one minimizing first block, indexed by
+    k - 1.  `values` and `counts` are V's row.
+    """
+
+    def __init__(self, n: int, denominator: int, tab: tuple[int, ...]):
+        self.n = n
+        self.denominator = denominator
+        self._tab = tab
+        full = (1 << n) - 1
+        rows: list[tuple[list[int], list[int], list[int]] | None] = [None] * (full + 1)
+        rows[0] = ([], [], [])
+        for m in [*range(2, full, 2), full]:
+            low = m & -m
+            rest = m ^ low
+            # S = {low(M)}: the remainder is all of M - low(M), so this first
+            # candidate covers every k >= 2
+            rvals, rcounts, _ = rows[rest]
+            ts = tab[low]
+            vals = [tab[m]] + [ts + v for v in rvals]
+            counts = [1, *rcounts]
+            firsts = [m] + [low] * len(rvals)
+            t = (rest - 1) & rest
+            while t:
+                s = low | t
+                rvals, rcounts, _ = rows[rest ^ t]
+                ts = tab[s]
+                for j, v in enumerate(rvals, 1):
+                    v += ts
+                    best = vals[j]
+                    if v < best:
+                        vals[j], counts[j], firsts[j] = v, rcounts[j - 1], s
+                    elif v == best:
+                        counts[j] += rcounts[j - 1]
+                t = (t - 1) & rest
+            rows[m] = (vals, counts, firsts)
+        self._rows = rows
+        self.values = tuple(rows[full][0])
+        self.counts = tuple(rows[full][1])
+        self._firsts: list[tuple[int, ...] | None] = [None] * n
+
+    def first(self, k: int) -> tuple[int, ...]:
+        """The canonically first k-block partition of V attaining OPT_k.
+
+        A unique optimum is rebuilt from the stored first blocks; a tied one
+        comes from a scan of the k-block partitions in canonical order, which
+        stops at the first hit.  Either way the answer is cached."""
+        cached = self._firsts[k - 1]
+        if cached is not None:
+            return cached
+        if self.counts[k - 1] == 1:
+            # each stored first block holds the lowest element left, so the
+            # blocks come out in canonical order
+            blocks = []
+            m = (1 << self.n) - 1
+            for j in range(k - 1, -1, -1):
+                s = self._rows[m][2][j]
+                blocks.append(s)
+                m ^= s
+            found = tuple(blocks)
+        else:
+            tab, target = self._tab, self.values[k - 1]
+            found = next(
+                masks for masks in _raw_partitions(self.n, k) if sum(tab[m] for m in masks) == target
+            )
+        self._firsts[k - 1] = found
+        return found
 
 
 _optima: "WeakKeyDictionary[ValueOracle, _BlockCountOptima]" = WeakKeyDictionary()
@@ -113,21 +186,7 @@ def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
     d, tab = oracle.scaled_table()  # on every call: the table checks the cap
     opt = _optima.get(oracle)
     if opt is None:
-        n = oracle.n
-        values: list[int | None] = [None] * n
-        firsts: list[tuple[int, ...] | None] = [None] * n
-        counts = [0] * n
-        for masks in _raw_partitions(n):
-            total = 0
-            for m in masks:
-                total += tab[m]
-            i = len(masks) - 1
-            best = values[i]
-            if best is None or total < best:
-                values[i], firsts[i], counts[i] = total, masks, 1
-            elif total == best:
-                counts[i] += 1
-        opt = _BlockCountOptima(d, tuple(values), tuple(firsts), tuple(counts))
+        opt = _BlockCountOptima(oracle.n, d, tab)
         _optima[oracle] = opt
     return opt
 
@@ -162,8 +221,8 @@ def minimize_g(oracle: ValueOracle, b) -> GMinResult:
         b=b,
         value=Fraction(best, opt.denominator * q),
         num_minimizers=sum(opt.counts[i] for i in tied),
-        finest=Partition._trusted(n, opt.firsts[tied[-1]]),
-        coarsest=Partition._trusted(n, opt.firsts[tied[0]]),
+        finest=Partition._trusted(n, opt.first(tied[-1] + 1)),
+        coarsest=Partition._trusted(n, opt.first(tied[0] + 1)),
     )
 
 

@@ -110,8 +110,8 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     Exact parametric search with at most 2n-1 minimize_g calls, followed by
     the chain repair that restores one-block-at-a-time refinement.  Raises
     NonSubmodularError when the minimizer structure is inconsistent with a
-    submodular oracle.  Each recursion step strictly narrows the block-count
-    bracket, which bounds the search at 2n-3 calls without a separate budget.
+    submodular oracle.  Each split strictly narrows the block-count bracket,
+    which bounds the search at 2n-3 calls without a separate budget.
     """
     n = oracle.n
     if n == 1:
@@ -120,16 +120,17 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     chain = [trivial_partition(n)]
     breakpoints: list[Fraction] = []
     calls = 0
-
-    def rec(coarse: Partition, fine: Partition) -> None:
-        nonlocal calls
+    # brackets still to search, the next one last: depth first, coarse half first
+    brackets = [(trivial_partition(n), singleton_partition(n))]
+    while brackets:
+        coarse, fine = brackets.pop()
         b = _crossing(oracle, coarse, fine)
         result = minimize_g(oracle, b)
         calls += 1
         if result.value == g_value(oracle, coarse, b):
             breakpoints.append(b)
             chain.append(fine)
-            return
+            continue
         mid = result.finest
         if not len(coarse) < len(mid) < len(fine):
             raise NonSubmodularError(
@@ -140,10 +141,8 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
             raise NonSubmodularError(
                 f"minimizer at b={b} is not nested between the bracket partitions"
             )
-        rec(coarse, mid)
-        rec(mid, fine)
+        brackets += [(mid, fine), (coarse, mid)]
 
-    rec(trivial_partition(n), singleton_partition(n))
     raw = PrincipalSequence(tuple(chain), tuple(breakpoints), calls)
     return repair_chain(oracle, raw)
 

@@ -1,5 +1,8 @@
 import ast
+import copy
+import dataclasses
 import importlib
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,10 +76,20 @@ def test_partition_validation():
 
 def test_partition_is_immutable():
     p = sp.trivial_partition(3)
-    with pytest.raises(AttributeError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         p.blocks = ()
     with pytest.raises(AttributeError):
         del p.n
+    with pytest.raises(AttributeError):
+        sp.Partition(3, [0b001, 0b110]).x = 4
+    assert not hasattr(p, "__dict__")
+
+
+def test_partition_pickle_and_deepcopy_round_trip():
+    p = sp.Partition(3, [0b110, 0b001])
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert copied == p and copied.blocks == (0b001, 0b110)
+        assert hash(copied) == hash(p)
 
 
 def test_partition_equality_and_hash():

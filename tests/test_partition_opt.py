@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 import subpartition as sp
+from subpartition import partition_opt
 from subpartition.partition_opt import BELL
 
 from helpers import EPS, cardinality, mono3, mono_n, omega, posi3, weighted_path4, zero_fn
@@ -260,3 +261,56 @@ def test_minimize_g_matches_independent_scan():
         for b in sorted(params):
             res = sp.minimize_g(oracle, b)
             assert (res.value, res.num_minimizers, res.finest, res.coarsest) == _minimize_g_by_scan(scored, b)
+
+
+def _bell_pass_summary(oracle):
+    """Reference summary by one walk over all partitions in canonical order:
+    per block count k, the optimum of f, how many partitions attain it and
+    the first that does."""
+    values, counts, firsts = {}, {}, {}
+    for part in sp.enumerate_partitions(oracle.n):
+        k, value = len(part), sp.partition_value(oracle, part)
+        if k not in values or value < values[k]:
+            values[k], counts[k], firsts[k] = value, 1, part.blocks
+        elif value == values[k]:
+            counts[k] += 1
+    return values, counts, firsts
+
+
+def test_block_count_optima_match_a_bell_pass(monkeypatch):
+    scans = []
+    raw_partitions = partition_opt._raw_partitions
+
+    def counting_raw_partitions(n, k=None):
+        scans.append((n, k))
+        return raw_partitions(n, k)
+
+    monkeypatch.setattr(partition_opt, "_raw_partitions", counting_raw_partitions)
+    families = [
+        sp.random_instance(family, n, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 9)
+        for seed in range(2)
+    ]
+    rng = random.Random("block-count-optima")
+    for i in range(80):
+        n = 2 + i % 6
+        top = (1, 2, 9)[i % 3]  # values in {0, 1} or {0, 1, 2} tie heavily
+        values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
+        families.append(sp.ExplicitTableFn(n, values))
+    rebuilt = scanned = 0
+    for fam in families:
+        oracle = fam.oracle()
+        values, counts, firsts = _bell_pass_summary(oracle)
+        opt = partition_opt._block_count_optima(oracle)
+        n = oracle.n
+        assert [Fraction(v, opt.denominator) for v in opt.values] == [values[k] for k in range(1, n + 1)]
+        assert list(opt.counts) == [counts[k] for k in range(1, n + 1)]
+        for k in range(1, n + 1):
+            before = len(scans)
+            assert opt.first(k) == firsts[k], (fam, k)
+            assert len(scans) - before == (counts[k] > 1)  # scan exactly when tied
+            scanned += counts[k] > 1
+            rebuilt += counts[k] == 1
+            assert opt.first(k) == firsts[k] and len(scans) - before == (counts[k] > 1)  # cached
+    assert rebuilt and scanned

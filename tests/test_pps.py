@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -409,3 +411,29 @@ def test_cap_enforced(monkeypatch):
         sp.compute_pps(zero_fn(5).oracle())
     with pytest.raises(sp.GroundSetCapError):
         sp.check_two_level_condition(zero_fn(5).oracle())
+
+
+def test_chain_at_the_cap():
+    # n = 13, the enumeration cap: the chain comes from the subset DP and its
+    # members, with 1, 2 and 13 blocks, are checked by brute force
+    oracle = sp.random_instance("graph_cut", 13, 1).oracle()
+    seq = sp.compute_pps(oracle)
+    assert sp.verify_pps(oracle, seq).ok
+    assert seq.block_counts() == (1, 2, 13)
+    for part in seq.partitions:
+        _, opt = sp.brute_force_optimal_k_partition(oracle, len(part))
+        assert sp.partition_value(oracle, part) == opt
+
+
+def test_chain_search_frees_the_oracle():
+    # no reference cycle may keep an oracle, its value table and its cached
+    # minimize_g summary alive until the cyclic collector happens to run
+    gc.disable()
+    try:
+        oracle = weighted_path4().oracle()
+        sp.verify_pps(oracle, sp.compute_pps(oracle))
+        ref = weakref.ref(oracle)
+        del oracle
+        assert ref() is None
+    finally:
+        gc.enable()
