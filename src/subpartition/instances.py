@@ -368,7 +368,11 @@ def random_instance(family: str, n: int, seed) -> SetFunctionFamily:
 
 
 def generate_batch(family: str, n: int, seed: int, count: int, out_dir) -> list[Path]:
-    """Write `count` seeded instance files; equal arguments give equal bytes."""
+    """Write `count` seeded instance files; equal arguments give equal bytes.
+
+    An n above the enumeration cap is rejected before anything is written,
+    since `load_instance` could not read such a file back."""
+    require_within_cap(n, "reading back a generated instance")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

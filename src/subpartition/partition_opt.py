@@ -8,7 +8,11 @@ This module is the exhaustive engine under the principal-sequence search:
   returning the exact minimum with minimizer count and the finest and
   coarsest minimizers,
 * `brute_force_optimal_k_partition(oracle, k)` is the independent optimum
-  oracle the approximation ratios are measured against.
+  oracle the approximation ratios are measured against: it enumerates the
+  k-block partitions and returns the canonically first optimal one,
+* `optimal_k_value(oracle, k)` gives the same optimum value, without the
+  partition, from an exhaustive DP over subsets; the CLI reads only the
+  value, so it prints this one.
 
 Canonical order is lexicographic on restricted-growth strings: element 0
 opens block 0, and each later element either joins an existing block
@@ -29,10 +33,13 @@ the DP's stored choices, and a tied one comes from a scan of the k-block
 partitions in canonical order that stops at the first hit.  For submodular
 f the minimizers at each b form a lattice (Narayanan 1991), so the extreme
 ones are unique and the scan never runs; it serves non-submodular input.
-Brute force never reads the summary: it scans the k-block partitions itself,
-so it stays an independent reference for the optima `minimize_g` is built
-from.  Both read the oracle's value table, which checks the enumeration cap
-on every call; `enumerate_partitions` checks it.
+Neither optimum reads the summary, so each stays an independent reference for
+the optima `minimize_g` is built from: brute force scans the k-block
+partitions itself, and `optimal_k_value` runs its own top-down recursion
+over (mask, blocks left) with a memo that lives for one call.  A bug in the
+summary's DP therefore cannot reappear in the optimum the chain is compared
+against.  All of them read the oracle's value table, which checks the
+enumeration cap on every call; `enumerate_partitions` checks it.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ __all__ = [
     "brute_force_optimal_k_partition",
     "enumerate_partitions",
     "minimize_g",
+    "optimal_k_value",
 ]
 
 # Bell numbers up to the hard cap of 13
@@ -244,6 +252,39 @@ def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partit
             best = total
             best_masks = masks
     return Partition._trusted(n, best_masks), Fraction(best, d)
+
+
+def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
+    """Exact optimum over partitions with exactly k blocks, value only.
+
+    best(M, j), the scaled minimum of f over j-block partitions of M, is
+    tab[M] for j = 1; otherwise it is the minimum over blocks S with
+    low(M) in S, S a subset of M and |M - S| >= j - 1, of
+    tab[S] + best(M - S, j - 1), because every partition of M has exactly
+    one block holding low(M).  Equal to the value brute force returns.
+    """
+    n = oracle.n
+    require_block_count(k, n)
+    d, tab = oracle.scaled_table()
+    memo: dict[tuple[int, int], int] = {}
+
+    def best(m: int, j: int) -> int:
+        if j == 1:
+            return tab[m]
+        found = memo.get((m, j))
+        if found is None:
+            rest = m & (m - 1)  # M - low(M)
+            r = rest  # the remainder M - S, from S = {low(M)} on
+            while r:
+                if r.bit_count() >= j - 1:
+                    value = tab[m ^ r] + best(r, j - 1)
+                    if found is None or value < found:
+                        found = value
+                r = (r - 1) & rest
+            memo[(m, j)] = found
+        return found
+
+    return Fraction(best((1 << n) - 1, k), d)
 
 
 def brute_force_all_k(oracle: ValueOracle) -> dict[int, tuple[Partition, Fraction]]:

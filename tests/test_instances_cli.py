@@ -691,6 +691,8 @@ def test_cli_random_usage_error_before_disk(tmp_path, capsys, bad, message):
         ["pps"],
         ["pps", "--json"],
         ["solve", "--k", "3", "--algorithms", "", "--brute-force", "--no-timing"],
+        ["solve", "--k", "3", "--algorithms", "pps", "--no-timing"],
+        ["solve", "--k", "3", "--algorithms", "pps", "--brute-force", "--no-timing"],
     ],
 )
 def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
@@ -712,6 +714,34 @@ def test_cli_random_count_zero(tmp_path):
     args = ["random", "--family", "graph_cut", "--n", "4", "--seed", "1", "--count", "0"]
     assert main(args + ["--out-dir", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cap, n", [(None, 14), ("4", 5)])
+def test_cli_random_above_cap_writes_nothing(tmp_path, capsys, monkeypatch, cap, n):
+    # a file above the cap could not be loaded back, so none is written
+    if cap is not None:
+        monkeypatch.setenv("SUBMOD_N_CAP", cap)
+    out_dir = tmp_path / "new"
+    args = ["random", "--family", "graph_cut", "--n", str(n), "--seed", "1"]
+    assert main(args + ["--out-dir", str(out_dir)]) == 2
+    assert f"ground set of {n} elements, above the cap" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_solve_optimum_at_the_cap(tmp_path, capsys):
+    # 98 is the optimum that enumerating all 7-block partitions gives
+    args = ["random", "--family", "graph_cut", "--n", "13", "--seed", "1", "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    path = tmp_path / "graph_cut_n13_s1_000.json"
+    out = tmp_path / "rows.csv"
+    capsys.readouterr()
+    args = ["solve", str(path), "--k", "7", "--brute-force", "--no-timing", "--csv", str(out)]
+    assert main(args) == 0
+    assert "optimal value: 98 (98)" in capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["algorithm"] for row in rows] == ["pps", "greedy", "singleton"]
+    assert {row["opt"] for row in rows} == {"98/1"}
+    assert {row["bound_ok"] for row in rows} == {"true", ""}
 
 
 def test_cli_mislabeled_class_fails_bound(tmp_path):

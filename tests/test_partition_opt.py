@@ -314,3 +314,38 @@ def test_block_count_optima_match_a_bell_pass(monkeypatch):
             rebuilt += counts[k] == 1
             assert opt.first(k) == firsts[k] and len(scans) - before == (counts[k] > 1)  # cached
     assert rebuilt and scanned
+
+
+def test_optimal_k_value_matches_enumeration():
+    families = [
+        sp.random_instance(family, n, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 9)
+        for seed in range(3)
+    ]
+    families += [mono3(), posi3(), mono_n(5), mono_n(7), omega(6)]
+    rng = random.Random("optimal-k-value")
+    for i in range(80):
+        n = 2 + i % 6
+        low, high = ((0, 1), (-2, 2), (-9, 9), (0, 9))[i % 4]  # tie-heavy, negative, spread
+        values = [rng.randint(low, high) for _ in range(1 << n)]
+        families.append(sp.ExplicitTableFn(n, values))
+    non_submodular = 0
+    for fam in families:
+        oracle = fam.oracle()
+        non_submodular += not sp.check_submodular(oracle).ok
+        for k in range(1, oracle.n + 1):
+            _, expected = sp.brute_force_optimal_k_partition(oracle, k)
+            assert sp.optimal_k_value(oracle, k) == expected, (fam, k)
+    assert non_submodular >= 40
+
+
+def test_optimal_k_value_checks_k_and_the_cap(monkeypatch):
+    oracle = sp.GraphCutFn(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 1)]).oracle()
+    assert sp.optimal_k_value(oracle, 2) == 2
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="block count"):
+            sp.optimal_k_value(oracle, k)
+    monkeypatch.setenv("SUBMOD_N_CAP", "4")
+    with pytest.raises(sp.GroundSetCapError):
+        sp.optimal_k_value(oracle, 2)
