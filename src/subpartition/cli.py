@@ -137,9 +137,12 @@ def _blocks_as_indices(partition) -> list[list[int]]:
     return [[i for i in range(partition.n) if mask >> i & 1] for mask in partition]
 
 
-def _load_oracle(args):
-    """The instance and its one oracle, validated unless --no-validate."""
+def _load_oracle(args, k=None):
+    """The instance and its one oracle, validated unless --no-validate.  A
+    block count k is checked against the instance's n before any oracle work."""
     fam = load_instance(args.instance, validate=False)
+    if k is not None:
+        require_block_count(k, fam.n)
     oracle = fam.oracle()
     if not args.no_validate:
         require_submodular(oracle)
@@ -201,10 +204,9 @@ SOLVERS = {"pps": pps_k_partition, "greedy": greedy_splitting, "singleton": chea
 
 
 def cmd_solve(args) -> int:
-    fam, oracle = _load_oracle(args)
-    n = fam.n
     k = args.k
-    require_block_count(k, n)
+    fam, oracle = _load_oracle(args, k)
+    n = fam.n
     function_class = args.function_class or fam.function_class
     instance_id = Path(args.instance).stem
 

@@ -202,7 +202,7 @@ class GraphicMatroidRankFn(SetFunctionFamily):
     function_class = "monotone"
 
     def __init__(self, num_vertices, edges, labels=None):
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple((u, v) for u, v in edges)
         if not edges:
             raise ValueError("a graphic matroid needs at least one edge")
         if not isinstance(num_vertices, int) or num_vertices < 1:

@@ -5,7 +5,7 @@ partitions into exactly k blocks, approximately, by reading the principal
 sequence of f:
 
 * if some chain member has exactly k blocks, return it (this is provably an
-  optimal k-partition; `ratio_report` re-checks it against brute force);
+  optimal k-partition; `ratio_report` re-checks it against the exact optimum);
 * otherwise two neighbors straddle k.  The finer one splits a single block S
   of the coarser one into smaller pieces; keep the cheapest of those pieces
   as their own blocks, as many as needed to reach k, and merge the rest back
@@ -15,8 +15,8 @@ Approximation guarantees depend on the declared function class:
 4/3 - 4/(9n+3) for monotone, 2 - 2/n for symmetric, 2 - 2/(n+1) for
 posimodular, none for general submodular.  `algorithm_guarantee` and
 `ratio_to_optimum` measure any algorithm against a known optimum and its
-bound (`ratio_report` does so for a chain run); the two chain lower bounds
-(`check_chain_lower_bounds`) are what the guarantees rest on.
+bound (`ratio_report` does so for a chain run, against `optimal_k_value`);
+the chain lower bounds (`check_chain_lower_bounds`) back the guarantees.
 
 Baselines: `cheapest_singleton` (split off the k-1 cheapest singletons,
 within 2 - 1/k of optimal for monotone f) and `greedy_splitting` (k-1
@@ -35,7 +35,7 @@ from .core import (
     refined_part,
     require_block_count,
 )
-from .partition_opt import brute_force_optimal_k_partition
+from .partition_opt import optimal_k_value
 from .pps import PrincipalSequence, compute_pps
 
 __all__ = [
@@ -287,7 +287,7 @@ def check_chain_lower_bounds(
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Run value vs brute-force optimum vs class bound, all exact.
+    """Run value vs `optimal_k_value` vs class bound, all exact.
 
     `ratio`, `bound_ok` and, on straddled runs, `chain_coarse_ratio` =
     f(below)/optimum (the quantity the class analyses bound away from the
@@ -299,7 +299,6 @@ class RatioReport:
     function_class: str
     algorithm_value: Fraction
     optimal_value: Fraction
-    optimal_partition: Partition
     ratio: Fraction | None
     bound: Fraction | None
     bound_ok: bool
@@ -314,9 +313,9 @@ def ratio_report(
     function_class: str = "general",
     pps: PrincipalSequence | None = None,
 ) -> RatioReport:
-    """Run the algorithm, brute-force the optimum, compare against the bound."""
+    """Run the algorithm; compare its value with `optimal_k_value` and the bound."""
     run = pps_k_partition(oracle, k, pps=pps)
-    opt_partition, opt_value = brute_force_optimal_k_partition(oracle, k)
+    opt_value = optimal_k_value(oracle, k)
     bound = algorithm_guarantee("pps", function_class, oracle.n, k)
     ratio, bound_ok = ratio_to_optimum(run.value, opt_value, bound)
     coarse_ratio = None
@@ -328,7 +327,6 @@ def ratio_report(
         function_class=function_class,
         algorithm_value=run.value,
         optimal_value=opt_value,
-        optimal_partition=opt_partition,
         ratio=ratio,
         bound=bound,
         bound_ok=bound_ok,

@@ -7,12 +7,12 @@ This module is the exhaustive engine under the principal-sequence search:
 * `minimize_g(oracle, b)` minimizes f(P) - b|P| over all partitions,
   returning the exact minimum with minimizer count and the finest and
   coarsest minimizers,
-* `brute_force_optimal_k_partition(oracle, k)` is the independent optimum
-  oracle the approximation ratios are measured against: it enumerates the
-  k-block partitions and returns the canonically first optimal one,
-* `optimal_k_value(oracle, k)` gives the same optimum value, without the
-  partition, from an exhaustive DP over subsets; the CLI reads only the
-  value, so it prints this one.
+* `optimal_k_value(oracle, k)` is the optimum every reported ratio and
+  bound is measured against (`ratio_report`, CLI `solve --brute-force`,
+  every `reproduce` case): the value only, from an exhaustive DP over subsets,
+* `brute_force_optimal_k_partition(oracle, k)` is the enumeration reference
+  the tests check it against: it scans the k-block partitions and returns
+  the canonically first optimal one with its value.
 
 Canonical order is lexicographic on restricted-growth strings: element 0
 opens block 0, and each later element either joins an existing block
@@ -100,13 +100,12 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
     """Stream Partition objects of {0..n-1} in canonical order, lazily.
 
     With k, restrict to partitions with exactly k blocks.  Subject to the
-    enumeration cap.
+    enumeration cap.  Both checks run when called, before any iteration.
     """
     require_within_cap(n, "enumerate_partitions")
     if k is not None:
         require_block_count(k, n)
-    for masks in _raw_partitions(n, k):
-        yield Partition._trusted(n, masks)
+    return (Partition._trusted(n, masks) for masks in _raw_partitions(n, k))
 
 
 class _BlockCountOptima:

@@ -1,11 +1,12 @@
 """End-to-end acceptance runs at desk scale.
 
-Each test covers one numbered criterion, records exactly one PASS/FAIL line
-in the terminal summary, and asserts.  The random sweep (criteria 5-8) is
-built once per module: 100 seeded instances in each of five family groups,
-every k from 2 to n, with the principal sequence, its verification, the
-per-k ratio report against brute force, and the chain lower bounds all kept
-for the individual criteria to inspect.
+Each criterion test covers one numbered criterion, records exactly one
+PASS/FAIL line in the terminal summary, and asserts.  The random sweep
+(criteria 5-8) is built once per module: 100 seeded instances in each of five
+family groups, every k from 2 to n, with the principal sequence, its
+verification, the per-k ratio report against the exact optimum, and the
+chain lower bounds all kept for the individual criteria to inspect; one more
+test checks every optimum in it against partition enumeration.
 """
 
 import time
@@ -295,6 +296,16 @@ def test_criterion_07_chain_lower_bounds(sweep):
                     )
     c.expect(straddled > 0, "no straddled runs in the sweep")
     finish("C07", "both chain lower bounds hold on every straddled run", c.failures)
+
+
+def test_sweep_optima_match_enumeration(sweep):
+    # C05-C07 read ratio_report's optimum; enumeration is the reference for it
+    for rec in sweep.records:
+        fam = sp.random_instance(_sweep_family(rec.group, rec.seed), rec.n, rec.seed)
+        oracle = fam.oracle()
+        for rep in rec.reports:
+            _, opt = sp.brute_force_optimal_k_partition(oracle, rep.k)
+            assert rep.optimal_value == opt, (rec.group, rec.seed, rep.k)
 
 
 def test_criterion_08_sequence_verification(sweep, named_cases):

@@ -119,6 +119,19 @@ def test_graphic_matroid_edge_count_mismatch():
         sp.instance_from_json(doc)
 
 
+@pytest.mark.parametrize("edge", [[0, 1.9], [True, 2], ["0", "2"]])
+def test_graphic_matroid_rejects_non_int_endpoints(edge):
+    # vertex indices must be ints, as in every other family
+    doc = {
+        "format_version": 1,
+        "family": "graphic_matroid",
+        "n": 3,
+        "params": {"num_vertices": 4, "edges": [[0, 1], [1, 2], edge]},
+    }
+    with pytest.raises(sp.InstanceFormatError, match="vertex index"):
+        sp.instance_from_json(doc)
+
+
 @pytest.mark.parametrize("validate", [True, False])
 def test_duplicate_labels_are_a_format_error(validate):
     doc = {
@@ -708,6 +721,23 @@ def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
     monkeypatch.setattr(sp.GraphCutFn, "value", counted)
     assert main(command + [str(path)]) == 0
     assert len(calls) == 64
+
+
+@pytest.mark.parametrize("k", ["0", "7"])
+def test_cli_solve_checks_k_before_oracle_work(tmp_path, monkeypatch, capsys, k):
+    # a block count outside 1..n is a usage error before validation reads f
+    path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
+    calls = []
+    value = sp.GraphCutFn.value
+
+    def counted(self, mask):
+        calls.append(mask)
+        return value(self, mask)
+
+    monkeypatch.setattr(sp.GraphCutFn, "value", counted)
+    assert main(["solve", str(path), "--k", k, "--brute-force"]) == 2
+    assert calls == []
+    assert f"block count k={k} must be between 1 and n=6" in capsys.readouterr().err
 
 
 def test_cli_random_count_zero(tmp_path):

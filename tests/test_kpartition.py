@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
+from subpartition import partition_opt
 
 from helpers import (
     EPS,
@@ -134,7 +135,7 @@ def test_two_triangles_k2_exact_hit():
     # both-zero convention: ratio 1, inside any bound
     assert rep.ratio == 1
     assert rep.bound_ok
-    assert rep.optimal_partition == sp.Partition(6, [0b000111, 0b111000])
+    assert sp.brute_force_optimal_k_partition(oracle, 2)[0] == sp.Partition(6, [0b000111, 0b111000])
 
 
 def test_cheapest_singleton_matroid_tightness():
@@ -281,3 +282,22 @@ def test_ratio_report_negative_optimum_attained():
     assert rep.algorithm_value == rep.optimal_value == -2
     assert rep.ratio == 1
     assert rep.bound_ok
+
+
+@pytest.mark.parametrize(
+    "fam, k, function_class, algorithm_value, optimal_value",
+    [
+        (sp.MonoTightNFn(13, EPS), 7, "monotone", 13, Fraction(10500007, 10**6)),
+        (sp.DigraphHyperFn(13, 10**6), 7, "general", 12000006, 6000007),
+    ],
+)
+def test_ratio_report_at_the_cap_enumerates_nothing(
+    monkeypatch, fam, k, function_class, algorithm_value, optimal_value
+):
+    def no_enumeration(n, k=None):
+        raise AssertionError(f"enumerated the partitions of {n} elements")
+
+    monkeypatch.setattr(partition_opt, "_raw_partitions", no_enumeration)
+    rep = sp.ratio_report(fam.oracle(), k, function_class)
+    assert rep.algorithm_value == algorithm_value
+    assert rep.optimal_value == optimal_value

@@ -66,6 +66,14 @@ def test_streaming_is_lazy():
     assert first[1].rgs() == (0,) * 12 + (1,)
 
 
+def test_enumeration_checks_its_arguments_when_called():
+    # the checks run at the call itself, not at the first next()
+    with pytest.raises(sp.GroundSetCapError):
+        sp.enumerate_partitions(14)
+    with pytest.raises(ValueError):
+        sp.enumerate_partitions(5, 9)
+
+
 def test_minimize_g_zero_oracle():
     oracle = zero_fn(4).oracle()
     res = sp.minimize_g(oracle, 1)
