@@ -73,7 +73,9 @@ class SetFunctionFamily:
 
 
 def _check_endpoint(i, n, what):
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"{what} index {i!r} is not an int")
+    if not 0 <= i < n:
         raise ValueError(f"{what} index {i!r} out of range for {n} elements")
 
 

@@ -5,8 +5,8 @@ This module is the exhaustive engine under the principal-sequence search:
 * `enumerate_partitions(n, k)` streams all partitions of {0..n-1} (or those
   with exactly k blocks) in canonical order, lazily, O(n) memory,
 * `minimize_g(oracle, b)` minimizes f(P) - b|P| over all partitions,
-  returning the exact minimum with minimizer count and the finest and
-  coarsest minimizers,
+  returning the exact minimum with minimizer count and the finest
+  minimizer,
 * `optimal_k_value(oracle, k)` is the optimum every reported ratio and
   bound is measured against (`ratio_report`, CLI `solve --brute-force`,
   every `reproduce` case): the value only, from an exhaustive DP over subsets,
@@ -26,20 +26,19 @@ count k, where OPT_k is the minimum of f over k-block partitions.  The first
 attain it, with a DP over subsets in integers scaled by the lcm of the value
 denominators: about 3^(n-1) (subset, first block) pairs instead of Bell(n)
 partitions.  That summary is cached per oracle; every call then reads g(b)
-off it in O(n) exact integer steps.  The finest and coarsest minimizers are
-the canonically first optimal partitions at the extreme tied block counts,
-built the first time a k is asked for: a unique optimum is read back from
-the DP's stored choices, and a tied one comes from a scan of the k-block
-partitions in canonical order that stops at the first hit.  For submodular
-f the minimizers at each b form a lattice (Narayanan 1991), so the extreme
-ones are unique and the scan never runs; it serves non-submodular input.
-Neither optimum reads the summary, so each stays an independent reference for
-the optima `minimize_g` is built from: brute force scans the k-block
-partitions itself, and `optimal_k_value` runs its own top-down recursion
-over (mask, blocks left) with a memo that lives for one call.  A bug in the
-summary's DP therefore cannot reappear in the optimum the chain is compared
-against.  All of them read the oracle's value table, which checks the
-enumeration cap on every call; `enumerate_partitions` checks it.
+off it in O(n) exact integer steps.  The finest minimizer is the optimal
+partition at the largest tied block count, read back in O(k) from the DP's
+stored first blocks.  For submodular f the minimizers at each b form a
+lattice (Narayanan 1991), so that partition is unique; when several
+partitions tie there, f is not submodular, and `minimize_g` reports no
+finest minimizer rather than pick one.  Neither optimum below reads the
+summary, so each stays an independent reference for the optima `minimize_g`
+is built from: brute force scans the k-block partitions itself, and
+`optimal_k_value` runs its own top-down recursion over (mask, blocks left)
+with a memo that lives for one call.  A bug in the summary's DP therefore
+cannot reappear in the optimum the chain is compared against.  All of them
+read the oracle's value table, which checks the enumeration cap on every
+call; `enumerate_partitions` checks it.
 """
 
 from __future__ import annotations
@@ -125,7 +124,6 @@ class _BlockCountOptima:
     def __init__(self, n: int, denominator: int, tab: tuple[int, ...]):
         self.n = n
         self.denominator = denominator
-        self._tab = tab
         full = (1 << n) - 1
         rows: list[tuple[list[int], list[int], list[int]] | None] = [None] * (full + 1)
         rows[0] = ([], [], [])
@@ -156,34 +154,21 @@ class _BlockCountOptima:
         self._rows = rows
         self.values = tuple(rows[full][0])
         self.counts = tuple(rows[full][1])
-        self._firsts: list[tuple[int, ...] | None] = [None] * n
 
-    def first(self, k: int) -> tuple[int, ...]:
-        """The canonically first k-block partition of V attaining OPT_k.
-
-        A unique optimum is rebuilt from the stored first blocks; a tied one
-        comes from a scan of the k-block partitions in canonical order, which
-        stops at the first hit.  Either way the answer is cached."""
-        cached = self._firsts[k - 1]
-        if cached is not None:
-            return cached
-        if self.counts[k - 1] == 1:
-            # each stored first block holds the lowest element left, so the
-            # blocks come out in canonical order
-            blocks = []
-            m = (1 << self.n) - 1
-            for j in range(k - 1, -1, -1):
-                s = self._rows[m][2][j]
-                blocks.append(s)
-                m ^= s
-            found = tuple(blocks)
-        else:
-            tab, target = self._tab, self.values[k - 1]
-            found = next(
-                masks for masks in _raw_partitions(self.n, k) if sum(tab[m] for m in masks) == target
-            )
-        self._firsts[k - 1] = found
-        return found
+    def first(self, k: int) -> Partition | None:
+        """The k-block partition attaining OPT_k, rebuilt in O(k) from the
+        stored first blocks when it is the only one; None when several tie."""
+        if self.counts[k - 1] != 1:
+            return None
+        # each stored first block holds the lowest element left, so the
+        # blocks come out in canonical order
+        blocks = []
+        m = (1 << self.n) - 1
+        for j in range(k - 1, -1, -1):
+            s = self._rows[m][2][j]
+            blocks.append(s)
+            m ^= s
+        return Partition._trusted(self.n, tuple(blocks))
 
 
 _optima: "WeakKeyDictionary[ValueOracle, _BlockCountOptima]" = WeakKeyDictionary()
@@ -200,23 +185,24 @@ def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
 
 @dataclass(frozen=True)
 class GMinResult:
-    """Exact minimum of f(P) - b|P| over all partitions at one parameter b."""
+    """Exact minimum of f(P) - b|P| over all partitions at one parameter b;
+    `finest` is None when several minimizers have the most blocks."""
 
     b: Fraction
     value: Fraction
     num_minimizers: int
-    finest: Partition
-    coarsest: Partition
+    finest: Partition | None
 
 
 def minimize_g(oracle: ValueOracle, b) -> GMinResult:
     """Minimize f(P) - b * |P| over all partitions of the ground set.
 
     Returns the exact minimum value, how many partitions attain it, and the
-    finest (most blocks) and coarsest (fewest blocks) minimizers.  Ties at
-    equal block count keep the canonically first partition.
+    finest minimizer.  For submodular f the minimizers at b form a lattice
+    (Narayanan 1991), so the finest one is unique; when several partitions
+    tie at the largest tied block count, f is not submodular and `finest`
+    is None.
     """
-    n = oracle.n
     b = as_fraction(b)
     p, q = b.numerator, b.denominator
     opt = _block_count_optima(oracle)
@@ -228,8 +214,7 @@ def minimize_g(oracle: ValueOracle, b) -> GMinResult:
         b=b,
         value=Fraction(best, opt.denominator * q),
         num_minimizers=sum(opt.counts[i] for i in tied),
-        finest=Partition._trusted(n, opt.first(tied[-1] + 1)),
-        coarsest=Partition._trusted(n, opt.first(tied[0] + 1)),
+        finest=opt.first(tied[-1] + 1),
     )
 
 

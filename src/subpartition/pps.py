@@ -110,8 +110,10 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     Exact parametric search with at most 2n-1 minimize_g calls, followed by
     the chain repair that restores one-block-at-a-time refinement.  Raises
     NonSubmodularError when the minimizer structure is inconsistent with a
-    submodular oracle.  Each split strictly narrows the block-count bracket,
-    which bounds the search at 2n-3 calls without a separate budget.
+    submodular oracle: no unique finest minimizer at a crossing, or one
+    outside or not nested in its bracket.  Each split strictly narrows the
+    block-count bracket, which bounds the search at 2n-3 calls without a
+    separate budget.
     """
     n = oracle.n
     if n == 1:
@@ -132,6 +134,11 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
             chain.append(fine)
             continue
         mid = result.finest
+        if mid is None:
+            raise NonSubmodularError(
+                f"several minimizers at b={b} tie at the largest block count, which no "
+                f"submodular oracle allows (brackets of {len(coarse)} and {len(fine)} blocks)"
+            )
         if not len(coarse) < len(mid) < len(fine):
             raise NonSubmodularError(
                 f"minimizer with {len(mid)} blocks at b={b} does not lie strictly "

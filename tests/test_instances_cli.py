@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,6 +30,10 @@ from helpers import (
 # non-submodular on purpose; its parametric minimizer at b=18 is {a,c}|{b}|{d},
 # which is not nested inside the chain bracket {a,b}|{c,d}
 INCONSISTENT_TABLE = [0, 10, 10, 2, 10, 0, 50, 50, 10, 50, 50, 50, 2, 50, 50, 0]
+
+# non-submodular on purpose; at b=5/2 both {a,b}|{c} and {a,c}|{b} minimize
+# f(P) - b|P|, so there is no unique finest minimizer
+TIED_FINEST_TABLE = [0, 2, 2, 0, 2, 0, 1, 1]
 
 
 def write_instance(tmp_path, fam, name="inst.json"):
@@ -129,6 +134,26 @@ def test_graphic_matroid_rejects_non_int_endpoints(edge):
         "params": {"num_vertices": 4, "edges": [[0, 1], [1, 2], edge]},
     }
     with pytest.raises(sp.InstanceFormatError, match="vertex index"):
+        sp.instance_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ([0, 1.9], "vertex index 1.9 is not an int"),
+        ([True, 2], "vertex index True is not an int"),
+        (["0", "2"], "vertex index '0' is not an int"),
+        ([0, 4], "vertex index 4 out of range for 4 elements"),
+    ],
+)
+def test_endpoint_errors_tell_type_from_range(edge, message):
+    doc = {
+        "format_version": 1,
+        "family": "graphic_matroid",
+        "n": 3,
+        "params": {"num_vertices": 4, "edges": [[0, 1], [1, 2], edge]},
+    }
+    with pytest.raises(sp.InstanceFormatError, match=re.escape(message)):
         sp.instance_from_json(doc)
 
 
@@ -510,6 +535,36 @@ def test_cli_exit_codes_on_inconsistent_instance(tmp_path):
     # skipping validation lets the search run into the nesting violation
     assert main(["pps", str(path), "--no-validate"]) == 3
     assert main(["verify", str(path)]) == 1
+
+
+def test_cli_no_validate_exits_3_without_a_unique_finest_minimizer(tmp_path, capsys):
+    path = write_instance(tmp_path, sp.ExplicitTableFn(3, TIED_FINEST_TABLE, "general"))
+    assert main(["pps", str(path), "--no-validate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "b=5/2" in captured.err
+    assert "brackets of 1 and 3 blocks" in captured.err
+    assert main(["pps", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["random", "--family", "graph_cut", "--n", "4", "--seed", "1", "--out-dir", "{file}"],
+        ["pps", "{file}/x.json"],
+        ["solve", "{instance}", "--k", "2", "--csv", "{file}/x.csv"],
+    ],
+    ids=["random-out-dir", "pps-instance", "solve-csv"],
+)
+def test_cli_file_errors_are_usage_errors(tmp_path, capsys, command):
+    # a path that runs through a regular file is a usage error (exit 2), not
+    # a traceback that reads like a failed check
+    file = tmp_path / "file"
+    file.write_text("")
+    instance = write_instance(tmp_path, weighted_path4())
+    argv = [arg.format(file=file, instance=instance) for arg in command]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def _non_submodular_tables(count):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -8,7 +8,21 @@ import subpartition as sp
 from subpartition import partition_opt
 from subpartition.partition_opt import BELL
 
-from helpers import EPS, cardinality, mono3, mono_n, omega, posi3, weighted_path4, zero_fn
+from helpers import (
+    EPS,
+    cardinality,
+    coverage_path3,
+    footnote_matroid,
+    mono3,
+    mono_n,
+    omega,
+    posi3,
+    two_edges,
+    two_triangles,
+    unit_path3,
+    weighted_path4,
+    zero_fn,
+)
 
 STIRLING = {(4, 2): 7, (5, 3): 25, (6, 3): 90, (7, 4): 350, (8, 4): 1701}
 
@@ -79,7 +93,7 @@ def test_minimize_g_zero_oracle():
     res = sp.minimize_g(oracle, 1)
     assert res.value == Fraction(-4)
     assert res.num_minimizers == 1
-    assert res.finest == res.coarsest == sp.singleton_partition(4)
+    assert res.finest == sp.singleton_partition(4)
 
 
 def test_minimize_g_tie_handling():
@@ -88,7 +102,6 @@ def test_minimize_g_tie_handling():
     assert res.value == 0
     assert res.num_minimizers == BELL[3]
     assert res.finest == sp.singleton_partition(3)
-    assert res.coarsest == sp.trivial_partition(3)
 
 
 def test_minimize_g_mono3_small_b():
@@ -96,7 +109,6 @@ def test_minimize_g_mono3_small_b():
     res = sp.minimize_g(oracle, Fraction(1, 4))
     assert res.value == Fraction(7, 4) + 2 * EPS
     assert res.num_minimizers == 1
-    assert res.coarsest == sp.trivial_partition(3)
 
 
 def test_minimize_g_mono3_breakpoint():
@@ -106,7 +118,6 @@ def test_minimize_g_mono3_breakpoint():
     assert res.value == Fraction(3, 2) + 2 * EPS
     assert res.num_minimizers == 4
     assert res.finest == sp.singleton_partition(3)
-    assert res.coarsest == sp.trivial_partition(3)
 
 
 def test_minimize_g_result_is_global_minimum():
@@ -117,7 +128,6 @@ def test_minimize_g_result_is_global_minimum():
             for p in sp.enumerate_partitions(oracle.n):
                 assert res.value <= sp.g_value(oracle, p, b)
             assert res.value == sp.g_value(oracle, res.finest, b)
-            assert res.value == sp.g_value(oracle, res.coarsest, b)
 
 
 def test_minimizer_line_bounds_h_everywhere():
@@ -228,18 +238,22 @@ def test_cap_gates_warm_caches(monkeypatch):
 
 
 def _minimize_g_by_scan(scored, b):
-    """Reference minimizer: scan (partition, f(P)) pairs in canonical order,
-    keeping the minimum of f(P) - b|P|, its count and the canonically first
-    minimizer at each block count."""
-    best, count, first = None, 0, {}
+    """Reference minimizer: scan (partition, f(P)) pairs, keeping the minimum
+    of f(P) - b|P|, its count and the minimizers with the most blocks.  The
+    finest minimizer is the only one with that many blocks, or None when
+    several tie there."""
+    best, count, finest = None, 0, []
     for part, value in scored:
         score = value - b * len(part)
         if best is None or score < best:
-            best, count, first = score, 1, {len(part): part}
+            best, count, finest = score, 1, [part]
         elif score == best:
             count += 1
-            first.setdefault(len(part), part)
-    return best, count, first[max(first)], first[min(first)]
+            if len(part) > len(finest[0]):
+                finest = [part]
+            elif len(part) == len(finest[0]):
+                finest.append(part)
+    return best, count, finest[0] if len(finest) == 1 else None
 
 
 def test_minimize_g_matches_independent_scan():
@@ -256,8 +270,10 @@ def test_minimize_g_matches_independent_scan():
         top = 2 if i % 2 else 9  # half of the tables are tie-heavy
         values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
         families.append(sp.ExplicitTableFn(n, values))
+    tied_finest = 0
     for fam in families:
         oracle = fam.oracle()
+        submodular = sp.check_submodular(oracle).ok
         scored = [(p, sp.partition_value(oracle, p)) for p in sp.enumerate_partitions(oracle.n)]
         params = {Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(50)}
         try:
@@ -268,7 +284,13 @@ def test_minimize_g_matches_independent_scan():
         params.update(b + Fraction(1, 7) for b in breakpoints)
         for b in sorted(params):
             res = sp.minimize_g(oracle, b)
-            assert (res.value, res.num_minimizers, res.finest, res.coarsest) == _minimize_g_by_scan(scored, b)
+            expected = _minimize_g_by_scan(scored, b)
+            assert (res.value, res.num_minimizers, res.finest) == expected
+            if expected[2] is None:
+                # a tie at the largest tied block count is no submodular lattice
+                assert not submodular, (fam, b)
+                tied_finest += 1
+    assert tied_finest
 
 
 def _bell_pass_summary(oracle):
@@ -279,21 +301,13 @@ def _bell_pass_summary(oracle):
     for part in sp.enumerate_partitions(oracle.n):
         k, value = len(part), sp.partition_value(oracle, part)
         if k not in values or value < values[k]:
-            values[k], counts[k], firsts[k] = value, 1, part.blocks
+            values[k], counts[k], firsts[k] = value, 1, part
         elif value == values[k]:
             counts[k] += 1
     return values, counts, firsts
 
 
 def test_block_count_optima_match_a_bell_pass(monkeypatch):
-    scans = []
-    raw_partitions = partition_opt._raw_partitions
-
-    def counting_raw_partitions(n, k=None):
-        scans.append((n, k))
-        return raw_partitions(n, k)
-
-    monkeypatch.setattr(partition_opt, "_raw_partitions", counting_raw_partitions)
     families = [
         sp.random_instance(family, n, seed)
         for family in sorted(sp.GENERATOR_FAMILIES)
@@ -306,22 +320,100 @@ def test_block_count_optima_match_a_bell_pass(monkeypatch):
         top = (1, 2, 9)[i % 3]  # values in {0, 1} or {0, 1, 2} tie heavily
         values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
         families.append(sp.ExplicitTableFn(n, values))
-    rebuilt = scanned = 0
-    for fam in families:
-        oracle = fam.oracle()
-        values, counts, firsts = _bell_pass_summary(oracle)
+    oracles = [fam.oracle() for fam in families]
+    summaries = [_bell_pass_summary(oracle) for oracle in oracles]
+
+    def no_enumeration(n, k=None):
+        raise AssertionError("the summary enumerated partitions")
+
+    monkeypatch.setattr(partition_opt, "_raw_partitions", no_enumeration)
+    rebuilt = tied = 0
+    for oracle, (values, counts, firsts) in zip(oracles, summaries):
         opt = partition_opt._block_count_optima(oracle)
         n = oracle.n
         assert [Fraction(v, opt.denominator) for v in opt.values] == [values[k] for k in range(1, n + 1)]
         assert list(opt.counts) == [counts[k] for k in range(1, n + 1)]
         for k in range(1, n + 1):
-            before = len(scans)
-            assert opt.first(k) == firsts[k], (fam, k)
-            assert len(scans) - before == (counts[k] > 1)  # scan exactly when tied
-            scanned += counts[k] > 1
+            # a unique optimum is rebuilt from the stored first blocks; a tied
+            # one has no single answer
+            assert opt.first(k) == (firsts[k] if counts[k] == 1 else None), (oracle, k)
             rebuilt += counts[k] == 1
-            assert opt.first(k) == firsts[k] and len(scans) - before == (counts[k] > 1)  # cached
-    assert rebuilt and scanned
+            tied += counts[k] > 1
+    assert rebuilt and tied
+
+
+def _submodular_table(rng, n):
+    """A random submodular table with f(empty) != 0: a nonzero constant plus
+    one to four small-integer terms, each a cut, a coverage, a hypergraph
+    cut, a concave function of |S| or a signed modular function."""
+    masks = range(1 << n)
+    values = [rng.choice((-3, -2, -1, 1, 2, 3))] * (1 << n)
+    for _ in range(rng.randint(1, 4)):
+        kind, w = rng.randrange(5), rng.randint(1, 3)
+        if kind == 0:  # the cut of one edge u-v
+            u, v = rng.sample(range(n), 2)
+            term = [w * ((m >> u ^ m >> v) & 1) for m in masks]
+        elif kind == 1:  # one item, covered by any element of `members`
+            members = rng.randrange(1, 1 << n)
+            term = [w * bool(m & members) for m in masks]
+        elif kind == 2:  # the cut of one hyperedge
+            members = sum(1 << i for i in rng.sample(range(n), rng.randint(2, n)))
+            term = [w * (m & members not in (0, members)) for m in masks]
+        elif kind == 3:  # concave in |S|: nonincreasing increments
+            steps = sorted((rng.randint(-2, 3) for _ in range(n)), reverse=True)
+            term = [sum(steps[: m.bit_count()]) for m in masks]
+        else:  # signed modular
+            weights = [rng.randint(-3, 3) for _ in range(n)]
+            term = [sum(x for i, x in enumerate(weights) if m >> i & 1) for m in masks]
+        values = [v + t for v, t in zip(values, term)]
+    return values
+
+
+def _optima_by_bell_scan(oracle):
+    """Per block count k, OPT_k and every k-block partition attaining it,
+    from one walk over all partitions (in integers scaled by d)."""
+    d, tab = oracle.scaled_table()
+    optima = {}
+    for part in sp.enumerate_partitions(oracle.n):
+        k, value = len(part), sum(tab[m] for m in part.blocks)
+        if k not in optima or value < optima[k][0]:
+            optima[k] = (value, [part])
+        elif value == optima[k][0]:
+            optima[k][1].append(part)
+    return {k: (Fraction(value, d), parts) for k, (value, parts) in optima.items()}
+
+
+def test_finest_minimizer_is_unique_on_submodular_input():
+    # for submodular f the minimizers of f(P) - b|P| form a lattice
+    # (Narayanan 1991), so exactly one has the most blocks at every b, and
+    # minimize_g reads it off the summary; checked at every crossing of two
+    # block-count lines, where ties happen, and 1/3 to either side
+    rng = random.Random("lattice")
+    families = [sp.ExplicitTableFn(n, _submodular_table(rng, n)) for n in [2, 3, 4, 5, 6, 7] * 50]
+    families += [
+        sp.random_instance(family, n, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 9)
+        for seed in range(4)
+    ]
+    families += [
+        mono3(), posi3(), mono_n(5), mono_n(7), omega(6), weighted_path4(), two_edges(),
+        unit_path3(), coverage_path3(), footnote_matroid(), two_triangles(), cardinality(5),
+        zero_fn(4),
+    ]
+    for fam in families:
+        oracle = fam.oracle()
+        assert sp.check_submodular(oracle).ok, fam
+        optima = _optima_by_bell_scan(oracle)
+        params = set()
+        for i, j in combinations(optima, 2):
+            b = (optima[j][0] - optima[i][0]) / (j - i)
+            params.update((b - Fraction(1, 3), b, b + Fraction(1, 3)))
+        for b in params:
+            scores = {k: value - b * k for k, (value, _) in optima.items()}
+            best = min(scores.values())
+            (finest,) = optima[max(k for k, score in scores.items() if score == best)][1]
+            assert sp.minimize_g(oracle, b).finest == finest, (fam, b)
 
 
 def test_optimal_k_value_matches_enumeration():
