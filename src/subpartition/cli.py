@@ -162,7 +162,6 @@ def cmd_pps(args) -> int:
         doc = {
             "breakpoints": [[b.numerator, b.denominator] for b in sequence.breakpoints],
             "labels": list(gs.labels),
-            "minimize_calls": sequence.minimize_calls,
             "n": gs.n,
             "partitions": [_blocks_as_indices(p) for p in sequence.partitions],
             "verification": dataclasses.asdict(report),
@@ -170,10 +169,7 @@ def cmd_pps(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"instance: {fam.name} (n={gs.n}, class {fam.function_class})")
-        print(
-            f"principal partition sequence: {len(sequence)} partitions, "
-            f"{sequence.minimize_calls} parametric minimizations"
-        )
+        print(f"principal partition sequence: {len(sequence)} partitions")
         for i, part in enumerate(sequence.partitions):
             print(f"  P{i + 1} ({len(part)} blocks): {gs.format_partition(part)}")
             if i < len(sequence.breakpoints):

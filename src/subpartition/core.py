@@ -181,12 +181,16 @@ class Partition:
     blocks: tuple[int, ...]
 
     def __init__(self, n: int, blocks: Iterable[int]):
-        block_tuple = tuple(int(b) for b in blocks)
-        if not isinstance(n, int) or n < 1:
+        block_tuple = tuple(blocks)
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError("partition ground size must be an int")
+        if n < 1:
             raise ValueError("partition ground size must be a positive int")
         full = (1 << n) - 1
         seen = 0
         for b in block_tuple:
+            if not isinstance(b, int) or isinstance(b, bool):
+                raise TypeError("partition blocks must be int masks")
             if b <= 0 or b > full:
                 raise ValueError(f"block {b:#x} is not a nonempty subset of {n} elements")
             if seen & b:

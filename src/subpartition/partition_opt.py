@@ -5,8 +5,8 @@ This module is the exhaustive engine under the principal-sequence search:
 * `enumerate_partitions(n, k)` streams all partitions of {0..n-1} (or those
   with exactly k blocks) in canonical order, lazily, O(n) memory,
 * `minimize_g(oracle, b)` minimizes f(P) - b|P| over all partitions,
-  returning the exact minimum with minimizer count and the finest
-  minimizer,
+  returning the exact minimum and how many partitions attain it (no
+  minimizer itself),
 * `optimal_k_value(oracle, k)` is the optimum every reported ratio and
   bound is measured against (`ratio_report`, CLI `solve --brute-force`,
   every `reproduce` case): the value only, from an exhaustive DP over subsets,
@@ -22,23 +22,22 @@ minimizer found" a well-defined deterministic tie-break.
 The parametric objective g(b) = min over P of f(P) - b|P| equals
 min over k of OPT_k - b*k, the lower envelope of n lines, one per block
 count k, where OPT_k is the minimum of f over k-block partitions.  The first
-`minimize_g` call on an oracle computes every OPT_k, and how many partitions
-attain it, with a DP over subsets in integers scaled by the lcm of the value
-denominators: about 3^(n-1) (subset, first block) pairs instead of Bell(n)
-partitions.  That summary is cached per oracle; every call then reads g(b)
-off it in O(n) exact integer steps.  The finest minimizer is the optimal
-partition at the largest tied block count, read back in O(k) from the DP's
-stored first blocks.  For submodular f the minimizers at each b form a
-lattice (Narayanan 1991), so that partition is unique; when several
-partitions tie there, f is not submodular, and `minimize_g` reports no
-finest minimizer rather than pick one.  Neither optimum below reads the
-summary, so each stays an independent reference for the optima `minimize_g`
-is built from: brute force scans the k-block partitions itself, and
-`optimal_k_value` runs its own top-down recursion over (mask, blocks left)
-with a memo that lives for one call.  A bug in the summary's DP therefore
-cannot reappear in the optimum the chain is compared against.  All of them
-read the oracle's value table, which checks the enumeration cap on every
-call; `enumerate_partitions` checks it.
+`minimize_g` or `pps.compute_pps` call on an oracle computes every OPT_k,
+how many partitions attain it and one that does, with a DP over subsets in
+integers scaled by the lcm of the value denominators: about 3^(n-1)
+(subset, first block) pairs instead of Bell(n) partitions.  That summary is
+cached per oracle.  `minimize_g` reads g(b) and the minimizer count off it
+in O(n) exact integer steps, and returns no minimizer; `compute_pps` reads
+the principal sequence off the lower convex hull of the points (k, OPT_k),
+rebuilding each vertex's unique optimal partition in O(k) from the stored
+first blocks.  Neither optimum below reads the summary, so each stays an
+independent reference for the optima the chain is built from: brute force
+scans the k-block partitions itself, and `optimal_k_value` runs its own
+top-down recursion over (mask, blocks left) with a memo that lives for one
+call.  A bug in the summary's DP therefore cannot reappear in the optimum
+the chain is compared against.  All of them read the oracle's value table,
+which checks the enumeration cap on every call; `enumerate_partitions`
+checks it.
 """
 
 from __future__ import annotations
@@ -185,23 +184,19 @@ def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
 
 @dataclass(frozen=True)
 class GMinResult:
-    """Exact minimum of f(P) - b|P| over all partitions at one parameter b;
-    `finest` is None when several minimizers have the most blocks."""
+    """Exact minimum of f(P) - b|P| over all partitions at one parameter b,
+    and how many partitions attain it."""
 
     b: Fraction
     value: Fraction
     num_minimizers: int
-    finest: Partition | None
 
 
 def minimize_g(oracle: ValueOracle, b) -> GMinResult:
     """Minimize f(P) - b * |P| over all partitions of the ground set.
 
-    Returns the exact minimum value, how many partitions attain it, and the
-    finest minimizer.  For submodular f the minimizers at b form a lattice
-    (Narayanan 1991), so the finest one is unique; when several partitions
-    tie at the largest tied block count, f is not submodular and `finest`
-    is None.
+    Returns the exact minimum value and how many partitions attain it, read
+    off the per-oracle block-count optima in O(n) integer steps.
     """
     b = as_fraction(b)
     p, q = b.numerator, b.denominator
@@ -209,12 +204,10 @@ def minimize_g(oracle: ValueOracle, b) -> GMinResult:
     dp = opt.denominator * p
     scores = [q * value - dp * k for k, value in enumerate(opt.values, 1)]
     best = min(scores)
-    tied = [i for i, score in enumerate(scores) if score == best]
     return GMinResult(
         b=b,
         value=Fraction(best, opt.denominator * q),
-        num_minimizers=sum(opt.counts[i] for i in tied),
-        finest=opt.first(tied[-1] + 1),
+        num_minimizers=sum(c for c, score in zip(opt.counts, scores) if score == best),
     )
 
 

@@ -12,15 +12,16 @@ of f is a chain P_1, ..., P_r with breakpoints b_1 <= ... <= b_{r-1} such that
   4. at b_j both P_j and P_{j+1} attain g(b_j),
   5. P_j attains g(b) throughout its segment [b_{j-1}, b_j].
 
-Block counts |P_j| increase strictly along the chain.  `compute_pps` builds
-the chain by exact parametric search on (coarse, fine) bracket pairs: at the
-crossing value b* where the two brackets tie, either the global minimum
-equals their common value (record the pair) or the finest minimizer at b*
-sits strictly between them (recurse on both sides).  At most 2n-1
-minimize_g calls are needed.  `repair_chain` then restores the single-block
-refinement of step 2 wherever a recorded pair splits several blocks at one
-tied breakpoint, by inserting the intermediate partition that splits only
-the first affected block.
+Block counts |P_j| increase strictly along the chain.  Since
+g(b) = min over k of OPT_k - b*k, with OPT_k the minimum of f over k-block
+partitions, the chain's block counts are the vertices of the lower convex
+hull of the points (k, OPT_k), and its breakpoints are the slopes of the
+hull's edges (Narayanan 1991).  `compute_pps` reads that hull off the
+per-oracle block-count optima in one pass, with no minimize_g call, and
+takes the unique optimal partition at each vertex.  `repair_chain` then
+restores the single-block refinement of step 2 wherever an adjacent pair
+splits several blocks at one tied breakpoint, by inserting the
+intermediate partition that splits only the first affected block.
 
 `verify_pps` re-checks all five conditions from scratch against minimize_g.
 Condition 5 is decided exactly from the attainment data of condition 4,
@@ -35,7 +36,7 @@ any oracle and nothing is left to sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -49,7 +50,7 @@ from .core import (
     singleton_partition,
     trivial_partition,
 )
-from .partition_opt import minimize_g
+from .partition_opt import _block_count_optima, minimize_g
 
 __all__ = [
     "PpsVerification",
@@ -71,7 +72,6 @@ class PrincipalSequence:
 
     partitions: tuple[Partition, ...]
     breakpoints: tuple[Fraction, ...]
-    minimize_calls: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if not self.partitions:
@@ -104,54 +104,48 @@ def _crossing(oracle: ValueOracle, coarse: Partition, fine: Partition) -> Fracti
     )
 
 
+def _on_or_above(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> bool:
+    """Whether point b lies on or above the segment from a to c, for
+    integer points with a[0] < b[0] < c[0]."""
+    return (b[1] - a[1]) * (c[0] - b[0]) >= (c[1] - b[1]) * (b[0] - a[0])
+
+
 def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     """Compute the principal sequence of a submodular oracle.
 
-    Exact parametric search with at most 2n-1 minimize_g calls, followed by
-    the chain repair that restores one-block-at-a-time refinement.  Raises
-    NonSubmodularError when the minimizer structure is inconsistent with a
-    submodular oracle: no unique finest minimizer at a crossing, or one
-    outside or not nested in its bracket.  Each split strictly narrows the
-    block-count bracket, which bounds the search at 2n-3 calls without a
-    separate budget.
+    Builds the lower convex hull of the points (k, OPT_k), k = 1..n, in the
+    summary's scaled integers, keeping only strict vertices: collinear
+    points lie on an edge, where g has no breakpoint of its own.  The chain
+    is the unique OPT_k partition at each vertex and the breakpoints are
+    the exact slopes of the edges between them; the chain repair then
+    restores one-block-at-a-time refinement.  For submodular f every vertex
+    partition is unique and each refines the one before (Narayanan 1991).
+    Raises NonSubmodularError, naming b and two block counts, when several
+    partitions tie at a vertex (b is where its two hull neighbours cross)
+    or, from the repair, when two adjacent members are not nested.
     """
-    n = oracle.n
-    if n == 1:
-        return PrincipalSequence((trivial_partition(1),), (), 0)
+    opt = _block_count_optima(oracle)
 
-    chain = [trivial_partition(n)]
-    breakpoints: list[Fraction] = []
-    calls = 0
-    # brackets still to search, the next one last: depth first, coarse half first
-    brackets = [(trivial_partition(n), singleton_partition(n))]
-    while brackets:
-        coarse, fine = brackets.pop()
-        b = _crossing(oracle, coarse, fine)
-        result = minimize_g(oracle, b)
-        calls += 1
-        if result.value == g_value(oracle, coarse, b):
-            breakpoints.append(b)
-            chain.append(fine)
-            continue
-        mid = result.finest
-        if mid is None:
-            raise NonSubmodularError(
-                f"several minimizers at b={b} tie at the largest block count, which no "
-                f"submodular oracle allows (brackets of {len(coarse)} and {len(fine)} blocks)"
-            )
-        if not len(coarse) < len(mid) < len(fine):
-            raise NonSubmodularError(
-                f"minimizer with {len(mid)} blocks at b={b} does not lie strictly "
-                f"between brackets of {len(coarse)} and {len(fine)} blocks"
-            )
-        if not (refines(mid, coarse) and refines(fine, mid)):
-            raise NonSubmodularError(
-                f"minimizer at b={b} is not nested between the bracket partitions"
-            )
-        brackets += [(mid, fine), (coarse, mid)]
+    def slope(a: tuple[int, int], c: tuple[int, int]) -> Fraction:
+        return Fraction(c[1] - a[1], opt.denominator * (c[0] - a[0]))
 
-    raw = PrincipalSequence(tuple(chain), tuple(breakpoints), calls)
-    return repair_chain(oracle, raw)
+    hull: list[tuple[int, int]] = []  # strict vertices (k, scaled OPT_k) so far
+    for c in enumerate(opt.values, 1):
+        while len(hull) >= 2 and _on_or_above(hull[-2], hull[-1], c):
+            hull.pop()
+        hull.append(c)
+    chain = []
+    for v, (k, _) in enumerate(hull):
+        part = opt.first(k)
+        if part is None:  # never at the ends: one partition has 1 or n blocks
+            a, c = hull[v - 1], hull[v + 1]
+            raise NonSubmodularError(
+                f"several minimizers at b={slope(a, c)} tie at the largest block count, "
+                f"which no submodular oracle allows (brackets of {a[0]} and {c[0]} blocks)"
+            )
+        chain.append(part)
+    breakpoints = tuple(slope(a, c) for a, c in zip(hull, hull[1:]))
+    return repair_chain(oracle, PrincipalSequence(tuple(chain), breakpoints))
 
 
 def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalSequence:
@@ -170,19 +164,20 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
     """
     parts = list(sequence.partitions)
     bps = list(sequence.breakpoints)
-    calls = sequence.minimize_calls
     n = sequence.n
     j = 0
     while j < len(parts) - 1:
         coarse, fine = parts[j], parts[j + 1]
+        b = bps[j]
         if not refines(fine, coarse):
-            raise NonSubmodularError("chain partitions are not nested")
+            raise NonSubmodularError(
+                f"chain partitions with {len(coarse)} and {len(fine)} blocks at b={b} "
+                "are not nested"
+            )
         if refined_part(coarse, fine) is not None:
             j += 1
             continue
-        b = bps[j]
         result = minimize_g(oracle, b)
-        calls += 1
         g_coarse = g_value(oracle, coarse, b)
         g_fine = g_value(oracle, fine, b)
         if g_coarse != result.value or g_fine != result.value:
@@ -198,7 +193,7 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
         bps[j : j + 1] = [b, b]
         # re-examine the pair (coarse, mid); it is single-block by now, but
         # (mid, fine) may still split several blocks
-    return PrincipalSequence(tuple(parts), tuple(bps), calls)
+    return PrincipalSequence(tuple(parts), tuple(bps))
 
 
 @dataclass(frozen=True)

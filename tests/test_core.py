@@ -74,6 +74,13 @@ def test_partition_validation():
         sp.Partition(2, [0b100, 0b011])  # out of range
 
 
+def test_partition_rejects_non_int_arguments():
+    # no silent coercion: a float mask would truncate and a string would parse
+    for n, blocks in [(3, [1.9, 6]), (3, ["1", 6]), (3, [True, 6]), (True, [True]), (3.0, [7])]:
+        with pytest.raises(TypeError):
+            sp.Partition(n, blocks)
+
+
 def test_partition_is_immutable():
     p = sp.trivial_partition(3)
     with pytest.raises(dataclasses.FrozenInstanceError):

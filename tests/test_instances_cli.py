@@ -27,8 +27,9 @@ from helpers import (
     weighted_path4,
 )
 
-# non-submodular on purpose; its parametric minimizer at b=18 is {a,c}|{b}|{d},
-# which is not nested inside the chain bracket {a,b}|{c,d}
+# non-submodular on purpose; its optimal 2- and 3-block partitions {a,b}|{c,d}
+# and {a,c}|{b}|{d} are neighbouring chain members with breakpoint b=16, and
+# the second does not refine the first
 INCONSISTENT_TABLE = [0, 10, 10, 2, 10, 0, 50, 50, 10, 50, 50, 50, 2, 50, 50, 0]
 
 # non-submodular on purpose; at b=5/2 both {a,b}|{c} and {a,c}|{b} minimize
@@ -535,6 +536,14 @@ def test_cli_exit_codes_on_inconsistent_instance(tmp_path):
     # skipping validation lets the search run into the nesting violation
     assert main(["pps", str(path), "--no-validate"]) == 3
     assert main(["verify", str(path)]) == 1
+
+
+def test_cli_no_validate_names_the_pair_that_is_not_nested(tmp_path, capsys):
+    path = write_instance(tmp_path, sp.ExplicitTableFn(4, INCONSISTENT_TABLE, "general"))
+    assert main(["pps", str(path), "--no-validate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chain partitions with 2 and 3 blocks at b=16 are not nested" in captured.err
 
 
 def test_cli_no_validate_exits_3_without_a_unique_finest_minimizer(tmp_path, capsys):

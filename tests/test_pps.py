@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
+from subpartition import pps
 from subpartition.cli import RANDOM_FAMILIES, main
 
 from helpers import (
@@ -23,6 +24,19 @@ from helpers import (
 )
 
 
+def _count_minimize_calls(monkeypatch):
+    """Record the parameter of every minimize_g call made from the pps module."""
+    calls = []
+    real = pps.minimize_g
+
+    def counted(oracle, b):
+        calls.append(b)
+        return real(oracle, b)
+
+    monkeypatch.setattr(pps, "minimize_g", counted)
+    return calls
+
+
 def test_weighted_path_chain_frozen():
     oracle = weighted_path4().oracle()
     seq = sp.compute_pps(oracle)
@@ -34,7 +48,6 @@ def test_weighted_path_chain_frozen():
     )
     assert seq.breakpoints == (Fraction(2), Fraction(4), Fraction(6))
     assert seq.block_counts() == (1, 2, 3, 4)
-    assert seq.minimize_calls == 5
     assert sp.verify_pps(oracle, seq).ok
 
 
@@ -51,7 +64,6 @@ def test_tied_breakpoint_repair():
         sp.singleton_partition(4),
     )
     assert seq.breakpoints == (Fraction(0), Fraction(2), Fraction(2))
-    assert seq.minimize_calls == 4
     assert sp.verify_pps(oracle, seq).ok
 
 
@@ -65,12 +77,13 @@ def test_single_block_split_into_many_is_allowed():
     assert sp.verify_pps(oracle, seq).ok
 
 
-def test_one_element_chain():
+def test_one_element_chain(monkeypatch):
+    calls = _count_minimize_calls(monkeypatch)
     oracle = zero_fn(1).oracle()
     seq = sp.compute_pps(oracle)
     assert seq.partitions == (sp.trivial_partition(1),)
     assert seq.breakpoints == ()
-    assert seq.minimize_calls == 0
+    assert calls == []
     assert sp.verify_pps(oracle, seq).ok
 
 
@@ -180,25 +193,84 @@ def test_determinism():
     a = sp.compute_pps(weighted_path4().oracle())
     b = sp.compute_pps(weighted_path4().oracle())
     assert a == b
-    assert a.minimize_calls == b.minimize_calls
 
 
-def test_minimize_call_budget_on_random_instances():
+def test_minimize_call_budget_on_random_instances(monkeypatch):
+    # one call per member the repair inserts, and the hull has at least
+    # the two ends, so at most n - 2
+    calls = _count_minimize_calls(monkeypatch)
     for family in ("graph_cut", "hypergraph_cut", "graph_coverage"):
         for seed in (1, 2):
             fam = sp.random_instance(family, 7, seed)
             oracle = fam.oracle()
+            calls.clear()
             seq = sp.compute_pps(oracle)
-            assert seq.minimize_calls <= 2 * oracle.n - 1
+            assert len(calls) <= oracle.n - 2
             assert sp.verify_pps(oracle, seq, interior_samples=1).ok
 
 
-def test_repair_is_idempotent():
+def test_compute_pps_minimizes_only_to_repair(monkeypatch):
+    # the chain is read off the block-count optima; only the repair of a
+    # pair that splits several blocks at once asks minimize_g, at that
+    # pair's breakpoint
+    calls = _count_minimize_calls(monkeypatch)
+    sp.compute_pps(weighted_path4().oracle())
+    assert calls == []
+    sp.compute_pps(two_edges().oracle())
+    assert calls == [Fraction(2)]
+
+
+def _strict_lower_hull(optima):
+    """Block counts of the strict vertices of the lower convex hull of the
+    points (k, OPT_k): the two ends, and every k that lies strictly below
+    the segment between each pair of points on either side of it."""
+    n = len(optima)
+    inner = [
+        k
+        for k in range(2, n)
+        if all(
+            (optima[k] - optima[i]) * (j - i) < (optima[j] - optima[i]) * (k - i)
+            for i in range(1, k)
+            for j in range(k + 1, n + 1)
+        )
+    ]
+    return [1, *inner, n]
+
+
+def test_chain_is_the_lower_hull_of_enumerated_optima():
+    # before repair, the chain is the optimal partition at each strict
+    # vertex of the hull of (k, OPT_k) and the breakpoints are the hull's
+    # slopes; the reference hull is built here from brute-force enumeration,
+    # which shares no code with the subset DP
+    families = [
+        sp.random_instance(family, n, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 9)
+        for seed in range(4)
+    ]
+    families += [mono3(), posi3(), mono_n(7), omega(6)]
+    repaired = 0
+    for fam in families:
+        oracle = fam.oracle()
+        optima = sp.brute_force_all_k(oracle)
+        hull = _strict_lower_hull({k: value for k, (_, value) in optima.items()})
+        members = tuple(optima[k][0] for k in hull)
+        slopes = tuple(
+            (optima[j][1] - optima[i][1]) / (j - i) for i, j in zip(hull, hull[1:])
+        )
+        expected = sp.repair_chain(oracle, sp.PrincipalSequence(members, slopes))
+        assert sp.compute_pps(oracle) == expected, fam
+        repaired += len(expected) > len(hull)
+    assert repaired
+
+
+def test_repair_is_idempotent(monkeypatch):
     oracle = two_edges().oracle()
     seq = sp.compute_pps(oracle)
+    calls = _count_minimize_calls(monkeypatch)
     again = sp.repair_chain(oracle, seq)
     assert again == seq
-    assert again.minimize_calls == seq.minimize_calls
+    assert calls == []
 
 
 def test_sequence_validation():
