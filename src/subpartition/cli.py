@@ -155,7 +155,7 @@ def _load_oracle(args, k=None):
 def cmd_pps(args) -> int:
     fam, oracle = _load_oracle(args)
     sequence = compute_pps(oracle)
-    report = verify_pps(oracle, sequence, interior_samples=args.interior_samples)
+    report = verify_pps(oracle, sequence)
     gs = oracle.ground_set
 
     if args.json:
@@ -517,14 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pps", help="compute and verify the principal partition sequence")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument(
-        "--interior-samples",
-        type=_int_at_least(0, "nonnegative"),
-        default=3,
-        metavar="COUNT",
-        help="accepted and ignored: segment optimality is decided exactly from "
-        "attainment at the breakpoints, so nothing is sampled (default 3)",
-    )
     p.add_argument(
         "--no-validate",
         action="store_true",

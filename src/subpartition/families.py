@@ -207,7 +207,7 @@ class GraphicMatroidRankFn(SetFunctionFamily):
         edges = tuple((u, v) for u, v in edges)
         if not edges:
             raise ValueError("a graphic matroid needs at least one edge")
-        if not isinstance(num_vertices, int) or num_vertices < 1:
+        if not isinstance(num_vertices, int) or isinstance(num_vertices, bool) or num_vertices < 1:
             raise ValueError("num_vertices must be a positive int")
         for u, v in edges:
             _check_endpoint(u, num_vertices, "vertex")

@@ -36,7 +36,7 @@ from .core import (
     require_block_count,
 )
 from .partition_opt import optimal_k_value
-from .pps import PrincipalSequence, compute_pps
+from .pps import PrincipalSequence, _require_same_ground_set, compute_pps
 
 __all__ = [
     "BaselineResult",
@@ -91,12 +91,14 @@ def pps_k_partition(
 ) -> KPartitionRun:
     """Approximate minimum k-partition read off the principal sequence.
 
-    Pass a precomputed sequence to amortize it across several k values.
+    Pass a precomputed sequence to amortize it across several k values; a
+    sequence on another ground set raises ValueError.
     """
     n = oracle.n
     require_block_count(k, n)
     if pps is None:
         pps = compute_pps(oracle)
+    _require_same_ground_set(oracle, pps)
     counts = pps.block_counts()
 
     if k in counts:
@@ -269,6 +271,7 @@ def check_chain_lower_bounds(
 ) -> ChainBoundsReport:
     """Evaluate both chain lower bounds against a known optimal value."""
     require_block_count(k, oracle.n)
+    _require_same_ground_set(oracle, pps)
     if k in pps.block_counts():
         return ChainBoundsReport(applicable=False)
     below, above = _straddle(pps, k)

@@ -19,19 +19,20 @@ opens block 0, and each later element either joins an existing block
 (ascending index) or opens the next fresh block.  That order makes "first
 minimizer found" a well-defined deterministic tie-break.
 
-The parametric objective g(b) = min over P of f(P) - b|P| equals
-min over k of OPT_k - b*k, the lower envelope of n lines, one per block
-count k, where OPT_k is the minimum of f over k-block partitions.  The first
-`minimize_g` or `pps.compute_pps` call on an oracle computes every OPT_k,
-how many partitions attain it and one that does, with a DP over subsets in
-integers scaled by the lcm of the value denominators: about 3^(n-1)
-(subset, first block) pairs instead of Bell(n) partitions.  That summary is
-cached per oracle.  `minimize_g` reads g(b) and the minimizer count off it
-in O(n) exact integer steps, and returns no minimizer; `compute_pps` reads
-the principal sequence off the lower convex hull of the points (k, OPT_k),
-rebuilding each vertex's unique optimal partition in O(k) from the stored
-first blocks.  Neither optimum below reads the summary, so each stays an
-independent reference for the optima the chain is built from: brute force
+The parametric objective g(b) = min over P of f(P) - b|P| equals min over k
+of OPT_k - b*k, the lower envelope of n lines, one per block count k, where
+OPT_k is the minimum of f over k-block partitions.  The first call on an
+oracle computes every OPT_k, how many partitions attain it and one that
+does, with a DP over subsets in integers scaled by the lcm of the value
+denominators: about 3^(n-1) (subset, first block) pairs instead of Bell(n)
+partitions.  That summary is cached per oracle.  `pps` reads the principal
+sequence off the lower convex hull of the points (k, OPT_k), rebuilding each
+vertex's unique optimal partition in O(k) from the stored first blocks, and
+the two-level test off the points themselves.  `minimize_g` reads g(b) and
+the minimizer count off it in O(n) exact integer steps; only the checks of a
+given chain call it (`verify_pps`, and `repair_chain` before it repairs a
+chain passed to it).  Neither optimum below reads the summary, so each stays
+an independent reference for the optima the chain is built from: brute force
 scans the k-block partitions itself, and `optimal_k_value` runs its own
 top-down recursion over (mask, blocks left) with a memo that lives for one
 call.  A bug in the summary's DP therefore cannot reappear in the optimum

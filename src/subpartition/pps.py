@@ -18,10 +18,10 @@ partitions, the chain's block counts are the vertices of the lower convex
 hull of the points (k, OPT_k), and its breakpoints are the slopes of the
 hull's edges (Narayanan 1991).  `compute_pps` reads that hull off the
 per-oracle block-count optima in one pass, with no minimize_g call, and
-takes the unique optimal partition at each vertex.  `repair_chain` then
-restores the single-block refinement of step 2 wherever an adjacent pair
-splits several blocks at one tied breakpoint, by inserting the
-intermediate partition that splits only the first affected block.
+takes the unique optimal partition at each vertex.  Where an adjacent pair
+splits several blocks at one tied breakpoint, it restores step 2 by
+splitting them one at a time; `repair_chain` does the same on any chain,
+after checking against minimize_g that each such pair attains g.
 
 `verify_pps` re-checks all five conditions from scratch against minimize_g.
 Condition 5 is decided exactly from the attainment data of condition 4,
@@ -97,13 +97,6 @@ class PrincipalSequence:
         return tuple(len(p) for p in self.partitions)
 
 
-def _crossing(oracle: ValueOracle, coarse: Partition, fine: Partition) -> Fraction:
-    """Parameter where the two partitions' affine g-lines tie."""
-    return (partition_value(oracle, fine) - partition_value(oracle, coarse)) / (
-        len(fine) - len(coarse)
-    )
-
-
 def _on_or_above(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> bool:
     """Whether point b lies on or above the segment from a to c, for
     integer points with a[0] < b[0] < c[0]."""
@@ -116,13 +109,15 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     Builds the lower convex hull of the points (k, OPT_k), k = 1..n, in the
     summary's scaled integers, keeping only strict vertices: collinear
     points lie on an edge, where g has no breakpoint of its own.  The chain
-    is the unique OPT_k partition at each vertex and the breakpoints are
-    the exact slopes of the edges between them; the chain repair then
-    restores one-block-at-a-time refinement.  For submodular f every vertex
-    partition is unique and each refines the one before (Narayanan 1991).
-    Raises NonSubmodularError, naming b and two block counts, when several
+    is the unique OPT_k partition at each vertex, split stepwise as in
+    `repair_chain`, and the breakpoints are the exact slopes of the edges.
+    For submodular f every vertex partition is unique and each refines the
+    one before (Narayanan 1991).  Attainment needs no check, for any f:
+    adjacent vertices attain g at their edge's slope by the definition of g,
+    and inserted members by the argument in `repair_chain`.  Raises
+    NonSubmodularError, naming b and two block counts, when several
     partitions tie at a vertex (b is where its two hull neighbours cross)
-    or, from the repair, when two adjacent members are not nested.
+    or when two adjacent members are not nested.
     """
     opt = _block_count_optima(oracle)
 
@@ -145,7 +140,34 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
             )
         chain.append(part)
     breakpoints = tuple(slope(a, c) for a, c in zip(hull, hull[1:]))
-    return repair_chain(oracle, PrincipalSequence(tuple(chain), breakpoints))
+    return _split_stepwise(PrincipalSequence(tuple(chain), breakpoints))
+
+
+def _split_stepwise(sequence: PrincipalSequence) -> PrincipalSequence:
+    """Split, at the pair's breakpoint, the blocks that a pair's finer
+    member splits one at a time in canonical order; a non-nested pair
+    raises NonSubmodularError."""
+    n = sequence.n
+    parts = [sequence.partitions[0]]
+    bps: list[Fraction] = []
+    for coarse, fine, b in zip(sequence.partitions, sequence.partitions[1:], sequence.breakpoints):
+        if not refines(fine, coarse):
+            pair = f"chain partitions with {len(coarse)} and {len(fine)} blocks at b={b}"
+            raise NonSubmodularError(f"{pair} are not nested")
+        fine_blocks = set(fine.blocks)
+        split = [s for s in coarse.blocks if s not in fine_blocks]
+        for s in split[:-1]:
+            rest = [blk for blk in parts[-1].blocks if blk != s]
+            parts.append(Partition(n, rest + [blk for blk in fine.blocks if blk & s]))
+            bps.append(b)
+        parts.append(fine)
+        bps.append(b)
+    return PrincipalSequence(tuple(parts), tuple(bps))
+
+
+def _require_same_ground_set(oracle: ValueOracle, sequence: PrincipalSequence) -> None:
+    if sequence.n != oracle.n:
+        raise ValueError(f"the chain is on {sequence.n} elements, the oracle on {oracle.n}")
 
 
 def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalSequence:
@@ -153,47 +175,27 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
 
     Wherever P_{j+1} splits several blocks of P_j (possible only at tied
     breakpoints), insert between them Q1 = P_j with its first affected block
-    split as in P_{j+1}.  Q1 attains g at the breakpoint b_j whenever the
-    chain pair does, for any oracle: with Q2 = P_{j+1} with that block glued
-    back, g(Q1) + g(Q2) = g(P_j) + g(P_{j+1}) = twice the minimum, and
-    neither term lies below it.  Three lines that meet g at b_j all cross
-    there, so the two breakpoints replacing b_j both equal b_j, which is why
-    repaired chains have nondecreasing rather than strictly increasing
-    breakpoints.  Only the pair's own attainment is checked; a pair that
-    misses the minimum raises NonSubmodularError.
+    split as in P_{j+1}, then repeat on (Q1, P_{j+1}).  Q1 attains g at the
+    breakpoint b_j whenever the chain pair does, for any oracle: with
+    Q2 = P_{j+1} with that block glued back, g(Q1) + g(Q2) =
+    g(P_j) + g(P_{j+1}) = twice the minimum, and neither term lies below
+    it.  Three lines that meet g at b_j all cross there, so every
+    breakpoint replacing b_j equals b_j, which is why repaired chains have
+    nondecreasing rather than strictly increasing breakpoints.  Only the
+    input's own pairs are checked against minimize_g, in chain order; one
+    that is not nested or misses the minimum raises NonSubmodularError.
     """
-    parts = list(sequence.partitions)
-    bps = list(sequence.breakpoints)
-    n = sequence.n
-    j = 0
-    while j < len(parts) - 1:
-        coarse, fine = parts[j], parts[j + 1]
-        b = bps[j]
+    _require_same_ground_set(oracle, sequence)
+    for coarse, fine, b in zip(sequence.partitions, sequence.partitions[1:], sequence.breakpoints):
         if not refines(fine, coarse):
-            raise NonSubmodularError(
-                f"chain partitions with {len(coarse)} and {len(fine)} blocks at b={b} "
-                "are not nested"
-            )
-        if refined_part(coarse, fine) is not None:
-            j += 1
-            continue
-        result = minimize_g(oracle, b)
-        g_coarse = g_value(oracle, coarse, b)
-        g_fine = g_value(oracle, fine, b)
-        if g_coarse != result.value or g_fine != result.value:
-            raise NonSubmodularError(
-                f"chain pair does not attain the parametric minimum at b={b}"
-            )
-        fine_blocks = set(fine.blocks)
-        split = [s for s in coarse.blocks if s not in fine_blocks]
-        s = split[0]  # first refined block in canonical order
-        inner = [blk for blk in fine.blocks if blk & s]
-        mid = Partition(n, [blk for blk in coarse.blocks if blk != s] + inner)
-        parts.insert(j + 1, mid)
-        bps[j : j + 1] = [b, b]
-        # re-examine the pair (coarse, mid); it is single-block by now, but
-        # (mid, fine) may still split several blocks
-    return PrincipalSequence(tuple(parts), tuple(bps))
+            break  # the insert names this pair
+        if refined_part(coarse, fine) is None:
+            best = minimize_g(oracle, b).value
+            if g_value(oracle, coarse, b) != best or g_value(oracle, fine, b) != best:
+                raise NonSubmodularError(
+                    f"chain pair does not attain the parametric minimum at b={b}"
+                )
+    return _split_stepwise(sequence)
 
 
 @dataclass(frozen=True)
@@ -225,21 +227,20 @@ def verify_pps(
     Verifies the chain endpoints, single-block refinement, nondecreasing
     breakpoints, the breakpoint formula, that both neighbors attain g at
     every breakpoint, and that each partition attains g throughout its
-    segment.  One minimize_g call per breakpoint records, for every chain
-    member, whether it attains g at its left and at its right breakpoint.
-    A member is optimal on all of its closed segment exactly when it attains
-    g at both finite ends, because g is concave and the member's line lies
-    on or above g; an unbounded end needs |P| = 1 on the left and |P| = n on
-    the right instead.  Every input thus costs exactly one call per
-    breakpoint.
+    segment.  One minimize_g call per breakpoint, whatever the input,
+    records for every chain member whether it attains g at its left and at
+    its right breakpoint.  A member is optimal on all of its closed segment
+    exactly when it attains g at both finite ends, because g is concave and
+    the member's line lies on or above g; an unbounded end needs |P| = 1 on
+    the left and |P| = n on the right instead.
 
-    `interior_samples` is accepted and ignored: it set the density of a
-    sampling fallback that the exact rule above made redundant, and is kept
-    so that existing callers and the CLI option keep working.  A negative
-    value still raises ValueError.
+    `interior_samples` is accepted and ignored (the exact rule above made
+    sampling redundant); a negative value raises ValueError, and so does a
+    chain on another ground set than the oracle's.
     """
     if interior_samples < 0:
         raise ValueError("interior_samples must be nonnegative")
+    _require_same_ground_set(oracle, sequence)
     n = sequence.n
     parts = sequence.partitions
     bps = sequence.breakpoints
@@ -264,8 +265,10 @@ def verify_pps(
         failures.append("breakpoints are not nondecreasing")
 
     formula_ok = True
-    for j in range(r - 1):
-        expected = _crossing(oracle, parts[j], parts[j + 1])
+    for j, (coarse, fine) in enumerate(zip(parts, parts[1:])):
+        # where the two members' g-lines cross
+        value_gap = partition_value(oracle, fine) - partition_value(oracle, coarse)
+        expected = value_gap / (len(fine) - len(coarse))
         if bps[j] != expected:
             formula_ok = False
             failures.append(
@@ -307,14 +310,10 @@ def check_two_level_condition(oracle: ValueOracle) -> bool:
     True when every partition P other than {V} and the singletons Q satisfies
     (f(P) - f(V)) / (|P| - 1) > b* = (f(Q) - f(V)) / (n - 1).  When this
     holds, the principal sequence is exactly ({V}, Q) with the single
-    breakpoint b*.  The condition reads f(P) - b*|P| > f(V) - b*, and both
-    {V} and Q attain f(V) - b* at b*, so it holds exactly when that is the
-    minimum of g(b*) and they are its only two minimizers.
+    breakpoint b*.  Only the cheapest partition of each block count
+    matters, so it holds exactly when every point (k, OPT_k), 1 < k < n,
+    lies strictly above the chord from (1, f(V)) to (n, f(Q)).
     """
-    n = oracle.n
-    if n == 1:
-        return True
-    trivial = trivial_partition(n)
-    b = _crossing(oracle, trivial, singleton_partition(n))
-    result = minimize_g(oracle, b)
-    return result.value == g_value(oracle, trivial, b) and result.num_minimizers == 2
+    v = _block_count_optima(oracle).values
+    n = len(v)
+    return all((v[k - 1] - v[0]) * (n - 1) > (v[-1] - v[0]) * (k - 1) for k in range(2, n))

@@ -85,6 +85,13 @@ def test_graphic_matroid_rank_values():
     assert multi.value(0b11) == 1
 
 
+def test_graphic_matroid_rejects_bool_vertex_count():
+    # a bool is an int subclass, and True would pass as one vertex
+    for count in (True, False):
+        with pytest.raises(ValueError, match="num_vertices must be a positive int"):
+            sp.GraphicMatroidRankFn(count, [(0, 0)])
+
+
 def test_explicit_table_validation():
     with pytest.raises(ValueError):
         sp.ExplicitTableFn(2, [0, 1, 1], "general")

@@ -442,24 +442,11 @@ def test_cli_pps_json_deterministic(tmp_path, capsys):
     }
 
 
-def test_cli_pps_interior_samples(tmp_path):
+def test_cli_pps_has_no_interior_samples_option(tmp_path, capsys):
+    # the option was a no-op (segment optimality is decided exactly) and is gone
     path = write_instance(tmp_path, weighted_path4())
-    assert main(["pps", str(path), "--interior-samples", "0"]) == 0
-
-
-def test_cli_pps_negative_interior_samples_rejected_before_work(tmp_path, monkeypatch):
-    path = write_instance(tmp_path, weighted_path4())
-
-    def no_work(oracle):
-        raise AssertionError("compute_pps ran before the usage error")
-
-    monkeypatch.setattr(cli, "compute_pps", no_work)
-    assert main(["pps", str(path), "--interior-samples", "-1"]) == 2
-
-
-def test_cli_pps_interior_samples_not_an_int(tmp_path):
-    path = write_instance(tmp_path, weighted_path4())
-    assert main(["pps", str(path), "--interior-samples", "abc"]) == 2
+    assert main(["pps", str(path), "--interior-samples", "3"]) == 2
+    assert "unrecognized arguments: --interior-samples 3" in capsys.readouterr().err
 
 
 def test_cli_solve_unknown_algorithm_rejected_before_loading(tmp_path, monkeypatch):

@@ -126,6 +126,22 @@ def test_chain_checks_reject_k_out_of_range():
             sp.ratio_report(oracle, k, pps=pps)
 
 
+def test_chain_checks_reject_a_chain_on_another_ground_set():
+    # the 3-element path's chain read against a 4-element cut that holds
+    # its edges: without the check, k = 3 would pass the path's singletons
+    # off as an exact hit on four elements
+    three = sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 1)])
+    four = sp.GraphCutFn(4, [(0, 1, 1), (1, 2, 1), (2, 3, 5)]).oracle()
+    pps = sp.compute_pps(three.oracle())
+    message = "the chain is on 3 elements, the oracle on 4"
+    with pytest.raises(ValueError, match=message):
+        sp.pps_k_partition(four, 3, pps=pps)
+    with pytest.raises(ValueError, match=message):
+        sp.ratio_report(four, 3, "symmetric", pps=pps)
+    with pytest.raises(ValueError, match=message):
+        sp.check_chain_lower_bounds(four, 2, pps, Fraction(2))
+
+
 def test_two_triangles_k2_exact_hit():
     oracle = two_triangles().oracle()
     rep = sp.ratio_report(oracle, 2, "symmetric")

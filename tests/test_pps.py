@@ -7,7 +7,7 @@ import pytest
 
 import subpartition as sp
 from subpartition import pps
-from subpartition.cli import RANDOM_FAMILIES, main
+from subpartition.cli import RANDOM_FAMILIES
 
 from helpers import (
     BIG_A,
@@ -196,8 +196,7 @@ def test_determinism():
 
 
 def test_minimize_call_budget_on_random_instances(monkeypatch):
-    # one call per member the repair inserts, and the hull has at least
-    # the two ends, so at most n - 2
+    # the chain, its repair included, is read off the block-count optima
     calls = _count_minimize_calls(monkeypatch)
     for family in ("graph_cut", "hypergraph_cut", "graph_coverage"):
         for seed in (1, 2):
@@ -205,19 +204,26 @@ def test_minimize_call_budget_on_random_instances(monkeypatch):
             oracle = fam.oracle()
             calls.clear()
             seq = sp.compute_pps(oracle)
-            assert len(calls) <= oracle.n - 2
+            assert calls == []
             assert sp.verify_pps(oracle, seq, interior_samples=1).ok
 
 
-def test_compute_pps_minimizes_only_to_repair(monkeypatch):
-    # the chain is read off the block-count optima; only the repair of a
-    # pair that splits several blocks at once asks minimize_g, at that
-    # pair's breakpoint
+def test_compute_pps_never_minimizes(monkeypatch):
+    # hull vertices attain g at their edge slopes by the definition of g,
+    # and a member the repair inserts attains it too, so even the chain
+    # that needs a repair (two_edges) asks minimize_g nothing
     calls = _count_minimize_calls(monkeypatch)
     sp.compute_pps(weighted_path4().oracle())
+    seq = sp.compute_pps(two_edges().oracle())
+    assert len(seq) == 4
     assert calls == []
-    sp.compute_pps(two_edges().oracle())
-    assert calls == [Fraction(2)]
+
+
+def test_two_level_condition_never_minimizes(monkeypatch):
+    calls = _count_minimize_calls(monkeypatch)
+    for fam in (mono3(), mono_n(5), cardinality(4), zero_fn(1), two_edges()):
+        sp.check_two_level_condition(fam.oracle())
+    assert calls == []
 
 
 def _strict_lower_hull(optima):
@@ -262,6 +268,74 @@ def test_chain_is_the_lower_hull_of_enumerated_optima():
         assert sp.compute_pps(oracle) == expected, fam
         repaired += len(expected) > len(hull)
     assert repaired
+
+
+def test_repair_checks_attainment_of_the_pairs_it_splits(monkeypatch):
+    # ({ab|cd}, singletons) splits two blocks, but at b=3 the singletons'
+    # g of -8 beats {ab|cd}'s -6: the public repair checks the pair it would
+    # split and rejects it, once, at its breakpoint
+    oracle = two_edges().oracle()
+    halves = sp.Partition(4, [0b0011, 0b1100])
+    chain = sp.PrincipalSequence(
+        (sp.trivial_partition(4), halves, sp.singleton_partition(4)), (Fraction(0), Fraction(3))
+    )
+    calls = _count_minimize_calls(monkeypatch)
+    with pytest.raises(
+        sp.NonSubmodularError, match="chain pair does not attain the parametric minimum at b=3"
+    ):
+        sp.repair_chain(oracle, chain)
+    assert calls == [Fraction(3)]
+
+
+def test_repair_reports_the_first_failing_pair():
+    # pairs are checked in chain order: a pair that is not nested before an
+    # unattained one is reported as not nested, and the other way round
+    a, b, c, d, e, f = (1 << i for i in range(6))
+    nested_late = sp.PrincipalSequence(
+        (
+            sp.Partition(6, [a | b, c | d | e | f]),
+            sp.Partition(6, [a, b, c | d, e | f]),  # splits both blocks, unattained at b=1
+            sp.Partition(6, [a | c, b, d, e, f]),  # not nested in the member before
+        ),
+        (Fraction(1), Fraction(1)),
+    )
+    nested_early = sp.PrincipalSequence(
+        (
+            sp.Partition(5, [a | b | c, d | e]),
+            sp.Partition(5, [a | d, b, c | e]),  # not nested in the member before
+            sp.singleton_partition(5),  # splits two blocks, unattained at b=1
+        ),
+        (Fraction(1), Fraction(1)),
+    )
+    with pytest.raises(sp.NonSubmodularError, match="does not attain the parametric minimum"):
+        sp.repair_chain(zero_fn(6).oracle(), nested_late)
+    with pytest.raises(sp.NonSubmodularError, match="with 2 and 3 blocks at b=1 are not nested"):
+        sp.repair_chain(zero_fn(5).oracle(), nested_early)
+
+
+def test_repair_splits_blocks_one_at_a_time_in_canonical_order():
+    # three blocks split at once: two members go in, each splitting the
+    # next block in canonical order, all at the pair's breakpoint
+    a, b, c, d, e, f = (1 << i for i in range(6))
+    coarse = sp.Partition(6, [a | b, c | d, e | f])
+    chain = sp.PrincipalSequence((coarse, sp.singleton_partition(6)), (Fraction(0),))
+    repaired = sp.repair_chain(zero_fn(6).oracle(), chain)
+    assert repaired.partitions == (
+        coarse,
+        sp.Partition(6, [a, b, c | d, e | f]),
+        sp.Partition(6, [a, b, c, d, e | f]),
+        sp.singleton_partition(6),
+    )
+    assert repaired.breakpoints == (Fraction(0),) * 3
+
+
+def test_chain_on_another_ground_set_is_rejected():
+    three = sp.compute_pps(zero_fn(3).oracle())
+    four = zero_fn(4).oracle()
+    with pytest.raises(ValueError, match="the chain is on 3 elements, the oracle on 4"):
+        sp.verify_pps(four, three)
+    with pytest.raises(ValueError, match="the chain is on 3 elements, the oracle on 4"):
+        sp.repair_chain(four, three)
 
 
 def test_repair_is_idempotent(monkeypatch):
@@ -357,7 +431,7 @@ def test_verify_reports_multi_block_split():
     assert "chain entry 2 splits more than one block of entry 1" in res.failures
 
 
-def test_verify_interior_samples(tmp_path, capsys):
+def test_verify_interior_samples():
     # the count is accepted and ignored: segment optimality is decided from
     # attainment at the breakpoints, on correct and broken chains alike
     oracle = weighted_path4().oracle()
@@ -373,13 +447,6 @@ def test_verify_interior_samples(tmp_path, capsys):
         assert sparse.samples_checked == len(chain.breakpoints)
     with pytest.raises(ValueError):
         sp.verify_pps(oracle, seq, interior_samples=-1)
-    path = tmp_path / "inst.json"
-    sp.save_instance(weighted_path4(), path)
-    outputs = []
-    for count in ("0", "5"):
-        assert main(["pps", str(path), "--interior-samples", count]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
 def _segment_witness(oracle, seq):
