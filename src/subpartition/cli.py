@@ -495,6 +495,17 @@ def _int_at_least(low: int, wording: str):
     return parse
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational such as 1/1000000: a zero denominator is
+    a usage error before any work, like text that is no rational."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
+
+
 def _algorithm_list(text: str) -> list[str]:
     """argparse type of --algorithms: the comma-separated names, each a key
     of SOLVERS, so an unknown name is a usage error before any work."""
@@ -561,13 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="ground-set size override")
     p.add_argument(
         "--eps",
-        type=Fraction,
+        type=_rational,
         default=Fraction(1, 10**6),
         help="epsilon for the tight tables (rational, e.g. 1/1000000)",
     )
     p.add_argument(
         "--a",
-        type=Fraction,
+        type=_rational,
         default=Fraction(10**6),
         help="arc weight for the gap construction (rational)",
     )

@@ -215,9 +215,14 @@ class GraphicMatroidRankFn(SetFunctionFamily):
         super().__init__(len(edges), labels)
         self.num_vertices = num_vertices
         self.edges = edges
+        # isolated vertices leave the rank unchanged, so the union-find runs
+        # on the endpoints alone, renumbered 0..m-1 (m <= 2n)
+        ends = sorted({x for edge in edges for x in edge})
+        self._ends = tuple((ends.index(u), ends.index(v)) for u, v in edges)
+        self._num_ends = len(ends)
 
     def value(self, mask: int) -> Fraction:
-        parent = list(range(self.num_vertices))
+        parent = list(range(self._num_ends))
 
         def find(x):
             while parent[x] != x:
@@ -226,7 +231,7 @@ class GraphicMatroidRankFn(SetFunctionFamily):
             return x
 
         rank = 0
-        for i, (u, v) in enumerate(self.edges):
+        for i, (u, v) in enumerate(self._ends):
             if mask >> i & 1:
                 ru, rv = find(u), find(v)
                 if ru != rv:

@@ -12,11 +12,11 @@ sequence of f:
   into one block.
 
 Approximation guarantees depend on the declared function class:
-4/3 - 4/(9n+3) for monotone, 2 - 2/n for symmetric, 2 - 2/(n+1) for
-posimodular, none for general submodular.  `algorithm_guarantee` and
-`ratio_to_optimum` measure any algorithm against a known optimum and its
-bound (`ratio_report` does so for a chain run, against `optimal_k_value`);
-the chain lower bounds (`check_chain_lower_bounds`) back the guarantees.
+4/3 - 4/(9n+3) for monotone, 2 - 2/n for symmetric (1 at n = 1),
+2 - 2/(n+1) for posimodular, none for general submodular.
+`algorithm_guarantee` and `ratio_to_optimum` measure any algorithm against
+a known optimum and its bound (`ratio_report` does so for a chain run,
+against `optimal_k_value`); `check_chain_lower_bounds` backs the guarantees.
 
 Baselines: `cheapest_singleton` (split off the k-1 cheapest singletons,
 within 2 - 1/k of optimal for monotone f) and `greedy_splitting` (k-1
@@ -214,7 +214,8 @@ def approximation_bound(function_class: str, n: int) -> Fraction | None:
     if function_class == "monotone":
         return Fraction(4, 3) - Fraction(4, 9 * n + 3)
     if function_class == "symmetric":
-        return 2 - Fraction(2, n)
+        # at n = 1 only k = 1 exists, where every algorithm is exact
+        return 2 - Fraction(2, n) if n > 1 else Fraction(1)
     if function_class == "posimodular":
         return 2 - Fraction(2, n + 1)
     if function_class == "general":

@@ -5,8 +5,7 @@ This module is the exhaustive engine under the principal-sequence search:
 * `enumerate_partitions(n, k)` streams all partitions of {0..n-1} (or those
   with exactly k blocks) in canonical order, lazily, O(n) memory,
 * `minimize_g(oracle, b)` minimizes f(P) - b|P| over all partitions,
-  returning the exact minimum and how many partitions attain it (no
-  minimizer itself),
+  returning the exact minimum as a Fraction (no count and no minimizer),
 * `optimal_k_value(oracle, k)` is the optimum every reported ratio and
   bound is measured against (`ratio_report`, CLI `solve --brute-force`,
   every `reproduce` case): the value only, from an exhaustive DP over subsets,
@@ -28,22 +27,20 @@ denominators: about 3^(n-1) (subset, first block) pairs instead of Bell(n)
 partitions.  That summary is cached per oracle.  `pps` reads the principal
 sequence off the lower convex hull of the points (k, OPT_k), rebuilding each
 vertex's unique optimal partition in O(k) from the stored first blocks, and
-the two-level test off the points themselves.  `minimize_g` reads g(b) and
-the minimizer count off it in O(n) exact integer steps; only the checks of a
-given chain call it (`verify_pps`, and `repair_chain` before it repairs a
-chain passed to it).  Neither optimum below reads the summary, so each stays
-an independent reference for the optima the chain is built from: brute force
-scans the k-block partitions itself, and `optimal_k_value` runs its own
-top-down recursion over (mask, blocks left) with a memo that lives for one
-call.  A bug in the summary's DP therefore cannot reappear in the optimum
-the chain is compared against.  All of them read the oracle's value table,
-which checks the enumeration cap on every call; `enumerate_partitions`
-checks it.
+the two-level test off the points themselves.  `minimize_g` reads g(b) off
+it in O(n) exact integer steps; only the checks of a given chain call it
+(`verify_pps`, and `repair_chain` before it repairs a chain passed to it).
+Neither optimum below reads the summary, so each stays an independent
+reference for the optima the chain is built from: brute force scans the
+k-block partitions itself, and `optimal_k_value` runs its own top-down
+recursion over (mask, blocks left) with a memo that lives for one call.  A
+bug in the summary's DP therefore cannot reappear in the optimum the chain
+is compared against.  All of them read the oracle's value table, which
+checks the enumeration cap on every call; `enumerate_partitions` checks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 from weakref import WeakKeyDictionary
@@ -57,7 +54,6 @@ from .core import (
 )
 
 __all__ = [
-    "GMinResult",
     "brute_force_all_k",
     "brute_force_optimal_k_partition",
     "enumerate_partitions",
@@ -183,33 +179,18 @@ def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
     return opt
 
 
-@dataclass(frozen=True)
-class GMinResult:
-    """Exact minimum of f(P) - b|P| over all partitions at one parameter b,
-    and how many partitions attain it."""
-
-    b: Fraction
-    value: Fraction
-    num_minimizers: int
-
-
-def minimize_g(oracle: ValueOracle, b) -> GMinResult:
+def minimize_g(oracle: ValueOracle, b) -> Fraction:
     """Minimize f(P) - b * |P| over all partitions of the ground set.
 
-    Returns the exact minimum value and how many partitions attain it, read
-    off the per-oracle block-count optima in O(n) integer steps.
+    Returns the exact minimum as a Fraction, with no minimizer and no count,
+    read off the per-oracle block-count optima in O(n) integer steps.
     """
     b = as_fraction(b)
     p, q = b.numerator, b.denominator
     opt = _block_count_optima(oracle)
     dp = opt.denominator * p
-    scores = [q * value - dp * k for k, value in enumerate(opt.values, 1)]
-    best = min(scores)
-    return GMinResult(
-        b=b,
-        value=Fraction(best, opt.denominator * q),
-        num_minimizers=sum(c for c, score in zip(opt.counts, scores) if score == best),
-    )
+    best = min(q * value - dp * k for k, value in enumerate(opt.values, 1))
+    return Fraction(best, opt.denominator * q)
 
 
 def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partition, Fraction]:

@@ -190,7 +190,7 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
         if not refines(fine, coarse):
             break  # the insert names this pair
         if refined_part(coarse, fine) is None:
-            best = minimize_g(oracle, b).value
+            best = minimize_g(oracle, b)
             if g_value(oracle, coarse, b) != best or g_value(oracle, fine, b) != best:
                 raise NonSubmodularError(
                     f"chain pair does not attain the parametric minimum at b={b}"
@@ -282,9 +282,9 @@ def verify_pps(
     attains_right = [False] * (r - 1) + [len(parts[-1]) == n]
     attained_ok = True
     for j, b in enumerate(bps):
-        result = minimize_g(oracle, b)
-        attains_right[j] = g_value(oracle, parts[j], b) == result.value
-        attains_left[j + 1] = g_value(oracle, parts[j + 1], b) == result.value
+        best = minimize_g(oracle, b)
+        attains_right[j] = g_value(oracle, parts[j], b) == best
+        attains_left[j + 1] = g_value(oracle, parts[j + 1], b) == best
         if not (attains_right[j] and attains_left[j + 1]):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,21 @@ def test_graphic_matroid_rank_values():
     # parallel edges: second copy never adds rank
     multi = sp.GraphicMatroidRankFn(2, [(0, 1), (0, 1)])
     assert multi.value(0b11) == 1
+
+
+def test_graphic_matroid_cost_ignores_isolated_vertices():
+    # the rank does not depend on isolated vertices, so a huge vertex count
+    # must not make every evaluation allocate that many entries
+    edges = [(0, 1), (1, 2), (2, 0)]
+    wide = sp.GraphicMatroidRankFn(10**6, edges).oracle()
+    tracemalloc.start()
+    try:
+        table = wide.scaled_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert table == sp.GraphicMatroidRankFn(3, edges).oracle().scaled_table()
 
 
 def test_graphic_matroid_rejects_bool_vertex_count():

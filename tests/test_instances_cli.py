@@ -676,6 +676,12 @@ def test_cli_reproduce_overrides(capsys, overrides):
     assert "reproduce: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", ["--eps", "--a"])
+def test_cli_reproduce_zero_denominator_is_a_usage_error(capsys, option):
+    assert main(["reproduce", option, "1/0"]) == 2
+    assert f"error: argument {option}: zero denominator: '1/0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["omega", "matroid-footnote"])
 def test_cli_reproduce_k_below_range(case):
     assert main(["reproduce", "--case", case, "--k", "1"]) == 2
@@ -851,6 +857,18 @@ def test_cli_solve_negative_optimum_attained(tmp_path):
         assert row["ratio"] == "1/1"
     assert rows["pps"]["bound_ok"] == "true"
     assert rows["singleton"]["bound_ok"] == "true"
+
+
+def test_cli_solve_single_element_symmetric_bound(tmp_path):
+    # n = 1: only k = 1 exists, the chain is exact, and the symmetric bound
+    # is 1 rather than 2 - 2/n = 0
+    code, rows = _solve_rows(tmp_path, sp.GraphCutFn(1, []), ["--k", "1"])
+    assert code == 0
+    assert (rows["pps"]["ratio"], rows["pps"]["bound"], rows["pps"]["bound_ok"]) == (
+        "1/1",
+        "1/1",
+        "true",
+    )
 
 
 def test_cli_solve_unbounded_ratio(tmp_path):

@@ -203,6 +203,15 @@ def test_approximation_bound_frozen():
         sp.approximation_bound("concave", 3)
 
 
+def test_approximation_bound_is_never_below_one():
+    # a ratio is at least 1, so a bound below 1 fails even an exact answer;
+    # at n = 1 only k = 1 exists and every algorithm is exact
+    for function_class in sp.FUNCTION_CLASSES:
+        for n in range(1, 14):
+            bound = sp.approximation_bound(function_class, n)
+            assert bound is None or bound >= 1, (function_class, n)
+
+
 def test_ratio_never_below_one():
     for family in ("graph_cut", "graph_coverage", "hypergraph_cut"):
         fam = sp.random_instance(family, 6, 5)

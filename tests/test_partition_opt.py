@@ -93,40 +93,34 @@ def _finest(oracle, b):
     OPT_k - b*k attains minimize_g's value, read back from the subset DP's
     summary; None when several partitions tie there."""
     opt = partition_opt._block_count_optima(oracle)
-    value = sp.minimize_g(oracle, b).value
+    value = sp.minimize_g(oracle, b)
     lines = [Fraction(v, opt.denominator) - b * k for k, v in enumerate(opt.values, 1)]
     return opt.first(max(k for k, line in enumerate(lines, 1) if line == value))
 
 
 def test_minimize_g_zero_oracle():
     oracle = zero_fn(4).oracle()
-    res = sp.minimize_g(oracle, 1)
-    assert res.value == Fraction(-4)
-    assert res.num_minimizers == 1
+    value = sp.minimize_g(oracle, 1)
+    assert isinstance(value, Fraction)
+    assert value == -4
     assert _finest(oracle, 1) == sp.singleton_partition(4)
 
 
 def test_minimize_g_tie_handling():
     oracle = zero_fn(3).oracle()
-    res = sp.minimize_g(oracle, 0)
-    assert res.value == 0
-    assert res.num_minimizers == BELL[3]
+    assert sp.minimize_g(oracle, 0) == 0
     assert _finest(oracle, 0) == sp.singleton_partition(3)
 
 
 def test_minimize_g_mono3_small_b():
     oracle = mono3().oracle()
-    res = sp.minimize_g(oracle, Fraction(1, 4))
-    assert res.value == Fraction(7, 4) + 2 * EPS
-    assert res.num_minimizers == 1
+    assert sp.minimize_g(oracle, Fraction(1, 4)) == Fraction(7, 4) + 2 * EPS
 
 
 def test_minimize_g_mono3_breakpoint():
     # b = 1/2 is a breakpoint: the whole chain from {V} to singletons ties
     oracle = mono3().oracle()
-    res = sp.minimize_g(oracle, Fraction(1, 2))
-    assert res.value == Fraction(3, 2) + 2 * EPS
-    assert res.num_minimizers == 4
+    assert sp.minimize_g(oracle, Fraction(1, 2)) == Fraction(3, 2) + 2 * EPS
     assert _finest(oracle, Fraction(1, 2)) == sp.singleton_partition(3)
 
 
@@ -134,10 +128,10 @@ def test_minimize_g_result_is_global_minimum():
     for fam in (weighted_path4(), posi3()):
         oracle = fam.oracle()
         for b in (0, Fraction(1, 3), 1, Fraction(5, 2)):
-            res = sp.minimize_g(oracle, b)
+            value = sp.minimize_g(oracle, b)
             for p in sp.enumerate_partitions(oracle.n):
-                assert res.value <= sp.g_value(oracle, p, b)
-            assert res.value == sp.g_value(oracle, _finest(oracle, b), b)
+                assert value <= sp.g_value(oracle, p, b)
+            assert value == sp.g_value(oracle, _finest(oracle, b), b)
 
 
 def test_minimizer_line_bounds_h_everywhere():
@@ -148,7 +142,7 @@ def test_minimizer_line_bounds_h_everywhere():
     for b0 in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)):
         star = _finest(oracle, b0)
         for bp in grid:
-            assert sp.minimize_g(oracle, bp).value <= sp.g_value(oracle, star, bp)
+            assert sp.minimize_g(oracle, bp) <= sp.g_value(oracle, star, bp)
 
 
 def test_minimize_g_rejects_float_parameter():
@@ -249,21 +243,20 @@ def test_cap_gates_warm_caches(monkeypatch):
 
 def _minimize_g_by_scan(scored, b):
     """Reference minimizer: scan (partition, f(P)) pairs, keeping the minimum
-    of f(P) - b|P|, its count and the minimizers with the most blocks.  The
-    finest minimizer is the only one with that many blocks, or None when
-    several tie there."""
-    best, count, finest = None, 0, []
+    of f(P) - b|P| and the minimizers with the most blocks.  The finest
+    minimizer is the only one with that many blocks, or None when several
+    tie there."""
+    best, finest = None, []
     for part, value in scored:
         score = value - b * len(part)
         if best is None or score < best:
-            best, count, finest = score, 1, [part]
+            best, finest = score, [part]
         elif score == best:
-            count += 1
             if len(part) > len(finest[0]):
                 finest = [part]
             elif len(part) == len(finest[0]):
                 finest.append(part)
-    return best, count, finest[0] if len(finest) == 1 else None
+    return best, finest[0] if len(finest) == 1 else None
 
 
 def test_minimize_g_matches_independent_scan():
@@ -293,10 +286,9 @@ def test_minimize_g_matches_independent_scan():
         params.update(breakpoints)
         params.update(b + Fraction(1, 7) for b in breakpoints)
         for b in sorted(params):
-            res = sp.minimize_g(oracle, b)
             expected = _minimize_g_by_scan(scored, b)
-            assert (res.value, res.num_minimizers, _finest(oracle, b)) == expected
-            if expected[2] is None:
+            assert (sp.minimize_g(oracle, b), _finest(oracle, b)) == expected
+            if expected[1] is None:
                 # a tie at the largest tied block count is no submodular lattice
                 assert not submodular, (fam, b)
                 tied_finest += 1

@@ -386,7 +386,7 @@ def test_verify_reports_shifted_breakpoint():
     # the witness: {V} claims [.., 1] but is beaten inside it, at b = 1/2
     half = Fraction(1, 2)
     assert sp.g_value(oracle, bad.partitions[0], half) == Fraction(-1, 2)
-    assert sp.minimize_g(oracle, half).value == -1
+    assert sp.minimize_g(oracle, half) == -1
 
 
 def test_verify_reports_wrong_middle_partition():
@@ -466,7 +466,7 @@ def _segment_witness(oracle, seq):
         else:
             points.append((lo + hi) / 2)
         for point in points:
-            if sp.g_value(oracle, part, point) > sp.minimize_g(oracle, point).value:
+            if sp.g_value(oracle, part, point) > sp.minimize_g(oracle, point):
                 return True
     return False
 
@@ -538,7 +538,7 @@ def test_segment_proof_agrees_with_sampling():
             lo = bps[j - 1] if j > 0 else None
             hi = bps[j] if j < len(bps) else None
             for point in _old_sample_points(lo, hi):
-                best = sp.minimize_g(oracle, point).value
+                best = sp.minimize_g(oracle, point)
                 assert sp.g_value(oracle, part, point) == best, (fam.name, j, point)
                 checked += 1
     assert checked > 700
