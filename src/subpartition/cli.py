@@ -25,7 +25,10 @@ are serialized as "num/den"; the companions carry 12 significant digits.
 Ratio and bound cells render `kpartition.ratio_to_optimum` and
 `algorithm_guarantee`: "inf" for an unbounded ratio, an empty bound_ok
 when no bound applies.  With --no-timing the wall_time_s cell is 0, which
-makes whole files byte-deterministic.
+makes whole files byte-deterministic.  oracle_evals counts the distinct
+subsets an algorithm's oracle evaluated: 2^n for `pps`, and for `greedy` at
+k >= 2, since both read the whole value table; `singleton` counts its own
+queries.
 """
 
 from __future__ import annotations
@@ -215,7 +218,7 @@ def cmd_solve(args) -> int:
     for algorithm in args.algorithms:
         # the chain reads the whole value table, so it runs on the command's
         # oracle and still counts 2^n; each baseline gets a fresh oracle, so
-        # oracle_evals counts its own queries
+        # oracle_evals counts its own reads (greedy builds its own table)
         solver_oracle = oracle if algorithm == "pps" else fam.oracle()
         started = time.perf_counter()
         result = SOLVERS[algorithm](solver_oracle, k)

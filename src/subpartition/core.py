@@ -16,8 +16,11 @@ canonically" rule in this package means exactly that order.
 
 Exhaustive work is capped at n <= 13 ground elements; SUBMOD_N_CAP can lower
 the cap but never raise it.  The 2^n value table that every checker, brute
-force and minimizer reads (`ValueOracle.scaled_table`) checks the cap on
-every call, as do partition enumeration and instance loading.
+force, minimizer and greedy split reads (`ValueOracle.scaled_table`) checks
+the cap on every call, as do partition enumeration and instance loading.
+An oracle built by a family's `oracle()` takes that table from the family's
+integer builder; a bare `ValueOracle(ground_set, fn)` builds it from `fn`
+on every subset.
 """
 
 from __future__ import annotations
@@ -294,6 +297,13 @@ def refined_part(coarse: Partition, fine: Partition) -> int | None:
     return s
 
 
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, ints) with D the lcm of the denominators, so value = int / D."""
+    values = list(values)
+    d = reduce(lcm, (v.denominator for v in values), 1)
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 _MISSING = object()
 
 
@@ -301,14 +311,24 @@ class ValueOracle:
     """Memoizing wrapper around an exact set function.
 
     `fn` maps a subset mask to a Fraction (ints are coerced; floats raise).
-    The oracle counts total eval calls and distinct evaluations; the number
-    of distinct evaluations can never exceed 2^n.
+    `table`, when given, builds the scaled value table without calling `fn`:
+    it returns (D, values) in lowest terms, as `scaled_table` does.  The
+    oracle counts total eval calls and distinct evaluations; the number of
+    distinct evaluations can never exceed 2^n, and is 2^n once the table is
+    built.
     """
 
-    def __init__(self, ground_set: GroundSet, fn: Callable[[int], Fraction], name: str = "oracle"):
+    def __init__(
+        self,
+        ground_set: GroundSet,
+        fn: Callable[[int], Fraction],
+        name: str = "oracle",
+        table: Callable[[], tuple[int, tuple[int, ...]]] | None = None,
+    ):
         self.ground_set = ground_set
         self.name = name
         self._fn = fn
+        self._build_table = table
         self._memo: dict[int, Fraction] = {}
         self._total_calls = 0
         self._scaled: tuple[int, tuple[int, ...]] | None = None
@@ -323,7 +343,7 @@ class ValueOracle:
 
     @property
     def distinct_evaluations(self) -> int:
-        return len(self._memo)
+        return 1 << self.n if self._scaled is not None else len(self._memo)
 
     def eval(self, mask: int) -> Fraction:
         self.ground_set.validate_mask(mask)
@@ -354,14 +374,17 @@ class ValueOracle:
 
     def scaled_table(self) -> tuple[int, tuple[int, ...]]:
         """(D, values) with D the lcm of all denominators and values integers,
-        so that f(mask) = values[mask] / D.  Cached after the first call;
-        every call, cached or not, checks the enumeration cap."""
+        so that f(mask) = values[mask] / D.  Comes from the `table` builder
+        when there is one, else from `eval` on every subset.  Cached after
+        the first call; every call, cached or not, checks the enumeration
+        cap."""
         require_within_cap(self.n, "scaled_table")
         if self._scaled is None:
-            table = self.full_table()
-            d = reduce(lcm, (v.denominator for v in table), 1)
-            scaled = tuple(v.numerator * (d // v.denominator) for v in table)
-            self._scaled = (d, scaled)
+            if self._build_table is not None:
+                self._scaled = self._build_table()
+            else:
+                d, ints = over_common_denominator(self.full_table())
+                self._scaled = (d, tuple(ints))
         return self._scaled
 
 

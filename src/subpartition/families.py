@@ -17,14 +17,25 @@ Monotone and symmetric functions are both posimodular, as are nonnegative
 combinations of them.  The declarations are verified exhaustively by the
 checkers in tests; the tight families at the bottom of this module are the
 instances that meet their class bounds with equality in the limit.
+
+The 2^n value table that every exhaustive path reads comes from
+`scaled_table()`.  Most families build it in Python integers: the weights
+are put over one common denominator once, the table is filled with integer
+arithmetic (the edge families by a low-bit recurrence), and the result is
+reduced to lowest terms, so it equals the table read off the Fraction
+`value` bit for bit.  `MonoTightNFn` and `DigraphHyperFn` have no integer
+builder; their table still comes from `value` through the oracle.  Each
+`value` stays the exact reference the integer tables are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Sequence
 
-from .core import GroundSet, ValueOracle, as_fraction
+from .core import GroundSet, ValueOracle, as_fraction, over_common_denominator, require_within_cap
 
 __all__ = [
     "FUNCTION_CLASSES",
@@ -50,6 +61,9 @@ class SetFunctionFamily:
 
     name = "family"
     function_class = "general"
+    # a family that builds its table in integers overrides this with a method
+    # returning (D, ints), f(mask) = ints[mask] / D for any common denominator D
+    _integer_table = None
 
     def __init__(self, n: int, labels: Sequence[str] | None = None):
         self._ground_set = GroundSet(n, labels)
@@ -68,8 +82,20 @@ class SetFunctionFamily:
     def value(self, mask: int) -> Fraction:
         raise NotImplementedError
 
+    def scaled_table(self) -> tuple[int, tuple[int, ...]]:
+        """(D, values) in lowest terms with f(mask) = values[mask] / D, the
+        table `ValueOracle.scaled_table` returns.  Built in integers when the
+        family has a builder, else from `value` on every subset."""
+        if self._integer_table is None:
+            return ValueOracle(self._ground_set, self.value, name=self.name).scaled_table()
+        require_within_cap(self.n, "scaled_table")
+        d, ints = self._integer_table()
+        common = gcd(d, *ints)
+        return d // common, tuple(v // common for v in ints)
+
     def oracle(self) -> ValueOracle:
-        return ValueOracle(self._ground_set, self.value, name=self.name)
+        table = None if self._integer_table is None else self.scaled_table
+        return ValueOracle(self._ground_set, self.value, name=self.name, table=table)
 
 
 def _check_endpoint(i, n, what):
@@ -88,7 +114,15 @@ def _nonneg_weight(w):
 
 class _EdgeFamily(SetFunctionFamily):
     """Shared constructor of the weighted edge-list families: edges are
-    (u, v, weight) with u != v and weight >= 0; parallel edges add up."""
+    (u, v, weight) with u != v and weight >= 0; parallel edges add up.
+
+    Both families grow by the same step: for v outside R,
+    f(R + v) = f(R) + deg(v) - overlap * w(v, R), where w(v, R) is the weight
+    of the edges between v and R, and overlap is 2 for the cut (those edges
+    stop being cut) and 1 for the coverage (they were covered already).
+    """
+
+    overlap: int
 
     def __init__(self, n, edges, labels=None):
         super().__init__(n, labels)
@@ -101,6 +135,26 @@ class _EdgeFamily(SetFunctionFamily):
             cleaned.append((u, v, _nonneg_weight(w)))
         self.edges = tuple(cleaned)
 
+    def _integer_table(self):
+        n = self.n
+        d, weights = over_common_denominator(w for _, _, w in self.edges)
+        deg = [0] * n
+        # v is the lowest element of R + v, so only neighbours above v can lie in R
+        above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v, _), w in zip(self.edges, weights):
+            deg[u] += w
+            deg[v] += w
+            above[min(u, v)].append((1 << max(u, v), w))
+        overlap = self.overlap
+        table = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            rest = mask ^ low
+            v = low.bit_length() - 1
+            shared = sum(w for bit, w in above[v] if rest & bit)
+            table[mask] = table[rest] + deg[v] - overlap * shared
+        return d, table
+
 
 class GraphCutFn(_EdgeFamily):
     """Weighted graph cut: f(S) = total weight of edges with one endpoint in S.
@@ -108,6 +162,7 @@ class GraphCutFn(_EdgeFamily):
 
     name = "graph_cut"
     function_class = "symmetric"
+    overlap = 2
 
     def value(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -148,6 +203,19 @@ class HypergraphCutFn(SetFunctionFamily):
                 total += w
         return total
 
+    def _integer_table(self):
+        d, weights = over_common_denominator(w for _, _, w in self.hyperedges)
+        edges = tuple(zip((emask for _, emask, _ in self.hyperedges), weights))
+        table = []
+        for mask in range(1 << self.n):
+            total = 0
+            for emask, w in edges:
+                inside = mask & emask
+                if inside and inside != emask:
+                    total += w
+            table.append(total)
+        return d, table
+
 
 class GraphCoverageFn(_EdgeFamily):
     """Edge coverage: f(S) = total weight of edges with at least one endpoint
@@ -155,6 +223,7 @@ class GraphCoverageFn(_EdgeFamily):
 
     name = "graph_coverage"
     function_class = "monotone"
+    overlap = 1
 
     def value(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -191,8 +260,14 @@ class PartitionMatroidRankFn(SetFunctionFamily):
         self.block_masks = tuple(masks)
         self.blocks = tuple(tuple(sorted(i for i in range(n) if m >> i & 1)) for m in masks)
 
+    def _rank(self, mask: int) -> int:
+        return sum(1 for bm in self.block_masks if mask & bm)
+
     def value(self, mask: int) -> Fraction:
-        return Fraction(sum(1 for bm in self.block_masks if mask & bm))
+        return Fraction(self._rank(mask))
+
+    def _integer_table(self):
+        return 1, [self._rank(m) for m in range(1 << self.n)]
 
 
 class GraphicMatroidRankFn(SetFunctionFamily):
@@ -221,7 +296,7 @@ class GraphicMatroidRankFn(SetFunctionFamily):
         self._ends = tuple((ends.index(u), ends.index(v)) for u, v in edges)
         self._num_ends = len(ends)
 
-    def value(self, mask: int) -> Fraction:
+    def _rank(self, mask: int) -> int:
         parent = list(range(self._num_ends))
 
         def find(x):
@@ -237,7 +312,13 @@ class GraphicMatroidRankFn(SetFunctionFamily):
                 if ru != rv:
                     parent[ru] = rv
                     rank += 1
-        return Fraction(rank)
+        return rank
+
+    def value(self, mask: int) -> Fraction:
+        return Fraction(self._rank(mask))
+
+    def _integer_table(self):
+        return 1, [self._rank(m) for m in range(1 << self.n)]
 
 
 def _known_class(function_class: str) -> str:
@@ -262,6 +343,9 @@ class _TableFamily(SetFunctionFamily):
 
     def value(self, mask: int) -> Fraction:
         return self.table[mask]
+
+    def _integer_table(self):
+        return over_common_denominator(self.table)
 
 
 class ExplicitTableFn(_TableFamily):
@@ -302,6 +386,16 @@ class CombinationFn(SetFunctionFamily):
         for c, p in zip(self.coefficients, self.parts):
             total += c * p.value(mask)
         return total
+
+    def _integer_table(self):
+        tables = [p.scaled_table() for p in self.parts]
+        terms = list(zip(self.coefficients, tables))
+        d = reduce(lcm, (c.denominator * pd for c, (pd, _) in terms), 1)
+        total = [0] * (1 << self.n)
+        for c, (pd, ints) in terms:
+            factor = c.numerator * (d // (c.denominator * pd))
+            total = [t + factor * v for t, v in zip(total, ints)]
+        return d, total
 
 
 def _eps_in_window(eps):

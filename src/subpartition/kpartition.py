@@ -186,18 +186,21 @@ def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
     Each round scans blocks in canonical order and, within a block, the
     candidate halves containing the block's minimum element in ascending
     mask order; the first split minimizing f(X) + f(A-X) - f(A) wins.
+    Costs are compared on the scaled value table (D > 0 keeps their order
+    and ties), so k >= 2 reads the whole table; k = 1 reads none.
     """
     n = oracle.n
     require_block_count(k, n)
     blocks = [oracle.ground_set.full_mask]
+    tab = oracle.scaled_table()[1] if k > 1 else ()
     for _ in range(k - 1):
-        best = None  # (cost, block_index, submask)
+        best = None  # (scaled cost, block_index, submask)
         for bi, blk in enumerate(blocks):
             if blk.bit_count() < 2:
                 continue
-            f_blk = oracle.eval(blk)
+            f_blk = tab[blk]
             for sub in _submasks_with_low_bit(blk):
-                cost = oracle.eval(sub) + oracle.eval(blk ^ sub) - f_blk
+                cost = tab[sub] + tab[blk ^ sub] - f_blk
                 if best is None or cost < best[0]:
                     best = (cost, bi, sub)
         # k <= n leaves fewer than n blocks here, so some block can split

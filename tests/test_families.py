@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -200,3 +201,75 @@ def test_cardinality_is_modular():
     fam = cardinality(4)
     for m in range(16):
         assert fam.value(m) == m.bit_count()
+
+
+def _fraction_table(fam):
+    # the reference: the lowest-terms table read off the Fraction `value`
+    return sp.ValueOracle(fam.ground_set(), fam.value).scaled_table()
+
+
+@pytest.mark.parametrize("family", sorted(sp.GENERATOR_FAMILIES))
+def test_integer_table_matches_fraction_table(family):
+    for n in range(2, 9):
+        for seed in range(4):
+            fam = sp.random_instance(family, n, seed)
+            assert fam.scaled_table() == _fraction_table(fam), (n, seed)
+
+
+def test_integer_table_of_a_fractional_combination():
+    cov = sp.GraphCoverageFn(4, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(5, 4)), (0, 3, 2)])
+    cut = sp.GraphCutFn(4, [(0, 2, Fraction(7, 6)), (2, 3, Fraction(1, 10)), (1, 0, 1)])
+    hyper = sp.HypergraphCutFn(4, [([0, 1, 3], Fraction(3, 14))])
+    combo = sp.CombinationFn(
+        (cov, cut, hyper), (Fraction(2, 9), Fraction(3, 4), Fraction(7, 3)), "posimodular"
+    )
+    assert combo.scaled_table() == _fraction_table(combo)
+    assert combo.oracle().scaled_table() == _fraction_table(combo)
+    # a zero coefficient and whole coefficients over whole weights
+    plain = sp.CombinationFn((cov, cut), (0, 6), "symmetric")
+    assert plain.scaled_table() == _fraction_table(plain)
+
+
+def test_integer_table_of_explicit_tables():
+    rng = random.Random("integer-table")
+    for n in range(1, 6):
+        for _ in range(10):
+            values = [
+                Fraction(rng.randint(-10**9, 10**9), rng.choice((1, 7, 10**12 + 39, 2**61 - 1)))
+                for _ in range(1 << n)
+            ]
+            fam = sp.ExplicitTableFn(n, values, "general")
+            assert fam.scaled_table() == _fraction_table(fam)
+    # a common factor across the whole table must still be divided out
+    halves = sp.ExplicitTableFn(2, [0, Fraction(2, 4), 1, Fraction(3, 2)], "general")
+    assert halves.scaled_table() == (2, (0, 1, 2, 3))
+    assert sp.ExplicitTableFn(2, [0] * 4, "general").scaled_table() == (1, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("fam", [mono3(), posi3(), mono_n(7), omega(6)], ids=lambda f: f.name)
+def test_integer_table_of_named_instances(fam):
+    assert fam.scaled_table() == _fraction_table(fam)
+    assert fam.oracle().scaled_table() == _fraction_table(fam)
+
+
+def test_integer_table_is_in_lowest_terms():
+    # weights 2/3 and 4/3 share the factor 2/3: D = 3 with values 0, 2, 4, 6
+    fam = sp.GraphCutFn(3, [(0, 1, Fraction(2, 3)), (1, 2, Fraction(4, 3))])
+    d, table = fam.scaled_table()
+    assert d == 3
+    assert table == (0, 2, 6, 4, 4, 6, 2, 0)
+    scaled = sp.GraphCutFn(2, [(0, 1, 4)])
+    assert scaled.scaled_table() == (1, (0, 4, 4, 0))
+
+
+def test_integer_table_skips_value():
+    # families with a builder fill the oracle's table without calling value,
+    # and the oracle then counts all 2^n subsets as evaluated
+    class NoValue(sp.GraphCutFn):
+        def value(self, mask):
+            raise AssertionError("value called")
+
+    oracle = NoValue(4, [(0, 1, 1), (2, 3, Fraction(1, 2))]).oracle()
+    assert oracle.scaled_table() == (2, (0, 2, 2, 0, 1, 3, 3, 1, 1, 3, 3, 1, 0, 2, 2, 0))
+    assert oracle.distinct_evaluations == 16
+    assert oracle.total_calls == 0

@@ -768,16 +768,16 @@ def test_cli_random_usage_error_before_disk(tmp_path, capsys, bad, message):
 def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
     # validation, the chain and brute force all read one oracle's table
     path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
-    calls = []
-    value = sp.GraphCutFn.value
+    builds = []
+    scaled_table = sp.GraphCutFn.scaled_table
 
-    def counted(self, mask):
-        calls.append(mask)
-        return value(self, mask)
+    def counted(self):
+        builds.append(self)
+        return scaled_table(self)
 
-    monkeypatch.setattr(sp.GraphCutFn, "value", counted)
+    monkeypatch.setattr(sp.GraphCutFn, "scaled_table", counted)
     assert main(command + [str(path)]) == 0
-    assert len(calls) == 64
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("k", ["0", "7"])
@@ -785,15 +785,23 @@ def test_cli_solve_checks_k_before_oracle_work(tmp_path, monkeypatch, capsys, k)
     # a block count outside 1..n is a usage error before validation reads f
     path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
     calls = []
+    builds = []
     value = sp.GraphCutFn.value
+    scaled_table = sp.GraphCutFn.scaled_table
 
     def counted(self, mask):
         calls.append(mask)
         return value(self, mask)
 
+    def counted_build(self):
+        builds.append(self)
+        return scaled_table(self)
+
     monkeypatch.setattr(sp.GraphCutFn, "value", counted)
+    monkeypatch.setattr(sp.GraphCutFn, "scaled_table", counted_build)
     assert main(["solve", str(path), "--k", k, "--brute-force"]) == 2
     assert calls == []
+    assert builds == []
     assert f"block count k={k} must be between 1 and n=6" in capsys.readouterr().err
 
 
@@ -845,6 +853,19 @@ def _solve_rows(tmp_path, fam, extra):
     out = tmp_path / "rows.csv"
     code = main(["solve", str(path), "--brute-force", "--no-timing", "--csv", str(out)] + extra)
     return code, {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
+
+
+@pytest.mark.parametrize("k, greedy_evals, singleton_evals", [(1, 1, 7), (2, 64, 7), (6, 64, 6)])
+def test_cli_solve_greedy_evals(tmp_path, k, greedy_evals, singleton_evals):
+    # greedy reads the whole table at k >= 2, like pps, and only V at k = 1;
+    # singleton still counts the subsets it queried (the n singletons and
+    # the rest block, which is a singleton itself at k = n)
+    fam = sp.random_instance("graph_cut", 6, 1)
+    code, rows = _solve_rows(tmp_path, fam, ["--k", str(k)])
+    assert code == 0
+    assert rows["pps"]["oracle_evals"] == "64"
+    assert rows["greedy"]["oracle_evals"] == str(greedy_evals)
+    assert rows["singleton"]["oracle_evals"] == str(singleton_evals)
 
 
 def test_cli_solve_negative_optimum_attained(tmp_path):

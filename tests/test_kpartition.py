@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,63 @@ def test_greedy_cardinality_stays_flat():
     oracle = cardinality(5).oracle()
     for k in range(1, 6):
         assert sp.greedy_splitting(oracle, k).value == 5
+
+
+def _fraction_greedy(oracle, k):
+    """Reference greedy on Fraction values: k-1 rounds of the first cheapest
+    2-split, blocks in canonical order and, within a block, the halves
+    holding its minimum element in ascending mask order."""
+    blocks = [oracle.ground_set.full_mask]
+    for _ in range(k - 1):
+        best = None
+        for bi, blk in enumerate(blocks):
+            low = blk & -blk
+            for sub in range(low, blk):
+                if sub & blk != sub or not sub & low:
+                    continue
+                cost = oracle.eval(sub) + oracle.eval(blk ^ sub) - oracle.eval(blk)
+                if best is None or cost < best[0]:
+                    best = (cost, bi, sub)
+        _, bi, sub = best
+        blk = blocks.pop(bi)
+        blocks.extend([sub, blk ^ sub])
+        blocks.sort(key=lambda m: m & -m)
+    partition = sp.Partition(oracle.n, blocks)
+    return partition, sp.partition_value(oracle, partition)
+
+
+def _greedy_cases():
+    for family in sorted(sp.GENERATOR_FAMILIES):
+        for n in range(2, 8):
+            yield sp.random_instance(family, n, n)
+    # tie-heavy and negative tables, most of them not submodular
+    value_sets = ((0, 1), (0, 1, 2), (-3, -1, 0, Fraction(1, 2), 2))
+    for i in range(120):
+        rng = random.Random(f"greedy:{i}")
+        n = 2 + i % 5
+        values = value_sets[i % 3]
+        yield sp.ExplicitTableFn(n, [rng.choice(values) for _ in range(1 << n)], "general")
+
+
+def test_greedy_matches_fraction_scan():
+    non_submodular = 0
+    for fam in _greedy_cases():
+        oracle = fam.oracle()
+        non_submodular += not sp.check_submodular(oracle).ok
+        bare = sp.ValueOracle(fam.ground_set(), fam.value)
+        for k in range(1, fam.n + 1):
+            expected = _fraction_greedy(fam.oracle(), k)
+            for run in (sp.greedy_splitting(oracle, k), sp.greedy_splitting(bare, k)):
+                assert (run.partition, run.value) == expected, (fam.name, fam.n, k)
+    assert non_submodular > 60
+
+
+def test_greedy_reads_no_table_at_k1():
+    oracle = cardinality(5).oracle()
+    sp.greedy_splitting(oracle, 1)
+    assert oracle.distinct_evaluations == 1
+    sp.greedy_splitting(oracle, 2)
+    assert oracle.distinct_evaluations == 32
 
 
 def test_approximation_bound_frozen():

@@ -235,6 +235,7 @@ def test_cap_gates_warm_caches(monkeypatch):
         lambda: sp.check_posimodular(oracle),
         lambda: sp.check_monotone(oracle),
         lambda: sp.check_symmetric(oracle),
+        lambda: sp.greedy_splitting(oracle, 2),
     ]
     for call in calls:
         with pytest.raises(sp.GroundSetCapError):
