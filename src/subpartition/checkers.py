@@ -6,7 +6,8 @@ local tests over single elements, each equivalent to its condition on all
 4^n subset pairs:
 
 * submodular: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j
-  outside S, about n^2 2^n / 8 steps;
+  outside S, about n^2 2^n / 8 comparisons, made in C over list slices of
+  the gains f(S+i) - f(S) (n(n-1)/2 slice pairs);
 * posimodular: f(S+e) - f(S) >= f(V-T-e) - f(V-T) for every e and every
   S subset of T subset of V-e, about n^2 2^(n-1) steps (see
   `check_posimodular`).
@@ -23,8 +24,10 @@ across runs:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import GroundSet, ValueOracle
 
@@ -81,18 +84,30 @@ def _first_pair_witness(name, d, tab, rhs) -> CheckResult:
     raise RuntimeError(f"{name}: the local test failed but no pair violates it")
 
 
+def _halves(vals, bit: int):
+    """The entries of `vals` whose index lacks `bit`, then those whose index
+    has it, each in index order."""
+    if bit == 1:
+        return vals[0::2], vals[1::2]
+    chunks = range(0, len(vals), 2 * bit)
+    return (
+        chain.from_iterable(vals[c : c + bit] for c in chunks),
+        chain.from_iterable(vals[c + bit : c + 2 * bit] for c in chunks),
+    )
+
+
 def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
     """Diminishing returns for single elements: f(S+i) + f(S+j) >=
     f(S+i+j) + f(S) for all S and i < j outside S."""
-    bits = [1 << i for i in range(n)]
-    for s, fs in enumerate(tab):
-        free = [bit for bit in bits if not s & bit]
-        for x, bi in enumerate(free):
-            si = s | bi
-            gain_i = tab[si] - fs
-            for bj in free[x + 1 :]:
-                if gain_i + tab[s | bj] < tab[si | bj]:
-                    return False
+    for i in range(n):
+        # gain[s] = f(S+i) - f(S), with S the s-th subset of V-i in mask
+        # order, so element j > i is bit j-1 of s
+        without, with_i = _halves(tab, 1 << i)
+        gain = list(map(operator.sub, with_i, without))
+        for j in range(i + 1, n):
+            before, after = _halves(gain, 1 << (j - 1))
+            if not all(map(operator.ge, before, after)):
+                return False
     return True
 
 

@@ -290,8 +290,8 @@ class GraphicMatroidRankFn(SetFunctionFamily):
         super().__init__(len(edges), labels)
         self.num_vertices = num_vertices
         self.edges = edges
-        # isolated vertices leave the rank unchanged, so the union-find runs
-        # on the endpoints alone, renumbered 0..m-1 (m <= 2n)
+        # isolated vertices leave the rank unchanged, so the rank is taken
+        # over the endpoints alone, renumbered 0..m-1 (m <= 2n)
         ends = sorted({x for edge in edges for x in edge})
         self._ends = tuple((ends.index(u), ends.index(v)) for u, v in edges)
         self._num_ends = len(ends)
@@ -318,7 +318,26 @@ class GraphicMatroidRankFn(SetFunctionFamily):
         return Fraction(self._rank(mask))
 
     def _integer_table(self):
-        return 1, [self._rank(m) for m in range(1 << self.n)]
+        # rank(M) = rank(R) + [u, w in different components of R], with
+        # v = low(M), R = M - v and (u, w) the endpoints of edge v; each mask
+        # keeps its endpoints' component labels as bytes (at most 2n of
+        # them), R's own unless the rank grows
+        size = 1 << self.n
+        ranks = [0] * size
+        comps = [bytes(range(self._num_ends))] * size
+        label = [bytes([c]) for c in range(self._num_ends)]
+        for m in range(1, size):
+            low = m & -m
+            r = m ^ low
+            comp = comps[r]
+            u, w = self._ends[low.bit_length() - 1]
+            cu, cw = comp[u], comp[w]
+            if cu == cw:
+                ranks[m], comps[m] = ranks[r], comp
+            else:
+                ranks[m] = ranks[r] + 1
+                comps[m] = comp.replace(label[cu], label[cw])
+        return 1, ranks
 
 
 def _known_class(function_class: str) -> str:

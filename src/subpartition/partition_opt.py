@@ -21,15 +21,15 @@ minimizer found" a well-defined deterministic tie-break.
 The parametric objective g(b) = min over P of f(P) - b|P| equals min over k
 of OPT_k - b*k, the lower envelope of n lines, one per block count k, where
 OPT_k is the minimum of f over k-block partitions.  The first call on an
-oracle computes every OPT_k, how many partitions attain it and one that
-does, with a DP over subsets in integers scaled by the lcm of the value
-denominators: about 3^(n-1) (subset, first block) pairs instead of Bell(n)
-partitions.  That summary is cached per oracle.  `pps` reads the principal
-sequence off the lower convex hull of the points (k, OPT_k), rebuilding each
-vertex's unique optimal partition in O(k) from the stored first blocks, and
-the two-level test off the points themselves.  `minimize_g` reads g(b) off
-it in O(n) exact integer steps; only the checks of a given chain call it
-(`verify_pps`, and `repair_chain` before it repairs a chain passed to it).
+oracle computes every OPT_k, values only, with a DP over subsets in integers
+scaled by the lcm of the value denominators: about 3^(n-1) (subset, first
+block) pairs instead of Bell(n) partitions.  That summary is cached per
+oracle.  `pps` reads the principal sequence off the lower convex hull of the
+points (k, OPT_k), rebuilding each vertex's optimal partition by a walk down
+the stored rows that also tells whether it is unique, and the two-level test
+off the points themselves.  `minimize_g` reads g(b) off it in O(n) exact
+integer steps; only the checks of a given chain call it (`verify_pps`, and
+`repair_chain` before it repairs a chain passed to it).
 Neither optimum below reads the summary, so each stays an independent
 reference for the optima the chain is built from: brute force scans the
 k-block partitions itself, and `optimal_k_value` runs its own top-down
@@ -110,60 +110,68 @@ class _BlockCountOptima:
     k-block partitions of M.  Every partition of M has exactly one block S
     holding low(M), the lowest element of M, so
     h_k(M) = min over S with low(M) in S, S a subset of M, of
-    tab[S] + h_{k-1}(M - S), and the minimizer counts add up exactly.
-    `_rows` holds a row for V and for every mask without element 0 (these
+    tab[S] + h_{k-1}(M - S).  `_rows` holds the values h_1(M)..h_|M|(M),
+    indexed by k - 1, for V and for every mask without element 0 (these
     include every remainder M - S of a partition of V, and the suffix sets
-    {i..n-1}): the values, counts and one minimizing first block, indexed by
-    k - 1.  `values` and `counts` are V's row.
+    {i..n-1}).  `values` is V's row.
     """
 
     def __init__(self, n: int, denominator: int, tab: tuple[int, ...]):
         self.n = n
         self.denominator = denominator
+        self._tab = tab
         full = (1 << n) - 1
-        rows: list[tuple[list[int], list[int], list[int]] | None] = [None] * (full + 1)
-        rows[0] = ([], [], [])
+        rows: list[list[int] | None] = [None] * (full + 1)
+        rows[0] = []
         for m in [*range(2, full, 2), full]:
             low = m & -m
             rest = m ^ low
-            # S = {low(M)}: the remainder is all of M - low(M), so this first
-            # candidate covers every k >= 2
-            rvals, rcounts, _ = rows[rest]
-            ts = tab[low]
-            vals = [tab[m]] + [ts + v for v in rvals]
-            counts = [1, *rcounts]
-            firsts = [m] + [low] * len(rvals)
-            t = (rest - 1) & rest
-            while t:
-                s = low | t
-                rvals, rcounts, _ = rows[rest ^ t]
-                ts = tab[s]
-                for j, v in enumerate(rvals, 1):
+            # S = M gives k = 1, and S = {low(M)} leaves all of M - low(M),
+            # which covers every k >= 2; then every other nonempty remainder
+            vals = [tab[m]] + [tab[low] + v for v in rows[rest]]
+            r = (rest - 1) & rest
+            while r:
+                ts = tab[m ^ r]
+                j = 1
+                for v in rows[r]:
                     v += ts
-                    best = vals[j]
-                    if v < best:
-                        vals[j], counts[j], firsts[j] = v, rcounts[j - 1], s
-                    elif v == best:
-                        counts[j] += rcounts[j - 1]
-                t = (t - 1) & rest
-            rows[m] = (vals, counts, firsts)
+                    if v < vals[j]:
+                        vals[j] = v
+                    j += 1
+                r = (r - 1) & rest
+            rows[m] = vals
         self._rows = rows
-        self.values = tuple(rows[full][0])
-        self.counts = tuple(rows[full][1])
+        self.values = tuple(rows[full])
 
     def first(self, k: int) -> Partition | None:
-        """The k-block partition attaining OPT_k, rebuilt in O(k) from the
-        stored first blocks when it is the only one; None when several tie."""
-        if self.counts[k - 1] != 1:
-            return None
-        # each stored first block holds the lowest element left, so the
-        # blocks come out in canonical order
+        """The k-block partition attaining OPT_k when it is the only one;
+        None when several tie.
+
+        Walks down from V: at (M, j) the block holding low(M) of every
+        optimal j-block partition of M leaves a remainder r with
+        tab[M - r] + h_{j-1}(r) == h_j(M), and every such r is the remainder
+        of one.  So the optimum is unique exactly when each step finds one
+        match; two matches at any step are a tie.  O(k 2^n) steps.
+        """
+        tab, rows = self._tab, self._rows
+        # each block taken holds the lowest element left, so the blocks come
+        # out in canonical order
         blocks = []
         m = (1 << self.n) - 1
-        for j in range(k - 1, -1, -1):
-            s = self._rows[m][2][j]
-            blocks.append(s)
-            m ^= s
+        for j in range(k, 1, -1):
+            target = rows[m][j - 1]
+            rest = m & (m - 1)  # M - low(M)
+            found = None
+            r = rest
+            while r:
+                if r.bit_count() >= j - 1 and tab[m ^ r] + rows[r][j - 2] == target:
+                    if found is not None:
+                        return None
+                    found = r
+                r = (r - 1) & rest
+            blocks.append(m ^ found)
+            m = found
+        blocks.append(m)
         return Partition._trusted(self.n, tuple(blocks))
 
 
@@ -225,12 +233,14 @@ def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
     n = oracle.n
     require_block_count(k, n)
     d, tab = oracle.scaled_table()
-    memo: dict[tuple[int, int], int] = {}
+    # memo[j][M] = best(M, j) once computed, one flat list per level j
+    memo = [[None] * (1 << n) for _ in range(k + 1)]
 
     def best(m: int, j: int) -> int:
         if j == 1:
             return tab[m]
-        found = memo.get((m, j))
+        level = memo[j]
+        found = level[m]
         if found is None:
             rest = m & (m - 1)  # M - low(M)
             r = rest  # the remainder M - S, from S = {low(M)} on
@@ -240,7 +250,7 @@ def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
                     if found is None or value < found:
                         found = value
                 r = (r - 1) & rest
-            memo[(m, j)] = found
+            level[m] = found
         return found
 
     return Fraction(best((1 << n) - 1, k), d)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import subpartition as sp
-from subpartition.checkers import _locally_posimodular
+from subpartition.checkers import _halves, _locally_posimodular, _locally_submodular
 
 from helpers import cardinality, mono3, omega, posi3, two_edges, zero_fn
 
@@ -154,6 +154,48 @@ def test_local_submodular_check_matches_pair_scan():
         assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs)
         outcomes[ok] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def _triple_loop_submodular(n, tab):
+    """Reference: the local test as a loop over S, then i < j outside S."""
+    bits = [1 << i for i in range(n)]
+    for s, fs in enumerate(tab):
+        free = [bit for bit in bits if not s & bit]
+        for x, bi in enumerate(free):
+            si = s | bi
+            gain_i = tab[si] - fs
+            for bj in free[x + 1 :]:
+                if gain_i + tab[s | bj] < tab[si | bj]:
+                    return False
+    return True
+
+
+def test_local_submodular_matches_pair_loop():
+    # the slices hold the entries without the bit, then those with it
+    for n in range(1, 7):
+        masks = list(range(1 << n))
+        for i in range(n):
+            bit = 1 << i
+            without, with_bit = _halves(masks, bit)
+            assert list(without) == [m for m in masks if not m & bit]
+            assert list(with_bit) == [m for m in masks if m & bit]
+
+    tables = []
+    for i in range(2000):
+        rng = random.Random(f"submodular-slices:{i}")
+        n = 1 + i % 7
+        low, high = (0, 3) if i % 2 else (-3, 3)
+        tables.append((n, [rng.randint(low, high) for _ in range(1 << n)]))
+    for family in sorted(sp.GENERATOR_FAMILIES):
+        for n in range(2, 10):
+            for seed in range(2):
+                tables.append((n, sp.random_instance(family, n, seed).scaled_table()[1]))
+    outcomes = {True: 0, False: 0}
+    for n, tab in tables:
+        ok = _triple_loop_submodular(n, tab)
+        assert _locally_submodular(n, tab) == ok, (n, tab)
+        outcomes[ok] += 1
+    assert outcomes[True] > 150 and outcomes[False] > 1000
 
 
 def _pair_scan_posimodular(oracle):

@@ -102,6 +102,17 @@ def test_graphic_matroid_cost_ignores_isolated_vertices():
     assert table == sp.GraphicMatroidRankFn(3, edges).oracle().scaled_table()
 
 
+def test_graphic_matroid_table_matches_union_find():
+    # the low-bit recurrence against a fresh union-find per mask, on
+    # multigraphs with self-loops, parallel edges and isolated vertices
+    rng = random.Random("graphic-table")
+    for i in range(120):
+        n, num_vertices = 1 + i % 10, rng.randint(1, 7)
+        edges = [(rng.randrange(num_vertices), rng.randrange(num_vertices)) for _ in range(n)]
+        fam = sp.GraphicMatroidRankFn(num_vertices, edges)
+        assert fam.scaled_table() == (1, tuple(fam._rank(m) for m in range(1 << n))), edges
+
+
 def test_graphic_matroid_rejects_bool_vertex_count():
     # a bool is an int subclass, and True would pass as one vertex
     for count in (True, False):

@@ -335,14 +335,41 @@ def test_block_count_optima_match_a_bell_pass(monkeypatch):
         opt = partition_opt._block_count_optima(oracle)
         n = oracle.n
         assert [Fraction(v, opt.denominator) for v in opt.values] == [values[k] for k in range(1, n + 1)]
-        assert list(opt.counts) == [counts[k] for k in range(1, n + 1)]
         for k in range(1, n + 1):
-            # a unique optimum is rebuilt from the stored first blocks; a tied
+            # a unique optimum is rebuilt by the walk down the rows; a tied
             # one has no single answer
             assert opt.first(k) == (firsts[k] if counts[k] == 1 else None), (oracle, k)
             rebuilt += counts[k] == 1
             tied += counts[k] > 1
     assert rebuilt and tied
+
+
+def _three_block_table(low_values):
+    """A 4-element table that is 10 on every nonempty set but the given
+    masks, so only the 3-block partitions made of those sets cost 2."""
+    values = [0] + [10] * 15
+    for mask, value in low_values.items():
+        values[mask] = value
+    return sp.ExplicitTableFn(4, values).oracle()
+
+
+def test_first_detects_a_tie_at_any_depth():
+    # {0} is the only block holding element 0 in an optimal 3-partition,
+    # but its remainder {1, 2, 3} splits as {1}{2, 3} or {1, 2}{3}: a walk
+    # that checks only the top step for a second match misses this tie
+    deep = _three_block_table({0b0001: 0, 0b0010: 1, 0b1100: 1, 0b0110: 1, 0b1000: 1})
+    # the converse: {0}{1}{2, 3} and {0, 1}{2}{3} tie at the top step, and
+    # each remainder splits one way only; a walk that stops at its first
+    # match returns one of them
+    top = _three_block_table({0b0001: 0, 0b0010: 1, 0b1100: 1, 0b0011: 0, 0b0100: 1, 0b1000: 1})
+    # without {1, 2} the deep tie is gone and the optimum is unique
+    unique = _three_block_table({0b0001: 0, 0b0010: 1, 0b1100: 1, 0b1000: 1})
+    for oracle, ties in ((deep, 2), (top, 2), (unique, 1)):
+        assert len(_optima_by_bell_scan(oracle)[3][1]) == ties
+        assert sp.optimal_k_value(oracle, 3) == 2
+    assert partition_opt._block_count_optima(deep).first(3) is None
+    assert partition_opt._block_count_optima(top).first(3) is None
+    assert partition_opt._block_count_optima(unique).first(3) == sp.Partition(4, [0b0001, 0b0010, 0b1100])
 
 
 def _submodular_table(rng, n):
