@@ -21,6 +21,13 @@ the cap on every call, as do partition enumeration and instance loading.
 An oracle built by a family's `oracle()` takes that table from the family's
 integer builder; a bare `ValueOracle(ground_set, fn)` builds it from `fn`
 on every subset.
+
+Once the table exists, every layer scores a partition P in scaled integers,
+D * f(P) = `scaled_value(tab, P)`, and builds a `Fraction` only for a value
+it reports; `ValueOracle.eval` then answers from the table too.
+`partition_value` and `g_value` stay the exact `Fraction` reference through
+`eval`: the tests use them, and so does a baseline that reads no table
+(`cheapest_singleton`, and `greedy_splitting` at k = 1).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -46,6 +53,7 @@ __all__ = [
     "partition_value",
     "refined_part",
     "refines",
+    "scaled_value",
     "singleton_partition",
     "trivial_partition",
 ]
@@ -312,10 +320,11 @@ class ValueOracle:
 
     `fn` maps a subset mask to a Fraction (ints are coerced; floats raise).
     `table`, when given, builds the scaled value table without calling `fn`:
-    it returns (D, values) in lowest terms, as `scaled_table` does.  The
-    oracle counts total eval calls and distinct evaluations; the number of
-    distinct evaluations can never exceed 2^n, and is 2^n once the table is
-    built.
+    it returns (D, values) in lowest terms, as `scaled_table` does.  Once
+    the table is built, `eval` answers from it and no longer calls `fn`.
+    The oracle counts total eval calls and distinct evaluations; the number
+    of distinct evaluations can never exceed 2^n, and is 2^n once the table
+    is built.
     """
 
     def __init__(
@@ -350,6 +359,10 @@ class ValueOracle:
         self._total_calls += 1
         value = self._memo.get(mask, _MISSING)
         if value is not _MISSING:
+            return value
+        if self._scaled is not None:
+            d, tab = self._scaled
+            value = self._memo[mask] = Fraction(tab[mask], d)
             return value
         raw = self._fn(mask)
         if isinstance(raw, float):
@@ -388,8 +401,16 @@ class ValueOracle:
         return self._scaled
 
 
+def scaled_value(tab: Sequence[int], partition: Partition) -> int:
+    """D * f(P): the scaled value table `tab` of `scaled_table` summed over
+    the blocks of P, in integers."""
+    return sum(map(tab.__getitem__, partition.blocks))
+
+
 def partition_value(oracle: ValueOracle, partition: Partition) -> Fraction:
-    """Sum of oracle values over the blocks of the partition."""
+    """Sum of oracle values over the blocks of the partition, as a Fraction
+    through `eval`: the reference that `scaled_value` replaces wherever the
+    value table is built."""
     total = Fraction(0)
     for b in partition.blocks:
         total += oracle.eval(b)

@@ -19,13 +19,13 @@ checkers in tests; the tight families at the bottom of this module are the
 instances that meet their class bounds with equality in the limit.
 
 The 2^n value table that every exhaustive path reads comes from
-`scaled_table()`.  Most families build it in Python integers: the weights
-are put over one common denominator once, the table is filled with integer
-arithmetic (the edge families by a low-bit recurrence), and the result is
-reduced to lowest terms, so it equals the table read off the Fraction
-`value` bit for bit.  `MonoTightNFn` and `DigraphHyperFn` have no integer
-builder; their table still comes from `value` through the oracle.  Each
-`value` stays the exact reference the integer tables are tested against.
+`scaled_table()`.  Every built-in family builds it in Python integers: the
+weights are put over one common denominator once, the table is filled with
+integer arithmetic (the edge families by a low-bit recurrence), and the
+result is reduced to lowest terms, so it equals the table read off the
+Fraction `value` bit for bit.  Each `value` stays the exact reference the
+integer tables are tested against; a family without a builder gets its
+table from `value` through the oracle.
 """
 
 from __future__ import annotations
@@ -480,6 +480,18 @@ class MonoTightNFn(SetFunctionFamily):
     def value(self, mask: int) -> Fraction:
         return min(self.unclamped(mask), self.cap_value)
 
+    def _integer_table(self):
+        # over D = 2q with eps = p/q: g(T) -> q + q|T| (T nonempty),
+        # 1 + eps -> 2(q + p) and the cap (n+1)/2 -> q(n + 1)
+        p, q = self.eps.numerator, self.eps.denominator
+        cap, unit = q * (self.n + 1), 2 * (q + p)
+        table = []
+        for mask in range(1 << self.n):
+            su = (mask & self.u_mask).bit_count()
+            h = (q + q * su if su else 0) + unit * (mask & self.d_mask).bit_count()
+            table.append(min(h, cap))
+        return 2 * q, table
+
 
 class PosiTight3Fn(_TableFamily):
     """Posimodular (not monotone, not symmetric) 3-element instance meeting
@@ -536,3 +548,14 @@ class DigraphHyperFn(SetFunctionFamily):
         if inside and inside != self.rest_mask:
             total += 1
         return total
+
+    def _integer_table(self):
+        # over D = q with a = p/q: each arc pays p, the hyperedge q
+        p, q = self.a.numerator, self.a.denominator
+        rest = self.rest_mask
+        table = []
+        for mask in range(1 << self.n):
+            inside = mask & rest
+            arcs = 0 if mask & 1 else p * inside.bit_count()
+            table.append(arcs + (q if inside and inside != rest else 0))
+        return q, table

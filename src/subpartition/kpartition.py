@@ -21,10 +21,18 @@ against `optimal_k_value`); `check_chain_lower_bounds` backs the guarantees.
 Baselines: `cheapest_singleton` (split off the k-1 cheapest singletons,
 within 2 - 1/k of optimal for monotone f) and `greedy_splitting` (k-1
 rounds of the cheapest single-block 2-split).
+
+Everything here except `cheapest_singleton` and `greedy_splitting` at k = 1
+reads the oracle's scaled value table: it orders pieces and scores
+partitions and bounds in integers (`core.scaled_value`), and builds a
+Fraction only for a value it reports.  The two exceptions query the oracle
+through `eval` and `partition_value`, so on a fresh oracle they read only
+the subsets they name (n + 1 and 1) and build no table.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +42,8 @@ from .core import (
     partition_value,
     refined_part,
     require_block_count,
+    scaled_value,
+    trivial_partition,
 )
 from .partition_opt import optimal_k_value
 from .pps import PrincipalSequence, _require_same_ground_set, compute_pps
@@ -81,8 +91,12 @@ class KPartitionRun:
 
 def _straddle(pps: PrincipalSequence, k: int) -> tuple[Partition, Partition]:
     """The adjacent chain members with fewer and more than k blocks, for a k
-    that is not a block count of the chain."""
-    above_index = next(i for i, c in enumerate(pps.block_counts()) if c > k)
+    that is not a block count of the chain; ValueError when no member has
+    fewer or none has more."""
+    counts = pps.block_counts()
+    above_index = bisect.bisect_right(counts, k)  # counts increase strictly
+    if not 0 < above_index < len(counts):
+        raise ValueError(f"chain block counts {counts} do not bracket k={k}")
     return pps.partitions[above_index - 1], pps.partitions[above_index]
 
 
@@ -92,13 +106,17 @@ def pps_k_partition(
     """Approximate minimum k-partition read off the principal sequence.
 
     Pass a precomputed sequence to amortize it across several k values; a
-    sequence on another ground set raises ValueError.
+    sequence on another ground set, or one whose block counts do not
+    bracket k, raises ValueError.  Pieces are ordered and the result scored
+    on the oracle's value table, so the run reads the table (and checks the
+    enumeration cap) even with a sequence passed in.
     """
     n = oracle.n
     require_block_count(k, n)
     if pps is None:
         pps = compute_pps(oracle)
     _require_same_ground_set(oracle, pps)
+    d, tab = oracle.scaled_table()
     counts = pps.block_counts()
 
     if k in counts:
@@ -106,7 +124,7 @@ def pps_k_partition(
         return KPartitionRun(
             k=k,
             partition=partition,
-            value=partition_value(oracle, partition),
+            value=Fraction(scaled_value(tab, partition), d),
             exact_hit=True,
             sequence=pps,
         )
@@ -117,7 +135,7 @@ def pps_k_partition(
         raise ValueError("chain violates single-block refinement; repair it first")
     pieces = sorted(
         (blk for blk in above.blocks if blk & split),
-        key=lambda blk: (oracle.eval(blk), blk & -blk),
+        key=lambda blk: (tab[blk], blk & -blk),
     )
     num_taken = k - len(below)
     merged = 0
@@ -130,7 +148,7 @@ def pps_k_partition(
     return KPartitionRun(
         k=k,
         partition=partition,
-        value=partition_value(oracle, partition),
+        value=Fraction(scaled_value(tab, partition), d),
         exact_hit=False,
         sequence=pps,
         below=below,
@@ -186,13 +204,17 @@ def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
     Each round scans blocks in canonical order and, within a block, the
     candidate halves containing the block's minimum element in ascending
     mask order; the first split minimizing f(X) + f(A-X) - f(A) wins.
-    Costs are compared on the scaled value table (D > 0 keeps their order
-    and ties), so k >= 2 reads the whole table; k = 1 reads none.
+    Costs are compared, and the result scored, on the scaled value table
+    (D > 0 keeps their order and ties), so k >= 2 reads the whole table;
+    k = 1 reads only f(V), through `eval`.
     """
     n = oracle.n
     require_block_count(k, n)
+    if k == 1:
+        partition = trivial_partition(n)
+        return BaselineResult("greedy", partition, partition_value(oracle, partition))
     blocks = [oracle.ground_set.full_mask]
-    tab = oracle.scaled_table()[1] if k > 1 else ()
+    d, tab = oracle.scaled_table()
     for _ in range(k - 1):
         best = None  # (scaled cost, block_index, submask)
         for bi, blk in enumerate(blocks):
@@ -209,7 +231,7 @@ def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
         blocks.extend([sub, blk ^ sub])
         blocks.sort(key=lambda m: m & -m)
     partition = Partition(n, blocks)
-    return BaselineResult("greedy", partition, partition_value(oracle, partition))
+    return BaselineResult("greedy", partition, Fraction(scaled_value(tab, partition), d))
 
 
 def approximation_bound(function_class: str, n: int) -> Fraction | None:
@@ -258,6 +280,7 @@ class ChainBoundsReport:
     Applicable on straddled (non-exact-hit) runs: with L = |below|, U =
     |above|, the optimum is at least the interpolation
     ((U - k) f(below) + (k - L) f(above)) / (U - L) and at least f(below).
+    Both come from the oracle's value table.
     """
 
     applicable: bool
@@ -273,16 +296,19 @@ def check_chain_lower_bounds(
     pps: PrincipalSequence,
     optimal_value: Fraction,
 ) -> ChainBoundsReport:
-    """Evaluate both chain lower bounds against a known optimal value."""
+    """Evaluate both chain lower bounds against a known optimal value; a
+    chain whose block counts do not bracket k raises ValueError."""
     require_block_count(k, oracle.n)
     _require_same_ground_set(oracle, pps)
     if k in pps.block_counts():
         return ChainBoundsReport(applicable=False)
     below, above = _straddle(pps, k)
     low, up = len(below), len(above)
-    f_below = partition_value(oracle, below)
-    f_above = partition_value(oracle, above)
-    interpolated = ((up - k) * f_below + (k - low) * f_above) / (up - low)
+    d, tab = oracle.scaled_table()
+    s_below = scaled_value(tab, below)
+    s_above = scaled_value(tab, above)
+    interpolated = Fraction((up - k) * s_below + (k - low) * s_above, d * (up - low))
+    f_below = Fraction(s_below, d)
     return ChainBoundsReport(
         applicable=True,
         interpolated_bound=interpolated,
@@ -327,7 +353,9 @@ def ratio_report(
     ratio, bound_ok = ratio_to_optimum(run.value, opt_value, bound)
     coarse_ratio = None
     if not run.exact_hit:
-        coarse_ratio, _ = ratio_to_optimum(partition_value(oracle, run.below), opt_value, None)
+        d, tab = oracle.scaled_table()
+        f_below = Fraction(scaled_value(tab, run.below), d)
+        coarse_ratio, _ = ratio_to_optimum(f_below, opt_value, None)
     return RatioReport(
         n=oracle.n,
         k=k,

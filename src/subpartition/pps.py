@@ -23,6 +23,11 @@ splits several blocks at one tied breakpoint, it restores step 2 by
 splitting them one at a time; `repair_chain` does the same on any chain,
 after checking against minimize_g that each such pair attains g.
 
+`verify_pps` and `repair_chain` score the chain members on the oracle's
+scaled value table in integers (`core.scaled_value`), so at b = p/q a
+member's g is (q * D f(P) - D p |P|) / (D q), compared with minimize_g's
+exact value without building a Fraction.
+
 `verify_pps` re-checks all five conditions from scratch against minimize_g.
 Condition 5 is decided exactly from the attainment data of condition 4,
 without further calls: g is concave (a minimum of affine lines) and P_j's
@@ -43,10 +48,10 @@ from .core import (
     NonSubmodularError,
     Partition,
     ValueOracle,
-    g_value,
-    partition_value,
+    as_fraction,
     refined_part,
     refines,
+    scaled_value,
     singleton_partition,
     trivial_partition,
 )
@@ -68,6 +73,8 @@ class PrincipalSequence:
 
     partitions[j] is optimal for g on [breakpoints[j-1], breakpoints[j]]
     (unbounded at the two ends).  Block counts increase strictly.
+    Breakpoints are stored as Fractions: ints and "p/q" strings are
+    converted, floats raise TypeError.
     """
 
     partitions: tuple[Partition, ...]
@@ -85,6 +92,7 @@ class PrincipalSequence:
         counts = [len(p) for p in self.partitions]
         if any(c2 <= c1 for c1, c2 in zip(counts, counts[1:])):
             raise ValueError("chain block counts must increase strictly")
+        object.__setattr__(self, "breakpoints", tuple(map(as_fraction, self.breakpoints)))
 
     @property
     def n(self) -> int:
@@ -170,6 +178,14 @@ def _require_same_ground_set(oracle: ValueOracle, sequence: PrincipalSequence) -
         raise ValueError(f"the chain is on {sequence.n} elements, the oracle on {oracle.n}")
 
 
+def _attains(total: int, size: int, d: int, b: Fraction, best: Fraction) -> bool:
+    """Whether a partition with `size` blocks and scaled value `total`
+    (D f(P), D = `d`) attains `best` = g(b): at b = p/q its g is
+    (q total - D p size) / (D q)."""
+    p, q = b.numerator, b.denominator
+    return (q * total - d * p * size) * best.denominator == best.numerator * d * q
+
+
 def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalSequence:
     """Restore single-block refinement between adjacent chain partitions.
 
@@ -191,7 +207,11 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
             break  # the insert names this pair
         if refined_part(coarse, fine) is None:
             best = minimize_g(oracle, b)
-            if g_value(oracle, coarse, b) != best or g_value(oracle, fine, b) != best:
+            d, tab = oracle.scaled_table()
+            if not (
+                _attains(scaled_value(tab, coarse), len(coarse), d, b, best)
+                and _attains(scaled_value(tab, fine), len(fine), d, b, best)
+            ):
                 raise NonSubmodularError(
                     f"chain pair does not attain the parametric minimum at b={b}"
                 )
@@ -264,15 +284,17 @@ def verify_pps(
     if not nondecreasing_ok:
         failures.append("breakpoints are not nondecreasing")
 
+    d, tab = oracle.scaled_table()
+    totals = [scaled_value(tab, part) for part in parts]  # D f(P_j)
     formula_ok = True
-    for j, (coarse, fine) in enumerate(zip(parts, parts[1:])):
-        # where the two members' g-lines cross
-        value_gap = partition_value(oracle, fine) - partition_value(oracle, coarse)
-        expected = value_gap / (len(fine) - len(coarse))
-        if bps[j] != expected:
+    for j, b in enumerate(bps):
+        # where the two members' g-lines cross: b = (total gap) / (D count gap)
+        gap, scale = totals[j + 1] - totals[j], d * (len(parts[j + 1]) - len(parts[j]))
+        if b.numerator * scale != gap * b.denominator:
             formula_ok = False
             failures.append(
-                f"breakpoint {j} is {bps[j]}, but the value/count differences give {expected}"
+                f"breakpoint {j} is {b}, but the value/count differences give "
+                f"{Fraction(gap, scale)}"
             )
 
     # the open ends: left of its breakpoint {V}'s line (slope -1) rises the
@@ -283,8 +305,8 @@ def verify_pps(
     attained_ok = True
     for j, b in enumerate(bps):
         best = minimize_g(oracle, b)
-        attains_right[j] = g_value(oracle, parts[j], b) == best
-        attains_left[j + 1] = g_value(oracle, parts[j + 1], b) == best
+        attains_right[j] = _attains(totals[j], len(parts[j]), d, b, best)
+        attains_left[j + 1] = _attains(totals[j + 1], len(parts[j + 1]), d, b, best)
         if not (attains_right[j] and attains_left[j + 1]):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")

@@ -65,3 +65,10 @@ def cardinality(n: int) -> sp.ExplicitTableFn:
 
 def zero_fn(n: int) -> sp.ExplicitTableFn:
     return sp.ExplicitTableFn(n, [Fraction(0)] * (1 << n), "symmetric", name="zero")
+
+
+def fraction_oracle(fam) -> sp.ValueOracle:
+    """An oracle that answers every query from the family's Fraction `value`
+    (and builds its table, when asked, from those answers): the reference
+    that integer tables and integer scoring are compared against."""
+    return sp.ValueOracle(fam.ground_set(), fam.value)

@@ -170,7 +170,7 @@ def test_oracle_scaled_table_clears_denominators():
     d, table = oracle.scaled_table()
     assert all(isinstance(v, int) for v in table)
     for mask in range(8):
-        assert Fraction(table[mask], d) == oracle.eval(mask)
+        assert Fraction(table[mask], d) == fam.value(mask) == oracle.eval(mask)
 
 
 def test_partition_value_and_g_value():

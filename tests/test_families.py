@@ -263,6 +263,20 @@ def test_integer_table_of_named_instances(fam):
     assert fam.oracle().scaled_table() == _fraction_table(fam)
 
 
+@pytest.mark.parametrize("eps", [EPS, Fraction(1, 3)], ids=str)
+def test_mono_tight_n_integer_table_at_every_n(eps):
+    for n in range(5, 14, 2):
+        fam = sp.MonoTightNFn(n, eps)
+        assert fam.scaled_table() == _fraction_table(fam), n
+
+
+@pytest.mark.parametrize("a", [Fraction(10**6), Fraction(7, 3)], ids=str)
+def test_digraph_hyper_integer_table_at_every_n(a):
+    for n in range(3, 14):
+        fam = sp.DigraphHyperFn(n, a)
+        assert fam.scaled_table() == _fraction_table(fam), n
+
+
 def test_integer_table_is_in_lowest_terms():
     # weights 2/3 and 4/3 share the factor 2/3: D = 3 with values 0, 2, 4, 6
     fam = sp.GraphCutFn(3, [(0, 1, Fraction(2, 3)), (1, 2, Fraction(4, 3))])
@@ -284,3 +298,7 @@ def test_integer_table_skips_value():
     assert oracle.scaled_table() == (2, (0, 2, 2, 0, 1, 3, 3, 1, 1, 3, 3, 1, 0, 2, 2, 0))
     assert oracle.distinct_evaluations == 16
     assert oracle.total_calls == 0
+    # every built-in family has a builder, the tight constructions included
+    for cls, args in ((sp.MonoTightNFn, (5, EPS)), (sp.DigraphHyperFn, (4, 7))):
+        no_value = type("NoValue", (cls,), {"value": NoValue.value})(*args)
+        assert no_value.oracle().scaled_table() == _fraction_table(cls(*args))

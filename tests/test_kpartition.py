@@ -252,6 +252,48 @@ def test_greedy_reads_no_table_at_k1():
     assert oracle.distinct_evaluations == 32
 
 
+def test_oracle_evals_contract(monkeypatch):
+    # a fresh oracle builds no table for the table-less baselines: singleton
+    # reads the n singletons and the rest of V, greedy at k = 1 reads V
+    fam = sp.random_instance("graph_cut", 6, 1)
+    oracle = fam.oracle()
+    sp.cheapest_singleton(oracle, 3)
+    assert oracle.distinct_evaluations == 6 + 1
+    oracle = fam.oracle()
+    sp.greedy_splitting(oracle, 1)
+    assert oracle.distinct_evaluations == 1
+    # the chain k-partition reads the table even with a chain passed in, so
+    # it counts all 2^n subsets and checks the cap, as greedy does
+    seq = sp.compute_pps(fam.oracle())
+    oracle = fam.oracle()
+    sp.pps_k_partition(oracle, 3, pps=seq)
+    assert oracle.distinct_evaluations == 64
+    monkeypatch.setenv("SUBMOD_N_CAP", "5")
+    for solve in (lambda o: sp.pps_k_partition(o, 3, pps=seq), lambda o: sp.greedy_splitting(o, 3)):
+        with pytest.raises(sp.GroundSetCapError):
+            solve(fam.oracle())
+
+
+def test_eval_answers_from_the_table(monkeypatch):
+    calls = []
+    value = sp.GraphCutFn.value
+
+    def counted(self, mask):
+        calls.append(mask)
+        return value(self, mask)
+
+    monkeypatch.setattr(sp.GraphCutFn, "value", counted)
+    fam = sp.random_instance("graph_cut", 6, 1)
+    assert fam.oracle().eval(0b101) == value(fam, 0b101)
+    assert calls == [0b101]  # no table yet: eval asks the family
+    oracle = fam.oracle()
+    d, tab = oracle.scaled_table()
+    sp.cheapest_singleton(oracle, 3)
+    for mask in range(64):
+        assert oracle.eval(mask) == Fraction(tab[mask], d) == value(fam, mask)
+    assert calls == [0b101]
+
+
 def test_approximation_bound_frozen():
     assert sp.approximation_bound("monotone", 3) == Fraction(6, 5)
     assert sp.approximation_bound("posimodular", 3) == Fraction(3, 2)

@@ -13,6 +13,7 @@ from helpers import (
     cardinality,
     coverage_path3,
     footnote_matroid,
+    fraction_oracle,
     mono3,
     mono_n,
     omega,
@@ -126,23 +127,23 @@ def test_minimize_g_mono3_breakpoint():
 
 def test_minimize_g_result_is_global_minimum():
     for fam in (weighted_path4(), posi3()):
-        oracle = fam.oracle()
+        oracle, reference = fam.oracle(), fraction_oracle(fam)
         for b in (0, Fraction(1, 3), 1, Fraction(5, 2)):
             value = sp.minimize_g(oracle, b)
             for p in sp.enumerate_partitions(oracle.n):
-                assert value <= sp.g_value(oracle, p, b)
-            assert value == sp.g_value(oracle, _finest(oracle, b), b)
+                assert value <= sp.g_value(reference, p, b)
+            assert value == sp.g_value(reference, _finest(oracle, b), b)
 
 
 def test_minimizer_line_bounds_h_everywhere():
     # h(b) = min_P f(P) - b|P| is concave piecewise linear; the line of any
     # minimizer at b0 must dominate h on the whole axis
-    oracle = weighted_path4().oracle()
+    oracle, reference = weighted_path4().oracle(), fraction_oracle(weighted_path4())
     grid = [Fraction(i, 4) for i in range(20)]
     for b0 in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)):
         star = _finest(oracle, b0)
         for bp in grid:
-            assert sp.minimize_g(oracle, bp) <= sp.g_value(oracle, star, bp)
+            assert sp.minimize_g(oracle, bp) <= sp.g_value(reference, star, bp)
 
 
 def test_minimize_g_rejects_float_parameter():
@@ -156,7 +157,7 @@ def test_brute_force_k_equals_n():
         oracle = fam.oracle()
         n = oracle.n
         _, value = sp.brute_force_optimal_k_partition(oracle, n)
-        assert value == sum(oracle.eval(1 << i) for i in range(n))
+        assert value == sum(fam.value(1 << i) for i in range(n))
 
 
 def test_brute_force_k2_symmetric_is_min_cut():
@@ -165,7 +166,7 @@ def test_brute_force_k2_symmetric_is_min_cut():
         oracle = fam.oracle()
         _, value = sp.brute_force_optimal_k_partition(oracle, 2)
         full = oracle.ground_set.full_mask
-        assert value == 2 * min(oracle.eval(s) for s in range(1, full))
+        assert value == 2 * min(fam.value(s) for s in range(1, full))
 
 
 def test_brute_force_frozen_small_cases():
@@ -197,10 +198,11 @@ def test_brute_force_k_out_of_range():
 
 
 def test_brute_force_all_k_matches_per_k():
-    oracle = weighted_path4().oracle()
+    fam = weighted_path4()
+    oracle = fam.oracle()
     table = sp.brute_force_all_k(oracle)
     assert sorted(table) == [1, 2, 3, 4]
-    assert table[1] == (sp.trivial_partition(4), oracle.eval(0b1111))
+    assert table[1] == (sp.trivial_partition(4), fam.value(0b1111))
     for k, (part, value) in table.items():
         pk, vk = sp.brute_force_optimal_k_partition(oracle, k)
         assert (part, value) == (pk, vk)
@@ -278,7 +280,8 @@ def test_minimize_g_matches_independent_scan():
     for fam in families:
         oracle = fam.oracle()
         submodular = sp.check_submodular(oracle).ok
-        scored = [(p, sp.partition_value(oracle, p)) for p in sp.enumerate_partitions(oracle.n)]
+        reference = fraction_oracle(fam)
+        scored = [(p, sp.partition_value(reference, p)) for p in sp.enumerate_partitions(oracle.n)]
         params = {Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(50)}
         try:
             breakpoints = sp.compute_pps(oracle).breakpoints
@@ -324,7 +327,7 @@ def test_block_count_optima_match_a_bell_pass(monkeypatch):
         values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
         families.append(sp.ExplicitTableFn(n, values))
     oracles = [fam.oracle() for fam in families]
-    summaries = [_bell_pass_summary(oracle) for oracle in oracles]
+    summaries = [_bell_pass_summary(fraction_oracle(fam)) for fam in families]
 
     def no_enumeration(n, k=None):
         raise AssertionError("the summary enumerated partitions")

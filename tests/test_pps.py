@@ -13,6 +13,7 @@ from helpers import (
     BIG_A,
     EPS,
     cardinality,
+    fraction_oracle,
     mono3,
     mono_n,
     omega,
@@ -105,12 +106,12 @@ def test_posi3_two_level_chain():
 
 def test_breakpoint_formula_holds_on_chain():
     for fam in (weighted_path4(), two_edges(), mono_n(5), omega(5, 10)):
-        oracle = fam.oracle()
-        seq = sp.compute_pps(oracle)
+        seq = sp.compute_pps(fam.oracle())
+        reference = fraction_oracle(fam)
         for j in range(len(seq) - 1):
             lo, hi = seq.partitions[j], seq.partitions[j + 1]
             expected = (
-                sp.partition_value(oracle, hi) - sp.partition_value(oracle, lo)
+                sp.partition_value(reference, hi) - sp.partition_value(reference, lo)
             ) / (len(hi.blocks) - len(lo.blocks))
             assert seq.breakpoints[j] == expected
 
@@ -125,8 +126,8 @@ def test_two_level_condition_implies_two_level_chain():
             sp.singleton_partition(oracle.n),
         )
         n = oracle.n
-        q_value = sum(oracle.eval(1 << i) for i in range(n))
-        expected = (q_value - oracle.eval(oracle.ground_set.full_mask)) / (n - 1)
+        q_value = sum(fam.value(1 << i) for i in range(n))
+        expected = (q_value - fam.value(oracle.ground_set.full_mask)) / (n - 1)
         assert seq.breakpoints == (expected,)
 
 
@@ -385,7 +386,7 @@ def test_verify_reports_shifted_breakpoint():
     assert len(res.failures) == 2
     # the witness: {V} claims [.., 1] but is beaten inside it, at b = 1/2
     half = Fraction(1, 2)
-    assert sp.g_value(oracle, bad.partitions[0], half) == Fraction(-1, 2)
+    assert sp.g_value(fraction_oracle(two_edges()), bad.partitions[0], half) == Fraction(-1, 2)
     assert sp.minimize_g(oracle, half) == -1
 
 
@@ -452,7 +453,8 @@ def test_verify_interior_samples():
 def _segment_witness(oracle, seq):
     """Whether some chain member is beaten inside its claimed segment, found
     by direct search: at each finite end, at the midpoint, and 10^6 beyond
-    an open end."""
+    an open end.  Pass a `fraction_oracle`, so that members are scored on
+    the family's `value`."""
     bps = seq.breakpoints
     far = Fraction(10**6)
     for j, part in enumerate(seq.partitions):
@@ -480,7 +482,8 @@ def test_segment_flag_is_exact_on_broken_chains():
     for family in sorted(sp.GENERATOR_FAMILIES):
         for n in range(3, 9):
             for seed in range(4):
-                oracle = sp.random_instance(family, n, seed).oracle()
+                fam = sp.random_instance(family, n, seed)
+                oracle, reference = fam.oracle(), fraction_oracle(fam)
                 seq = sp.compute_pps(oracle)
                 chains = [seq.breakpoints]
                 for i in range(len(seq.breakpoints)):
@@ -492,7 +495,7 @@ def test_segment_flag_is_exact_on_broken_chains():
                 for bps in chains:
                     chain = sp.PrincipalSequence(seq.partitions, bps)
                     res = sp.verify_pps(oracle, chain)
-                    witness = _segment_witness(oracle, chain)
+                    witness = _segment_witness(reference, chain)
                     assert res.segments_optimal_ok is not witness, (family, n, seed, bps)
                     outcomes.append(witness)
     assert sum(outcomes) > 1000 and len(outcomes) - sum(outcomes) > 100
@@ -528,7 +531,7 @@ def test_segment_proof_agrees_with_sampling():
     # segment directly must agree on every chain member
     checked = 0
     for fam in _proof_instances():
-        oracle = fam.oracle()
+        oracle, reference = fam.oracle(), fraction_oracle(fam)
         seq = sp.compute_pps(oracle)
         res = sp.verify_pps(oracle, seq)
         assert res.ok, fam.name
@@ -539,7 +542,7 @@ def test_segment_proof_agrees_with_sampling():
             hi = bps[j] if j < len(bps) else None
             for point in _old_sample_points(lo, hi):
                 best = sp.minimize_g(oracle, point)
-                assert sp.g_value(oracle, part, point) == best, (fam.name, j, point)
+                assert sp.g_value(reference, part, point) == best, (fam.name, j, point)
                 checked += 1
     assert checked > 700
 
@@ -555,13 +558,14 @@ def test_cap_enforced(monkeypatch):
 def test_chain_at_the_cap():
     # n = 13, the enumeration cap: the chain comes from the subset DP and its
     # members, with 1, 2 and 13 blocks, are checked by brute force
-    oracle = sp.random_instance("graph_cut", 13, 1).oracle()
+    fam = sp.random_instance("graph_cut", 13, 1)
+    oracle = fam.oracle()
     seq = sp.compute_pps(oracle)
     assert sp.verify_pps(oracle, seq).ok
     assert seq.block_counts() == (1, 2, 13)
     for part in seq.partitions:
         _, opt = sp.brute_force_optimal_k_partition(oracle, len(part))
-        assert sp.partition_value(oracle, part) == opt
+        assert sp.partition_value(fraction_oracle(fam), part) == opt
 
 
 def test_chain_search_frees_the_oracle():
