@@ -27,7 +27,8 @@ reads the oracle's scaled value table: it orders pieces and scores
 partitions and bounds in integers (`core.scaled_value`), and builds a
 Fraction only for a value it reports.  The two exceptions query the oracle
 through `eval` and `partition_value`, so on a fresh oracle they read only
-the subsets they name (n + 1 and 1) and build no table.
+the subsets they name (n + 1 and 1) and build no table; `cheapest_singleton`
+reads the table instead when the oracle already holds it.
 """
 
 from __future__ import annotations
@@ -171,20 +172,27 @@ def cheapest_singleton(oracle: ValueOracle, k: int) -> BaselineResult:
     """Split off the k-1 cheapest singletons, keep the rest as one block.
 
     Ties are broken by element index.  For monotone f this is within a
-    factor 2 - 1/k of the optimal k-partition.
+    factor 2 - 1/k of the optimal k-partition.  An oracle that holds its
+    value table is read from the table, with no `eval` call; a fresh one is
+    asked through `eval` for the n singletons and the rest of V only.
     """
     n = oracle.n
     require_block_count(k, n)
-    order = sorted(range(n), key=lambda i: (oracle.eval(1 << i), i))
-    taken = order[: k - 1]
-    rest = oracle.ground_set.full_mask
-    blocks = []
-    for i in taken:
-        blocks.append(1 << i)
-        rest ^= 1 << i
-    blocks.append(rest)
-    partition = Partition(n, blocks)
-    return BaselineResult("singleton", partition, partition_value(oracle, partition))
+    held = oracle._scaled  # the table, if some earlier call built it
+    if held is None:
+        order = sorted(range(n), key=lambda i: (oracle.eval(1 << i), i))
+    else:
+        d, tab = held
+        order = sorted(range(n), key=lambda i: (tab[1 << i], i))
+    blocks = [1 << i for i in order[: k - 1]]
+    blocks.append(oracle.ground_set.full_mask - sum(blocks))
+    blocks.sort(key=lambda m: m & -m)
+    partition = Partition._trusted(n, tuple(blocks))
+    if held is None:
+        value = partition_value(oracle, partition)
+    else:
+        value = Fraction(scaled_value(tab, partition), d)
+    return BaselineResult("singleton", partition, value)
 
 
 def _submasks_with_low_bit(mask: int):

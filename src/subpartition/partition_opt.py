@@ -1,14 +1,23 @@
 """Partition enumeration and exact parametric minimization.
 
-This module is the exhaustive engine under the principal-sequence search:
+This module holds the exhaustive engines under the principal-sequence search:
 
 * `enumerate_partitions(n, k)` streams all partitions of {0..n-1} (or those
   with exactly k blocks) in canonical order, lazily, O(n) memory,
-* `minimize_g(oracle, b)` minimizes f(P) - b|P| over all partitions,
-  returning the exact minimum as a Fraction (no count and no minimizer),
+* `_dilworth_greedy(n, D, tab, b)` is Narayanan's greedy for the Dilworth
+  truncation of f - b (Narayanan 1991; Fujishige 2005): one pass over the
+  2^n sets in scaled integers gives a lower bound x(V) on g(b) and a
+  partition R; when R attains x(V), that is g(b), proved for any f, and for
+  submodular f it always does, with R the finest minimizer.  `pps` builds
+  the whole chain from it,
+* `minimize_g(oracle, b)` returns g(b) = min over P of f(P) - b|P| as an
+  exact Fraction (no count and no minimizer), from the greedy, or from
+  `optimal_k_value` where the greedy's partition misses its bound, which
+  only non-submodular input reaches,
 * `optimal_k_value(oracle, k)` is the optimum every reported ratio and
   bound is measured against (`ratio_report`, CLI `solve --brute-force`,
-  every `reproduce` case): the value only, from an exhaustive DP over subsets,
+  every `reproduce` case): the value only, from an exhaustive top-down
+  recursion over (subset, blocks left) whose memo lives for one call,
 * `brute_force_optimal_k_partition(oracle, k)` is the enumeration reference
   the tests check it against: it scans the k-block partitions and returns
   the canonically first optimal one with its value.
@@ -18,32 +27,17 @@ opens block 0, and each later element either joins an existing block
 (ascending index) or opens the next fresh block.  That order makes "first
 minimizer found" a well-defined deterministic tie-break.
 
-The parametric objective g(b) = min over P of f(P) - b|P| equals min over k
-of OPT_k - b*k, the lower envelope of n lines, one per block count k, where
-OPT_k is the minimum of f over k-block partitions.  The first call on an
-oracle computes every OPT_k, values only, with a DP over subsets in integers
-scaled by the lcm of the value denominators: about 3^(n-1) (subset, first
-block) pairs instead of Bell(n) partitions.  That summary is cached per
-oracle.  `pps` reads the principal sequence off the lower convex hull of the
-points (k, OPT_k), rebuilding each vertex's optimal partition by a walk down
-the stored rows that also tells whether it is unique, and the two-level test
-off the points themselves.  `minimize_g` reads g(b) off it in O(n) exact
-integer steps; only the checks of a given chain call it (`verify_pps`, and
-`repair_chain` before it repairs a chain passed to it).
-Neither optimum below reads the summary, so each stays an independent
-reference for the optima the chain is built from: brute force scans the
-k-block partitions itself, and `optimal_k_value` runs its own top-down
-recursion over (mask, blocks left) with a memo that lives for one call.  A
-bug in the summary's DP therefore cannot reappear in the optimum the chain
-is compared against.  All of them read the oracle's value table, which
-checks the enumeration cap on every call; `enumerate_partitions` checks it.
+Nothing is cached between calls.  The greedy scans sets and the optimum
+scans (subset, block) pairs, so a bug in either cannot reappear in the
+other, and brute force shares code with neither.  All of them read the
+oracle's value table, which checks the enumeration cap on every call;
+`enumerate_partitions` checks it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterator
-from weakref import WeakKeyDictionary
 
 from .core import (
     Partition,
@@ -51,6 +45,7 @@ from .core import (
     as_fraction,
     require_block_count,
     require_within_cap,
+    scaled_value,
 )
 
 __all__ = [
@@ -103,102 +98,60 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
     return (Partition._trusted(n, masks) for masks in _raw_partitions(n, k))
 
 
-class _BlockCountOptima:
-    """Per-oracle optima by block count, from a DP over subsets.
+def _dilworth_greedy(n: int, d: int, tab: tuple[int, ...], b: Fraction) -> tuple[int, Partition]:
+    """Narayanan's greedy for the Dilworth truncation of f - b, in integers
+    scaled by D q at b = p/q, on the scaled value table (D, tab).
 
-    For a mask M and block count k, h_k(M) is the scaled minimum of f over
-    k-block partitions of M.  Every partition of M has exactly one block S
-    holding low(M), the lowest element of M, so
-    h_k(M) = min over S with low(M) in S, S a subset of M, of
-    tab[S] + h_{k-1}(M - S).  `_rows` holds the values h_1(M)..h_|M|(M),
-    indexed by k - 1, for V and for every mask without element 0 (these
-    include every remainder M - S of a partition of V, and the suffix sets
-    {i..n-1}).  `values` is V's row.
+    For i = 0..n-1, x_i is the minimum over the sets S with max(S) = i of
+    (q tab[S] - D p) - x(S - i), and i merges with every block that meets
+    the first minimizing S in ascending mask order.  Returns X = x(V) and
+    the merged partition R.  Every nonempty S has a largest element, so
+    x(S) <= D q (f(S) - b) for all S, and summing over the blocks of any
+    partition Q gives X <= D q (f(Q) - b|Q|): whenever R attains X, X is
+    D q g(b).  For submodular f it always does, and R is the finest
+    minimizer, because the first minimizing S is inclusion-minimal.
     """
-
-    def __init__(self, n: int, denominator: int, tab: tuple[int, ...]):
-        self.n = n
-        self.denominator = denominator
-        self._tab = tab
-        full = (1 << n) - 1
-        rows: list[list[int] | None] = [None] * (full + 1)
-        rows[0] = []
-        for m in [*range(2, full, 2), full]:
-            low = m & -m
-            rest = m ^ low
-            # S = M gives k = 1, and S = {low(M)} leaves all of M - low(M),
-            # which covers every k >= 2; then every other nonempty remainder
-            vals = [tab[m]] + [tab[low] + v for v in rows[rest]]
-            r = (rest - 1) & rest
-            while r:
-                ts = tab[m ^ r]
-                j = 1
-                for v in rows[r]:
-                    v += ts
-                    if v < vals[j]:
-                        vals[j] = v
-                    j += 1
-                r = (r - 1) & rest
-            rows[m] = vals
-        self._rows = rows
-        self.values = tuple(rows[full])
-
-    def first(self, k: int) -> Partition | None:
-        """The k-block partition attaining OPT_k when it is the only one;
-        None when several tie.
-
-        Walks down from V: at (M, j) the block holding low(M) of every
-        optimal j-block partition of M leaves a remainder r with
-        tab[M - r] + h_{j-1}(r) == h_j(M), and every such r is the remainder
-        of one.  So the optimum is unique exactly when each step finds one
-        match; two matches at any step are a tie.  O(k 2^n) steps.
-        """
-        tab, rows = self._tab, self._rows
-        # each block taken holds the lowest element left, so the blocks come
-        # out in canonical order
-        blocks = []
-        m = (1 << self.n) - 1
-        for j in range(k, 1, -1):
-            target = rows[m][j - 1]
-            rest = m & (m - 1)  # M - low(M)
-            found = None
-            r = rest
-            while r:
-                if r.bit_count() >= j - 1 and tab[m ^ r] + rows[r][j - 2] == target:
-                    if found is not None:
-                        return None
-                    found = r
-                r = (r - 1) & rest
-            blocks.append(m ^ found)
-            m = found
-        blocks.append(m)
-        return Partition._trusted(self.n, tuple(blocks))
-
-
-_optima: "WeakKeyDictionary[ValueOracle, _BlockCountOptima]" = WeakKeyDictionary()
-
-
-def _block_count_optima(oracle: ValueOracle) -> _BlockCountOptima:
-    d, tab = oracle.scaled_table()  # on every call: the table checks the cap
-    opt = _optima.get(oracle)
-    if opt is None:
-        opt = _BlockCountOptima(oracle.n, d, tab)
-        _optima[oracle] = opt
-    return opt
+    p, q = b.numerator, b.denominator
+    dp = d * p
+    xs = [0]  # xs[T] = x(T) for every T within {0..i-1}
+    blocks: list[int] = []
+    for i in range(n):
+        lo = 1 << i
+        # q tab[S] - x(S - i) for S = lo + T, in ascending mask order
+        gaps = [q * t - s for t, s in zip(tab[lo : lo << 1], xs)]
+        best = min(gaps)
+        t = gaps.index(best)
+        xi = best - dp
+        xs += [s + xi for s in xs]
+        merged = lo
+        kept = []
+        for blk in blocks:
+            if blk & t:
+                merged |= blk
+            else:
+                kept.append(blk)
+        kept.append(merged)
+        blocks = kept
+    blocks.sort(key=lambda m: m & -m)
+    return xs[-1], Partition._trusted(n, tuple(blocks))
 
 
 def minimize_g(oracle: ValueOracle, b) -> Fraction:
     """Minimize f(P) - b * |P| over all partitions of the ground set.
 
     Returns the exact minimum as a Fraction, with no minimizer and no count,
-    read off the per-oracle block-count optima in O(n) integer steps.
+    for any oracle: x(V) of `_dilworth_greedy` when its partition attains
+    it, which every submodular oracle guarantees, and otherwise the minimum
+    over k of OPT_k - b*k from `optimal_k_value`.
     """
     b = as_fraction(b)
     p, q = b.numerator, b.denominator
-    opt = _block_count_optima(oracle)
-    dp = opt.denominator * p
-    best = min(q * value - dp * k for k, value in enumerate(opt.values, 1))
-    return Fraction(best, opt.denominator * q)
+    n = oracle.n
+    d, tab = oracle.scaled_table()
+    x, r = _dilworth_greedy(n, d, tab, b)
+    if q * scaled_value(tab, r) - d * p * len(r) == x:
+        return Fraction(x, d * q)
+    return min(optimal_k_value(oracle, k) - b * k for k in range(1, n + 1))
 
 
 def brute_force_optimal_k_partition(oracle: ValueOracle, k: int) -> tuple[Partition, Fraction]:

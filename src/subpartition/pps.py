@@ -14,14 +14,16 @@ of f is a chain P_1, ..., P_r with breakpoints b_1 <= ... <= b_{r-1} such that
 
 Block counts |P_j| increase strictly along the chain.  Since
 g(b) = min over k of OPT_k - b*k, with OPT_k the minimum of f over k-block
-partitions, the chain's block counts are the vertices of the lower convex
-hull of the points (k, OPT_k), and its breakpoints are the slopes of the
-hull's edges (Narayanan 1991).  `compute_pps` reads that hull off the
-per-oracle block-count optima in one pass, with no minimize_g call, and
-takes the unique optimal partition at each vertex.  Where an adjacent pair
-splits several blocks at one tied breakpoint, it restores step 2 by
-splitting them one at a time; `repair_chain` does the same on any chain,
-after checking against minimize_g that each such pair attains g.
+partitions, the chain's block counts are the strict vertices of the lower
+convex hull of the points (k, OPT_k), and its breakpoints are the slopes of
+the hull's edges (Narayanan 1991).  `compute_pps` finds them by a bracket
+search with Narayanan's greedy (`partition_opt._dilworth_greedy`): at the
+crossing b of two members' lines, the greedy either proves the pair
+adjacent or returns the finest minimizer at b, a new member strictly
+between them.  It makes no minimize_g call.  Where an adjacent pair splits
+several blocks at one tied breakpoint, it restores step 2 by splitting them
+one at a time; `repair_chain` does the same on any chain, after checking
+against minimize_g that each such pair attains g.
 
 `verify_pps` and `repair_chain` score the chain members on the oracle's
 scaled value table in integers (`core.scaled_value`), so at b = p/q a
@@ -36,7 +38,8 @@ segment meets it everywhere between, and a line that misses g at an end is
 not optimal there.  The unbounded end segments need |P_1| = 1 and |P_r| = n
 instead of a far end, since no line is flatter (steeper) than the one-block
 (all-singletons) one.  The argument uses no property of f, so it holds for
-any oracle and nothing is left to sample.
+any oracle and nothing is left to sample.  minimize_g runs the same greedy
+that builds the chain, so the check does not yet stand apart from it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .core import (
     singleton_partition,
     trivial_partition,
 )
-from .partition_opt import _block_count_optima, minimize_g
+from .partition_opt import _dilworth_greedy, minimize_g, optimal_k_value
 
 __all__ = [
     "PpsVerification",
@@ -105,50 +108,56 @@ class PrincipalSequence:
         return tuple(len(p) for p in self.partitions)
 
 
-def _on_or_above(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> bool:
-    """Whether point b lies on or above the segment from a to c, for
-    integer points with a[0] < b[0] < c[0]."""
-    return (b[1] - a[1]) * (c[0] - b[0]) >= (c[1] - b[1]) * (b[0] - a[0])
-
-
 def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     """Compute the principal sequence of a submodular oracle.
 
-    Builds the lower convex hull of the points (k, OPT_k), k = 1..n, in the
-    summary's scaled integers, keeping only strict vertices: collinear
-    points lie on an edge, where g has no breakpoint of its own.  The chain
-    is the unique OPT_k partition at each vertex, split stepwise as in
-    `repair_chain`, and the breakpoints are the exact slopes of the edges.
-    For submodular f every vertex partition is unique and each refines the
-    one before (Narayanan 1991).  Attainment needs no check, for any f:
-    adjacent vertices attain g at their edge's slope by the definition of g,
-    and inserted members by the argument in `repair_chain`.  Raises
-    NonSubmodularError, naming b and two block counts, when several
-    partitions tie at a vertex (b is where its two hull neighbours cross)
-    or when two adjacent members are not nested.
+    A bracket search from {V} to the singletons on a stack, with one
+    `_dilworth_greedy` call per bracket, at the b where the lines of its two
+    members cross.  If the greedy's X equals their value there, both attain
+    g(b) and the pair is adjacent, with breakpoint b.  Otherwise the
+    greedy's partition R must attain X and have a block count strictly
+    between the pair's; it then splits the bracket.  No submodular oracle
+    fails either check, and together they bound the search to 2r - 3 calls
+    for r members; a failure raises NonSubmodularError naming b and the
+    pair's block counts.  For submodular f, R is the finest minimizer at b,
+    so the members are the strict vertices of the lower hull of the points
+    (k, OPT_k) (Narayanan 1991).  Members that split several blocks are then
+    split stepwise as in `repair_chain`, and a pair that is not nested
+    raises NonSubmodularError.
     """
-    opt = _block_count_optima(oracle)
-
-    def slope(a: tuple[int, int], c: tuple[int, int]) -> Fraction:
-        return Fraction(c[1] - a[1], opt.denominator * (c[0] - a[0]))
-
-    hull: list[tuple[int, int]] = []  # strict vertices (k, scaled OPT_k) so far
-    for c in enumerate(opt.values, 1):
-        while len(hull) >= 2 and _on_or_above(hull[-2], hull[-1], c):
-            hull.pop()
-        hull.append(c)
-    chain = []
-    for v, (k, _) in enumerate(hull):
-        part = opt.first(k)
-        if part is None:  # never at the ends: one partition has 1 or n blocks
-            a, c = hull[v - 1], hull[v + 1]
-            raise NonSubmodularError(
-                f"several minimizers at b={slope(a, c)} tie at the largest block count, "
-                f"which no submodular oracle allows (brackets of {a[0]} and {c[0]} blocks)"
-            )
-        chain.append(part)
-    breakpoints = tuple(slope(a, c) for a, c in zip(hull, hull[1:]))
-    return _split_stepwise(PrincipalSequence(tuple(chain), breakpoints))
+    n = oracle.n
+    d, tab = oracle.scaled_table()
+    coarse = trivial_partition(n)
+    if n == 1:
+        return PrincipalSequence((coarse,), ())
+    coarse_total = tab[-1]
+    chain = [coarse]
+    breakpoints: list[Fraction] = []
+    singletons = singleton_partition(n)
+    pending = [(singletons, scaled_value(tab, singletons))]  # members to reach, next on top
+    while pending:
+        fine, fine_total = pending[-1]
+        b = Fraction(fine_total - coarse_total, d * (len(fine) - len(coarse)))
+        p, q = b.numerator, b.denominator
+        x, r = _dilworth_greedy(n, d, tab, b)
+        if x == q * coarse_total - d * p * len(coarse):
+            chain.append(fine)
+            breakpoints.append(b)
+            coarse, coarse_total = pending.pop()
+            continue
+        r_total = scaled_value(tab, r)
+        if q * r_total - d * p * len(r) != x:
+            found = "does not attain x(V)"
+        elif not len(coarse) < len(r) < len(fine):
+            found = f"has {len(r)} blocks"
+        else:
+            pending.append((r, r_total))
+            continue
+        raise NonSubmodularError(
+            f"at b={b}, bracketed by chain members with {len(coarse)} and {len(fine)} "
+            f"blocks, the greedy's partition {found}, which no submodular oracle allows"
+        )
+    return _split_stepwise(PrincipalSequence(tuple(chain), tuple(breakpoints)))
 
 
 def _split_stepwise(sequence: PrincipalSequence) -> PrincipalSequence:
@@ -334,8 +343,11 @@ def check_two_level_condition(oracle: ValueOracle) -> bool:
     holds, the principal sequence is exactly ({V}, Q) with the single
     breakpoint b*.  Only the cheapest partition of each block count
     matters, so it holds exactly when every point (k, OPT_k), 1 < k < n,
-    lies strictly above the chord from (1, f(V)) to (n, f(Q)).
+    lies strictly above the chord from (1, f(V)) to (n, f(Q)); OPT_k comes
+    from `optimal_k_value`, f(V) and f(Q) from the value table.
     """
-    v = _block_count_optima(oracle).values
-    n = len(v)
-    return all((v[k - 1] - v[0]) * (n - 1) > (v[-1] - v[0]) * (k - 1) for k in range(2, n))
+    n = oracle.n
+    d, tab = oracle.scaled_table()
+    top = Fraction(tab[-1], d)
+    rise = Fraction(sum(tab[1 << i] for i in range(n)), d) - top
+    return all((optimal_k_value(oracle, k) - top) * (n - 1) > rise * (k - 1) for k in range(2, n))

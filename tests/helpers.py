@@ -72,3 +72,30 @@ def fraction_oracle(fam) -> sp.ValueOracle:
     (and builds its table, when asked, from those answers): the reference
     that integer tables and integer scoring are compared against."""
     return sp.ValueOracle(fam.ground_set(), fam.value)
+
+
+def submodular_table(rng, n):
+    """A random submodular table with f(empty) != 0: a nonzero constant plus
+    one to four small-integer terms, each a cut, a coverage, a hypergraph
+    cut, a concave function of |S| or a signed modular function."""
+    masks = range(1 << n)
+    values = [rng.choice((-3, -2, -1, 1, 2, 3))] * (1 << n)
+    for _ in range(rng.randint(1, 4)):
+        kind, w = rng.randrange(5), rng.randint(1, 3)
+        if kind == 0:  # the cut of one edge u-v
+            u, v = rng.sample(range(n), 2)
+            term = [w * ((m >> u ^ m >> v) & 1) for m in masks]
+        elif kind == 1:  # one item, covered by any element of `members`
+            members = rng.randrange(1, 1 << n)
+            term = [w * bool(m & members) for m in masks]
+        elif kind == 2:  # the cut of one hyperedge
+            members = sum(1 << i for i in rng.sample(range(n), rng.randint(2, n)))
+            term = [w * (m & members not in (0, members)) for m in masks]
+        elif kind == 3:  # concave in |S|: nonincreasing increments
+            steps = sorted((rng.randint(-2, 3) for _ in range(n)), reverse=True)
+            term = [sum(steps[: m.bit_count()]) for m in masks]
+        else:  # signed modular
+            weights = [rng.randint(-3, 3) for _ in range(n)]
+            term = [sum(x for i, x in enumerate(weights) if m >> i & 1) for m in masks]
+        values = [v + t for v, t in zip(values, term)]
+    return values

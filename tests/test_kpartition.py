@@ -171,6 +171,32 @@ def test_cheapest_singleton_cardinality():
         assert sp.cheapest_singleton(oracle, k).value == 6
 
 
+def test_cheapest_singleton_reads_a_held_table():
+    # an oracle that holds its table answers the baseline from the table:
+    # no eval, so no call of the family's value; partition and value equal
+    # those of the eval path on a fresh oracle, ties by index included
+    families = [
+        sp.random_instance(family, 6, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for seed in range(3)
+    ]
+    families += [footnote_matroid(), cardinality(5), mono3(), posi3(), mono_n(5), omega(5)]
+    for fam in families:
+        calls = []
+
+        def counted(mask, value=fam.value):
+            calls.append(mask)
+            return value(mask)
+
+        oracle = sp.ValueOracle(fam.ground_set(), counted)
+        oracle.scaled_table()
+        calls.clear()
+        queries = oracle.total_calls
+        for k in range(1, fam.n + 1):
+            assert sp.cheapest_singleton(oracle, k) == sp.cheapest_singleton(fam.oracle(), k)
+        assert calls == [] and oracle.total_calls == queries, fam
+
+
 def test_cheapest_singleton_coverage():
     oracle = coverage_path3().oracle()
     base = sp.cheapest_singleton(oracle, 2)

@@ -18,6 +18,7 @@ from helpers import (
     mono_n,
     omega,
     posi3,
+    submodular_table,
     two_edges,
     two_triangles,
     unit_path3,
@@ -90,13 +91,10 @@ def test_enumeration_checks_its_arguments_when_called():
 
 
 def _finest(oracle, b):
-    """The optimal partition at the largest block count k whose line
-    OPT_k - b*k attains minimize_g's value, read back from the subset DP's
-    summary; None when several partitions tie there."""
-    opt = partition_opt._block_count_optima(oracle)
-    value = sp.minimize_g(oracle, b)
-    lines = [Fraction(v, opt.denominator) - b * k for k, v in enumerate(opt.values, 1)]
-    return opt.first(max(k for k, line in enumerate(lines, 1) if line == value))
+    """The partition R that Narayanan's greedy merges at b: for submodular f
+    the finest minimizer of f(P) - b|P|."""
+    d, tab = oracle.scaled_table()
+    return partition_opt._dilworth_greedy(oracle.n, d, tab, sp.as_fraction(b))[1]
 
 
 def test_minimize_g_zero_oracle():
@@ -221,8 +219,8 @@ def test_enumeration_cap_enforced(monkeypatch):
 
 
 def test_cap_gates_warm_caches(monkeypatch):
-    # the value table checks the cap on every call, so neither a cached table
-    # nor a cached minimize_g summary lets exhaustive work past a lowered cap
+    # the value table checks the cap on every call, so a cached table lets
+    # no exhaustive work past a lowered cap
     oracle = sp.GraphCutFn(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 1)]).oracle()
     oracle.scaled_table()
     sp.minimize_g(oracle, 1)
@@ -276,7 +274,7 @@ def test_minimize_g_matches_independent_scan():
         top = 2 if i % 2 else 9  # half of the tables are tie-heavy
         values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
         families.append(sp.ExplicitTableFn(n, values))
-    tied_finest = 0
+    tied_finest = missed = 0
     for fam in families:
         oracle = fam.oracle()
         submodular = sp.check_submodular(oracle).ok
@@ -290,61 +288,16 @@ def test_minimize_g_matches_independent_scan():
         params.update(breakpoints)
         params.update(b + Fraction(1, 7) for b in breakpoints)
         for b in sorted(params):
-            expected = _minimize_g_by_scan(scored, b)
-            assert (sp.minimize_g(oracle, b), _finest(oracle, b)) == expected
-            if expected[1] is None:
-                # a tie at the largest tied block count is no submodular lattice
-                assert not submodular, (fam, b)
-                tied_finest += 1
-    assert tied_finest
-
-
-def _bell_pass_summary(oracle):
-    """Reference summary by one walk over all partitions in canonical order:
-    per block count k, the optimum of f, how many partitions attain it and
-    the first that does."""
-    values, counts, firsts = {}, {}, {}
-    for part in sp.enumerate_partitions(oracle.n):
-        k, value = len(part), sp.partition_value(oracle, part)
-        if k not in values or value < values[k]:
-            values[k], counts[k], firsts[k] = value, 1, part
-        elif value == values[k]:
-            counts[k] += 1
-    return values, counts, firsts
-
-
-def test_block_count_optima_match_a_bell_pass(monkeypatch):
-    families = [
-        sp.random_instance(family, n, seed)
-        for family in sorted(sp.GENERATOR_FAMILIES)
-        for n in range(2, 9)
-        for seed in range(2)
-    ]
-    rng = random.Random("block-count-optima")
-    for i in range(80):
-        n = 2 + i % 6
-        top = (1, 2, 9)[i % 3]  # values in {0, 1} or {0, 1, 2} tie heavily
-        values = [0] + [rng.randint(0, top) for _ in range((1 << n) - 1)]
-        families.append(sp.ExplicitTableFn(n, values))
-    oracles = [fam.oracle() for fam in families]
-    summaries = [_bell_pass_summary(fraction_oracle(fam)) for fam in families]
-
-    def no_enumeration(n, k=None):
-        raise AssertionError("the summary enumerated partitions")
-
-    monkeypatch.setattr(partition_opt, "_raw_partitions", no_enumeration)
-    rebuilt = tied = 0
-    for oracle, (values, counts, firsts) in zip(oracles, summaries):
-        opt = partition_opt._block_count_optima(oracle)
-        n = oracle.n
-        assert [Fraction(v, opt.denominator) for v in opt.values] == [values[k] for k in range(1, n + 1)]
-        for k in range(1, n + 1):
-            # a unique optimum is rebuilt by the walk down the rows; a tied
-            # one has no single answer
-            assert opt.first(k) == (firsts[k] if counts[k] == 1 else None), (oracle, k)
-            rebuilt += counts[k] == 1
-            tied += counts[k] > 1
-    assert rebuilt and tied
+            value, finest = _minimize_g_by_scan(scored, b)
+            assert sp.minimize_g(oracle, b) == value, (fam, b)
+            if submodular:
+                # the minimizers form a lattice, and the greedy merges its finest
+                assert _finest(oracle, b) == finest, (fam, b)
+            else:
+                tied_finest += finest is None
+                # where the greedy's partition misses g(b), minimize_g falls back
+                missed += sp.g_value(reference, _finest(oracle, b), b) != value
+    assert tied_finest and missed
 
 
 def _three_block_table(low_values):
@@ -356,50 +309,18 @@ def _three_block_table(low_values):
     return sp.ExplicitTableFn(4, values).oracle()
 
 
-def test_first_detects_a_tie_at_any_depth():
+def test_optimal_k_value_finds_ties_at_any_depth():
     # {0} is the only block holding element 0 in an optimal 3-partition,
-    # but its remainder {1, 2, 3} splits as {1}{2, 3} or {1, 2}{3}: a walk
-    # that checks only the top step for a second match misses this tie
+    # but its remainder {1, 2, 3} splits as {1}{2, 3} or {1, 2}{3}
     deep = _three_block_table({0b0001: 0, 0b0010: 1, 0b1100: 1, 0b0110: 1, 0b1000: 1})
     # the converse: {0}{1}{2, 3} and {0, 1}{2}{3} tie at the top step, and
-    # each remainder splits one way only; a walk that stops at its first
-    # match returns one of them
+    # each remainder splits one way only
     top = _three_block_table({0b0001: 0, 0b0010: 1, 0b1100: 1, 0b0011: 0, 0b0100: 1, 0b1000: 1})
     # without {1, 2} the deep tie is gone and the optimum is unique
     unique = _three_block_table({0b0001: 0, 0b0010: 1, 0b1100: 1, 0b1000: 1})
     for oracle, ties in ((deep, 2), (top, 2), (unique, 1)):
         assert len(_optima_by_bell_scan(oracle)[3][1]) == ties
         assert sp.optimal_k_value(oracle, 3) == 2
-    assert partition_opt._block_count_optima(deep).first(3) is None
-    assert partition_opt._block_count_optima(top).first(3) is None
-    assert partition_opt._block_count_optima(unique).first(3) == sp.Partition(4, [0b0001, 0b0010, 0b1100])
-
-
-def _submodular_table(rng, n):
-    """A random submodular table with f(empty) != 0: a nonzero constant plus
-    one to four small-integer terms, each a cut, a coverage, a hypergraph
-    cut, a concave function of |S| or a signed modular function."""
-    masks = range(1 << n)
-    values = [rng.choice((-3, -2, -1, 1, 2, 3))] * (1 << n)
-    for _ in range(rng.randint(1, 4)):
-        kind, w = rng.randrange(5), rng.randint(1, 3)
-        if kind == 0:  # the cut of one edge u-v
-            u, v = rng.sample(range(n), 2)
-            term = [w * ((m >> u ^ m >> v) & 1) for m in masks]
-        elif kind == 1:  # one item, covered by any element of `members`
-            members = rng.randrange(1, 1 << n)
-            term = [w * bool(m & members) for m in masks]
-        elif kind == 2:  # the cut of one hyperedge
-            members = sum(1 << i for i in rng.sample(range(n), rng.randint(2, n)))
-            term = [w * (m & members not in (0, members)) for m in masks]
-        elif kind == 3:  # concave in |S|: nonincreasing increments
-            steps = sorted((rng.randint(-2, 3) for _ in range(n)), reverse=True)
-            term = [sum(steps[: m.bit_count()]) for m in masks]
-        else:  # signed modular
-            weights = [rng.randint(-3, 3) for _ in range(n)]
-            term = [sum(x for i, x in enumerate(weights) if m >> i & 1) for m in masks]
-        values = [v + t for v, t in zip(values, term)]
-    return values
 
 
 def _optima_by_bell_scan(oracle):
@@ -419,10 +340,10 @@ def _optima_by_bell_scan(oracle):
 def test_finest_minimizer_is_unique_on_submodular_input():
     # for submodular f the minimizers of f(P) - b|P| form a lattice
     # (Narayanan 1991), so exactly one has the most blocks at every b, and
-    # minimize_g reads it off the summary; checked at every crossing of two
-    # block-count lines, where ties happen, and 1/3 to either side
+    # the greedy merges it; checked at every crossing of two block-count
+    # lines, where ties happen, and 1/3 to either side
     rng = random.Random("lattice")
-    families = [sp.ExplicitTableFn(n, _submodular_table(rng, n)) for n in [2, 3, 4, 5, 6, 7] * 50]
+    families = [sp.ExplicitTableFn(n, submodular_table(rng, n)) for n in [2, 3, 4, 5, 6, 7] * 50]
     families += [
         sp.random_instance(family, n, seed)
         for family in sorted(sp.GENERATOR_FAMILIES)

@@ -18,6 +18,7 @@ from helpers import (
     mono_n,
     omega,
     posi3,
+    submodular_table,
     two_edges,
     unit_path3,
     weighted_path4,
@@ -197,7 +198,7 @@ def test_determinism():
 
 
 def test_minimize_call_budget_on_random_instances(monkeypatch):
-    # the chain, its repair included, is read off the block-count optima
+    # the chain, its repair included, comes from the greedy alone
     calls = _count_minimize_calls(monkeypatch)
     for family in ("graph_cut", "hypergraph_cut", "graph_coverage"):
         for seed in (1, 2):
@@ -210,7 +211,7 @@ def test_minimize_call_budget_on_random_instances(monkeypatch):
 
 
 def test_compute_pps_never_minimizes(monkeypatch):
-    # hull vertices attain g at their edge slopes by the definition of g,
+    # adjacent members attain g at their breakpoint by the greedy's bound,
     # and a member the repair inserts attains it too, so even the chain
     # that needs a repair (two_edges) asks minimize_g nothing
     calls = _count_minimize_calls(monkeypatch)
@@ -244,11 +245,28 @@ def _strict_lower_hull(optima):
     return [1, *inner, n]
 
 
+def _tie_heavy_cuts(rng, count):
+    """Graph cuts and hypergraph cuts with weights 0-2 at n = 2..7, where
+    many partitions tie and the greedy's crossing b often lands on a hull
+    edge instead of a vertex."""
+    for i in range(count):
+        n = 2 + i % 6
+        if i % 2:
+            edges = [(u, v, rng.randint(0, 2)) for u in range(n) for v in range(u + 1, n)]
+            yield sp.GraphCutFn(n, rng.sample(edges, rng.randint(1, len(edges))))
+        else:
+            hyperedges = [
+                (rng.sample(range(n), rng.randint(2, n)), rng.randint(0, 2))
+                for _ in range(rng.randint(1, 4))
+            ]
+            yield sp.HypergraphCutFn(n, hyperedges)
+
+
 def test_chain_is_the_lower_hull_of_enumerated_optima():
     # before repair, the chain is the optimal partition at each strict
     # vertex of the hull of (k, OPT_k) and the breakpoints are the hull's
     # slopes; the reference hull is built here from brute-force enumeration,
-    # which shares no code with the subset DP
+    # which shares no code with the greedy
     families = [
         sp.random_instance(family, n, seed)
         for family in sorted(sp.GENERATOR_FAMILIES)
@@ -256,6 +274,9 @@ def test_chain_is_the_lower_hull_of_enumerated_optima():
         for seed in range(4)
     ]
     families += [mono3(), posi3(), mono_n(7), omega(6)]
+    rng = random.Random("lower-hull")
+    families += _tie_heavy_cuts(rng, 240)
+    families += [sp.ExplicitTableFn(n, submodular_table(rng, n)) for n in [2, 3, 4, 5, 6, 7] * 20]
     repaired = 0
     for fam in families:
         oracle = fam.oracle()
@@ -269,6 +290,14 @@ def test_chain_is_the_lower_hull_of_enumerated_optima():
         assert sp.compute_pps(oracle) == expected, fam
         repaired += len(expected) > len(hull)
     assert repaired
+
+
+def test_compute_pps_names_a_pair_that_is_not_nested():
+    # not submodular: the greedy's partitions at the crossings attain g, but
+    # its 2- and 3-block members are not nested
+    oracle = sp.ExplicitTableFn(4, [0, 0, 0, 1, 0, 2, 1, 4, 1, 3, 3, 0, 0, 4, 1, 2]).oracle()
+    with pytest.raises(sp.NonSubmodularError, match="with 2 and 3 blocks at b=0 are not nested"):
+        sp.compute_pps(oracle)
 
 
 def test_repair_checks_attainment_of_the_pairs_it_splits(monkeypatch):
@@ -556,7 +585,7 @@ def test_cap_enforced(monkeypatch):
 
 
 def test_chain_at_the_cap():
-    # n = 13, the enumeration cap: the chain comes from the subset DP and its
+    # n = 13, the enumeration cap: the chain comes from the greedy and its
     # members, with 1, 2 and 13 blocks, are checked by brute force
     fam = sp.random_instance("graph_cut", 13, 1)
     oracle = fam.oracle()
@@ -569,8 +598,8 @@ def test_chain_at_the_cap():
 
 
 def test_chain_search_frees_the_oracle():
-    # no reference cycle may keep an oracle, its value table and its cached
-    # minimize_g summary alive until the cyclic collector happens to run
+    # no reference cycle may keep an oracle and its value table alive until
+    # the cyclic collector happens to run
     gc.disable()
     try:
         oracle = weighted_path4().oracle()
