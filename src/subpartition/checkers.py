@@ -1,25 +1,33 @@
 """Exhaustive property checkers for value oracles at desk scale.
 
 Each checker reads the whole value table, so they are meant for ground sets
-within the enumeration cap.  The two pair properties are decided by exact
-local tests over single elements, each equivalent to its condition on all
-4^n subset pairs:
+within the enumeration cap.  Every property is decided in bulk, by
+comparisons made in C over list slices or whole lists:
 
 * submodular: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j
-  outside S, about n^2 2^n / 8 comparisons, made in C over list slices of
-  the gains f(S+i) - f(S) (n(n-1)/2 slice pairs);
+  outside S, about n^2 2^n / 8 comparisons over slices of the gains
+  f(S+i) - f(S) (n(n-1)/2 slice pairs), equivalent to the condition on all
+  4^n subset pairs;
 * posimodular: f(S+e) - f(S) >= f(V-T-e) - f(V-T) for every e and every
-  S subset of T subset of V-e, about n^2 2^(n-1) steps (see
-  `check_posimodular`).
+  S subset of T subset of V-e, also equivalent to its pair condition: per
+  element a subset-min sweep over the other n-1 bits, skipped when the
+  element's gains are all nonnegative (see `check_posimodular`);
+* monotone: f(S) <= f(S+v) for every v and S outside v, n 2^(n-1)
+  comparisons over slice pairs;
+* symmetric: the table equals its own reverse, since index full - S is
+  V - S.
 
-Only when a local test fails does its checker scan all 4^n pairs, to name
-the first witness.  A failed check returns the first counterexample in the
-documented scan order, which makes failures reproducible and comparable
-across runs:
+Only when a test fails does its checker scan, to name the first witness:
+all 4^n pairs for the two pair properties, the sets in order for the other
+two.  A failed check returns the first counterexample in the documented
+scan order, which makes failures reproducible and comparable across runs:
 
 * submodular / posimodular: pairs (A, B) with A ascending, then B ascending,
 * monotone: sets S ascending, then added elements ascending,
 * symmetric: sets S ascending (each violation is met first at min(S, V-S)).
+
+A pair or monotone scan that finds no witness after its test failed
+raises `RuntimeError` rather than report the table either way.
 """
 
 from __future__ import annotations
@@ -96,6 +104,16 @@ def _halves(vals, bit: int):
     )
 
 
+def _slice_pairs(size: int, bit: int) -> list[tuple[slice, slice]]:
+    """Slices (lacking, having) of a list of length `size` that together
+    pair every index lacking `bit` with that index plus `bit`: `bit`
+    strided slices while that is at most the number of contiguous chunks,
+    size / (2 bit) chunks above that."""
+    if bit <= size // (2 * bit):
+        return [(slice(o, size, 2 * bit), slice(o + bit, size, 2 * bit)) for o in range(bit)]
+    return [(slice(c, c + bit), slice(c + bit, c + 2 * bit)) for c in range(0, size, 2 * bit)]
+
+
 def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
     """Diminishing returns for single elements: f(S+i) + f(S+j) >=
     f(S+i+j) + f(S) for all S and i < j outside S."""
@@ -123,14 +141,27 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
     return _first_pair_witness("submodular", d, tab, lambda a, b: tab[a | b] + tab[a & b])
 
 
+def _locally_monotone(n: int, tab: tuple[int, ...]) -> bool:
+    """f(S) <= f(S + v) for every v and every S outside v."""
+    return all(
+        all(map(operator.le, tab[lacking], tab[having]))
+        for v in range(n)
+        for lacking, having in _slice_pairs(len(tab), 1 << v)
+    )
+
+
 def check_monotone(oracle: ValueOracle) -> CheckResult:
     """f(S) <= f(S + {v}) for all S and v outside S (implies f(A) <= f(B)
-    for every A subset of B)."""
+    for every A subset of B).
+
+    Decided on list slices; the ordered scan runs only on failure, to
+    report the first witness.
+    """
     d, tab = oracle.scaled_table()
     n = oracle.n
-    full = oracle.ground_set.full_mask
-    for s in range(full + 1):
-        fs = tab[s]
+    if _locally_monotone(n, tab):
+        return CheckResult("monotone", True)
+    for s, fs in enumerate(tab):
         for v in range(n):
             bit = 1 << v
             if s & bit:
@@ -140,20 +171,23 @@ def check_monotone(oracle: ValueOracle) -> CheckResult:
                 return CheckResult(
                     "monotone", False, (s, t), Fraction(fs, d), Fraction(tab[t], d)
                 )
-    return CheckResult("monotone", True)
+    raise RuntimeError("monotone: the local test failed but no pair violates it")
 
 
 def check_symmetric(oracle: ValueOracle) -> CheckResult:
-    """f(S) = f(V - S) for all S."""
+    """f(S) = f(V - S) for all S.
+
+    Index full - S of the table is V - S, so the check is one comparison of
+    the table with its reverse; the scan runs only on failure, to report
+    the first witness.
+    """
     d, tab = oracle.scaled_table()
+    if tab == tab[::-1]:
+        return CheckResult("symmetric", True)
     full = oracle.ground_set.full_mask
-    for s in range(full + 1):
-        c = full ^ s
-        if tab[s] != tab[c]:
-            return CheckResult(
-                "symmetric", False, (s, c), Fraction(tab[s], d), Fraction(tab[c], d)
-            )
-    return CheckResult("symmetric", True)
+    s = next(s for s, (fs, fc) in enumerate(zip(tab, reversed(tab))) if fs != fc)
+    c = full ^ s
+    return CheckResult("symmetric", False, (s, c), Fraction(tab[s], d), Fraction(tab[c], d))
 
 
 def _locally_posimodular(n: int, tab: tuple[int, ...]) -> bool:
@@ -161,23 +195,21 @@ def _locally_posimodular(n: int, tab: tuple[int, ...]) -> bool:
     every e and every S subset of T subset of V-e."""
     size = len(tab) >> 1
     for e in range(n):
-        bit = 1 << e
         # gain[t] = f(T+e) - f(T), with T the t-th subset of V-e in mask order
-        gain = [tab[s | bit] - tab[s] for s in range(len(tab)) if not s & bit]
+        without, with_e = _halves(tab, 1 << e)
+        gain = list(map(operator.sub, with_e, without))
+        if min(gain) >= 0:
+            continue  # a sum of two nonnegative gains is nonnegative
         # subset-min sweep: low[t] = min of gain over the subsets of T
         low = gain[:]
         step = 1
         while step < size:
-            for hi in range(step, size, 2 * step):
-                for t in range(hi, hi + step):
-                    m = low[t - step]
-                    if m < low[t]:
-                        low[t] = m
+            for lacking, having in _slice_pairs(size, step):
+                low[having] = [a if a < b else b for a, b in zip(low[having], low[lacking])]
             step <<= 1
         # index size-1-t holds V-e-T, whose gain is f(V-T) - f(V-T-e)
-        for low_t, gain_rest in zip(low, reversed(gain)):
-            if low_t + gain_rest < 0:
-                return False
+        if min(map(operator.add, low, reversed(gain))) < 0:
+            return False
     return True
 
 
@@ -189,8 +221,11 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
     B = V-T) and sufficient: telescoping over the elements c_1..c_m of
     A & B, with S_i = (A - B) + c_1..c_{i-1} and T_i = (V - B) + c_1..c_{i-1},
     sums it to the pair inequality.  For each e, a subset-min sweep over the
-    other n-1 bits gives min over S of the left side for every T at once, so
-    the test takes about n^2 2^(n-1) steps.  The 4^n pair scan runs only on
+    other n-1 bits gives min over S of the left side for every T at once,
+    about n^2 2^(n-2) comparisons in all, made over list slices.  With
+    g(X) = f(X+e) - f(X), the test reads g(S) + g(V-e-T) >= 0 for the
+    disjoint sets S and V-e-T, so an element whose gains are all
+    nonnegative passes without the sweep.  The 4^n pair scan runs only on
     failure, to report the first witness in scan order.
     """
     d, tab = oracle.scaled_table()

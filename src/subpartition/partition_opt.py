@@ -16,8 +16,9 @@ This module holds the exhaustive engines under the principal-sequence search:
   only non-submodular input reaches,
 * `optimal_k_value(oracle, k)` is the optimum every reported ratio and
   bound is measured against (`ratio_report`, CLI `solve --brute-force`,
-  every `reproduce` case): the value only, from an exhaustive top-down
-  recursion over (subset, blocks left) whose memo lives for one call,
+  every `reproduce` case): the value only, from an exhaustive bottom-up
+  DP over (subset, blocks left) with one flat list per level, rebuilt on
+  every call,
 * `brute_force_optimal_k_partition(oracle, k)` is the enumeration reference
   the tests check it against: it scans the k-block partitions and returns
   the canonically first optimal one with its value.
@@ -182,31 +183,43 @@ def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
     low(M) in S, S a subset of M and |M - S| >= j - 1, of
     tab[S] + best(M - S, j - 1), because every partition of M has exactly
     one block holding low(M).  Equal to the value brute force returns.
+
+    Computed bottom up, one flat list per level j.  best(V, k) reaches
+    best(M, j) only after k - j blocks, each holding the lowest element
+    left, so level j < k needs only the masks within {k-j..n-1} with at
+    least j elements, and the top level needs only V.
     """
     n = oracle.n
     require_block_count(k, n)
     d, tab = oracle.scaled_table()
-    # memo[j][M] = best(M, j) once computed, one flat list per level j
-    memo = [[None] * (1 << n) for _ in range(k + 1)]
-
-    def best(m: int, j: int) -> int:
-        if j == 1:
-            return tab[m]
-        level = memo[j]
-        found = level[m]
-        if found is None:
-            rest = m & (m - 1)  # M - low(M)
-            r = rest  # the remainder M - S, from S = {low(M)} on
-            while r:
-                if r.bit_count() >= j - 1:
-                    value = tab[m ^ r] + best(r, j - 1)
-                    if found is None or value < found:
+    full = (1 << n) - 1
+    prev = tab  # best(M, 1)
+    for j in range(2, k + 1):
+        need = j - 1  # elements the remainder M - S must keep
+        lowest = 1 << (k - j)  # the masks within {k-j..n-1} are its multiples
+        level = [None] * (1 << n)
+        for m in range(lowest, full + 1, lowest) if j < k else (full,):
+            if m.bit_count() < j:
+                continue
+            rest = m & (m - 1)  # M - low(M), the largest remainder
+            found = tab[m ^ rest] + prev[rest]
+            r = (rest - 1) & rest
+            if need == 1:  # every nonempty remainder holds one block
+                while r:
+                    value = tab[m ^ r] + prev[r]
+                    if value < found:
                         found = value
-                r = (r - 1) & rest
+                    r = (r - 1) & rest
+            else:
+                while r:
+                    if r.bit_count() >= need:
+                        value = tab[m ^ r] + prev[r]
+                        if value < found:
+                            found = value
+                    r = (r - 1) & rest
             level[m] = found
-        return found
-
-    return Fraction(best((1 << n) - 1, k), d)
+        prev = level
+    return Fraction(prev[full], d)
 
 
 def brute_force_all_k(oracle: ValueOracle) -> dict[int, tuple[Partition, Fraction]]:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -217,6 +218,33 @@ def _small_integer_tables(count):
         yield sp.ExplicitTableFn(n, [rng.randint(0, 3) for _ in range(1 << n)], "general")
 
 
+def _mixed_gain_tables(count):
+    """Seeded n = 7 tables: a cut on some elements plus a nonnegative
+    modular part on the others, so that the elements of the modular part
+    have nonnegative gains and the cut elements do not; some with a few
+    entries nudged."""
+    n = 7
+    for i in range(count):
+        rng = random.Random(f"mixed-gains:{i}")
+        cut_elements = rng.sample(range(n), rng.randint(2, 5))
+        edges = [(u, v, rng.randint(1, 3)) for u, v in combinations(cut_elements, 2) if rng.random() < 0.6]
+        weights = [0 if e in cut_elements else rng.randint(0, 3) for e in range(n)]
+        table = [
+            sum(w for u, v, w in edges if (s >> u & 1) != (s >> v & 1))
+            + sum(w for e, w in enumerate(weights) if s >> e & 1)
+            for s in range(1 << n)
+        ]
+        for _ in range(rng.choice((0, 1, 2))):
+            table[rng.randrange(1 << n)] += rng.choice((-2, -1, 1))
+        yield sp.ExplicitTableFn(n, table, "general")
+
+
+def _gain_signs(fam):
+    """For each element e, whether every gain f(T+e) - f(T) is nonnegative."""
+    _, tab = fam.oracle().scaled_table()
+    return [all(tab[s | 1 << e] >= tab[s] for s in range(len(tab))) for e in range(fam.n)]
+
+
 def test_local_posimodular_check_matches_pair_scan():
     # fails only at pairs whose local form has S a proper subset of T, so a
     # test of S = T alone would pass it
@@ -224,8 +252,17 @@ def test_local_posimodular_check_matches_pair_scan():
     res = sp.check_posimodular(pinned.oracle())
     assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (0b001, 0b101), 1, 2)
 
+    # at n = 7 the sweep folds by strided slices (steps 1, 2, 4) and by
+    # contiguous chunks (steps 8, 16, 32), and elements whose gains are all
+    # nonnegative skip it
+    mixed = list(_mixed_gain_tables(60))
+    assert sum(any(signs) and not all(signs) for signs in map(_gain_signs, mixed)) >= 50
+
+    families = [pinned, *_perturbed_tables(360), *_small_integer_tables(240)]
+    first_mixed = len(families)
     outcomes = {True: 0, False: 0}
-    for fam in [pinned, *_perturbed_tables(360), *_small_integer_tables(240)]:
+    mixed_outcomes = {True: 0, False: 0}
+    for i, fam in enumerate(families + mixed):
         oracle = fam.oracle()
         res = sp.check_posimodular(oracle)
         ok, witness, lhs, rhs = _pair_scan_posimodular(oracle)
@@ -233,7 +270,72 @@ def test_local_posimodular_check_matches_pair_scan():
         # the local test decides alone: no pair scan behind a passing table
         assert _locally_posimodular(fam.n, oracle.scaled_table()[1]) == ok
         outcomes[ok] += 1
+        if i >= first_mixed:
+            mixed_outcomes[ok] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
+    assert mixed_outcomes[True] >= 10 and mixed_outcomes[False] >= 10
+
+
+def _ordered_scan_monotone(oracle):
+    """Reference: sets S ascending, then added elements ascending."""
+    d, tab = oracle.scaled_table()
+    for s in range(len(tab)):
+        fs = tab[s]
+        for v in range(oracle.n):
+            bit = 1 << v
+            if s & bit:
+                continue
+            t = s | bit
+            if fs > tab[t]:
+                return False, (s, t), Fraction(fs, d), Fraction(tab[t], d)
+    return True, None, None, None
+
+
+def _ordered_scan_symmetric(oracle):
+    """Reference: sets S ascending, each against V - S."""
+    d, tab = oracle.scaled_table()
+    full = oracle.ground_set.full_mask
+    for s in range(full + 1):
+        c = full ^ s
+        if tab[s] != tab[c]:
+            return False, (s, c), Fraction(tab[s], d), Fraction(tab[c], d)
+    return True, None, None, None
+
+
+def _monotone_or_symmetric_tables(count):
+    """Seeded tables at n = 1..8: monotone ones (the max over subsets of
+    random values) and symmetric ones (h(S) + h(V - S)), each left as it
+    is or with one entry nudged."""
+    for i in range(count):
+        rng = random.Random(f"monotone-symmetric:{i}")
+        n = 1 + i % 8
+        size = 1 << n
+        values = [rng.randint(-3, 3) for _ in range(size)]
+        if i % 2:
+            for e in range(n):  # subset-max sweep: monotone
+                for s in range(size):
+                    if s >> e & 1 and values[s ^ 1 << e] > values[s]:
+                        values[s] = values[s ^ 1 << e]
+        else:
+            values = [values[s] + values[size - 1 - s] for s in range(size)]
+        if i % 3 == 0:
+            values[rng.randrange(size)] += rng.choice((-1, 1))
+        yield sp.ExplicitTableFn(n, values, "general")
+
+
+def test_monotone_and_symmetric_checks_match_ordered_scans():
+    outcomes = {(check, ok): 0 for check in ("monotone", "symmetric") for ok in (True, False)}
+    for fam in _monotone_or_symmetric_tables(400):
+        oracle = fam.oracle()
+        for check, scan in (
+            (sp.check_monotone, _ordered_scan_monotone),
+            (sp.check_symmetric, _ordered_scan_symmetric),
+        ):
+            res = check(oracle)
+            ok, witness, lhs, rhs = scan(oracle)
+            assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs), fam
+            outcomes[res.property_name, ok] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 @pytest.mark.parametrize(
@@ -241,12 +343,14 @@ def test_local_posimodular_check_matches_pair_scan():
     [
         (sp.check_submodular, "_locally_submodular"),
         (sp.check_posimodular, "_locally_posimodular"),
+        (sp.check_monotone, "_locally_monotone"),
     ],
 )
 def test_failed_local_test_without_pair_witness_raises(monkeypatch, check, local):
-    # a cut is submodular and posimodular, so no pair can back a failed local
-    # test; the checker must say so rather than report the table as ok
-    oracle = two_edges().oracle()
+    # the cardinality function is submodular, posimodular and monotone, so
+    # no pair can back a failed local test; the checker must say so rather
+    # than report the table as ok
+    oracle = cardinality(4).oracle()
     assert check(oracle).ok
     monkeypatch.setattr(f"subpartition.checkers.{local}", lambda n, tab: False)
     with pytest.raises(RuntimeError, match="no pair violates"):

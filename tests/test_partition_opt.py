@@ -384,6 +384,12 @@ def test_optimal_k_value_matches_enumeration():
         low, high = ((0, 1), (-2, 2), (-9, 9), (0, 9))[i % 4]  # tie-heavy, negative, spread
         values = [rng.randint(low, high) for _ in range(1 << n)]
         families.append(sp.ExplicitTableFn(n, values))
+    # n = 1 has only the top level; at n = 8-9 every level between keeps
+    # masks of several sizes, tie-heavy and negative
+    families += [sp.ExplicitTableFn(1, [0, v]) for v in (-3, 0, 5)]
+    for n in (8, 9):
+        for low, high in ((0, 1), (-9, 9)):
+            families.append(sp.ExplicitTableFn(n, [rng.randint(low, high) for _ in range(1 << n)]))
     non_submodular = 0
     for fam in families:
         oracle = fam.oracle()
