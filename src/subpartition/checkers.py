@@ -2,18 +2,20 @@
 
 Each checker reads the whole value table, so they are meant for ground sets
 within the enumeration cap.  Every property is decided in bulk, by
-comparisons made in C over list slices or whole lists:
+comparisons made in C over list slices or whole lists.  The slices come
+from `_slice_pairs`, which pairs each index lacking a bit with that index
+plus the bit in at most 2^(n/2) slice pairs per bit:
 
 * submodular: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j
-  outside S, about n^2 2^n / 8 comparisons over slices of the gains
-  f(S+i) - f(S) (n(n-1)/2 slice pairs), equivalent to the condition on all
-  4^n subset pairs;
+  outside S, equivalent to the condition on all 4^n subset pairs: the
+  gains f(S+i) - f(S) of each i must not grow along the bits of the j > i,
+  about n^2 2^n / 8 comparisons;
 * posimodular: f(S+e) - f(S) >= f(V-T-e) - f(V-T) for every e and every
   S subset of T subset of V-e, also equivalent to its pair condition: per
-  element a subset-min sweep over the other n-1 bits, skipped when the
-  element's gains are all nonnegative (see `check_posimodular`);
+  element a subset-min sweep over the other n-1 bits of its gains,
+  skipped when they are all nonnegative (see `check_posimodular`);
 * monotone: f(S) <= f(S+v) for every v and S outside v, n 2^(n-1)
-  comparisons over slice pairs;
+  comparisons;
 * symmetric: the table equals its own reverse, since index full - S is
   V - S.
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .core import GroundSet, ValueOracle
 
@@ -92,41 +93,49 @@ def _first_pair_witness(name, d, tab, rhs) -> CheckResult:
     raise RuntimeError(f"{name}: the local test failed but no pair violates it")
 
 
-def _halves(vals, bit: int):
-    """The entries of `vals` whose index lacks `bit`, then those whose index
-    has it, each in index order."""
-    if bit == 1:
-        return vals[0::2], vals[1::2]
-    chunks = range(0, len(vals), 2 * bit)
-    return (
-        chain.from_iterable(vals[c : c + bit] for c in chunks),
-        chain.from_iterable(vals[c + bit : c + 2 * bit] for c in chunks),
+def _slice_pairs(size: int, bit: int) -> list[tuple[slice, slice, slice]]:
+    """Slices (lacking, having, packed) of a list of length `size` that
+    together pair every index lacking `bit` with that index plus `bit`;
+    `packed` is where the lacking indices land, in order, in the half-size
+    list that drops the bit.  `bit` strided slices while that is at most
+    the number of contiguous chunks, size / (2 bit) chunks above that."""
+    step = 2 * bit
+    if bit <= size // step:
+        return [
+            (slice(o, size, step), slice(o + bit, size, step), slice(o, size >> 1, bit))
+            for o in range(bit)
+        ]
+    return [
+        (slice(c, c + bit), slice(c + bit, c + step), slice(c >> 1, (c >> 1) + bit))
+        for c in range(0, size, step)
+    ]
+
+
+def _gains(tab, bit: int) -> list[int]:
+    """gain[s] = f(S + bit) - f(S), with S the s-th set lacking `bit` in
+    mask order."""
+    gain = [0] * (len(tab) >> 1)
+    for lacking, having, packed in _slice_pairs(len(tab), bit):
+        gain[packed] = map(operator.sub, tab[having], tab[lacking])
+    return gain
+
+
+def _ordered(vals, op, start: int = 0) -> bool:
+    """op(vals[S], vals[S + bit]) for every bit from 1 << start up and
+    every index S lacking it."""
+    size = len(vals)
+    return all(
+        all(map(op, vals[lacking], vals[having]))
+        for i in range(start, size.bit_length() - 1)
+        for lacking, having, _ in _slice_pairs(size, 1 << i)
     )
-
-
-def _slice_pairs(size: int, bit: int) -> list[tuple[slice, slice]]:
-    """Slices (lacking, having) of a list of length `size` that together
-    pair every index lacking `bit` with that index plus `bit`: `bit`
-    strided slices while that is at most the number of contiguous chunks,
-    size / (2 bit) chunks above that."""
-    if bit <= size // (2 * bit):
-        return [(slice(o, size, 2 * bit), slice(o + bit, size, 2 * bit)) for o in range(bit)]
-    return [(slice(c, c + bit), slice(c + bit, c + 2 * bit)) for c in range(0, size, 2 * bit)]
 
 
 def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
     """Diminishing returns for single elements: f(S+i) + f(S+j) >=
-    f(S+i+j) + f(S) for all S and i < j outside S."""
-    for i in range(n):
-        # gain[s] = f(S+i) - f(S), with S the s-th subset of V-i in mask
-        # order, so element j > i is bit j-1 of s
-        without, with_i = _halves(tab, 1 << i)
-        gain = list(map(operator.sub, with_i, without))
-        for j in range(i + 1, n):
-            before, after = _halves(gain, 1 << (j - 1))
-            if not all(map(operator.ge, before, after)):
-                return False
-    return True
+    f(S+i+j) + f(S) for all S and i < j outside S.  In the gains of i,
+    element j > i is bit j-1, so the bits from 1 << i up are the j > i."""
+    return all(_ordered(_gains(tab, 1 << i), operator.ge, i) for i in range(n))
 
 
 def check_submodular(oracle: ValueOracle) -> CheckResult:
@@ -143,11 +152,7 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
 
 def _locally_monotone(n: int, tab: tuple[int, ...]) -> bool:
     """f(S) <= f(S + v) for every v and every S outside v."""
-    return all(
-        all(map(operator.le, tab[lacking], tab[having]))
-        for v in range(n)
-        for lacking, having in _slice_pairs(len(tab), 1 << v)
-    )
+    return _ordered(tab, operator.le)
 
 
 def check_monotone(oracle: ValueOracle) -> CheckResult:
@@ -195,16 +200,14 @@ def _locally_posimodular(n: int, tab: tuple[int, ...]) -> bool:
     every e and every S subset of T subset of V-e."""
     size = len(tab) >> 1
     for e in range(n):
-        # gain[t] = f(T+e) - f(T), with T the t-th subset of V-e in mask order
-        without, with_e = _halves(tab, 1 << e)
-        gain = list(map(operator.sub, with_e, without))
+        gain = _gains(tab, 1 << e)
         if min(gain) >= 0:
             continue  # a sum of two nonnegative gains is nonnegative
         # subset-min sweep: low[t] = min of gain over the subsets of T
         low = gain[:]
         step = 1
         while step < size:
-            for lacking, having in _slice_pairs(size, step):
+            for lacking, having, _ in _slice_pairs(size, step):
                 low[having] = [a if a < b else b for a, b in zip(low[having], low[lacking])]
             step <<= 1
         # index size-1-t holds V-e-T, whose gain is f(V-T) - f(V-T-e)

@@ -8,9 +8,10 @@ Subcommands:
     random     write seeded random instance files
     verify     exhaustive function-class report for an instance
 
-Each reproduce row is shown and decided from one comparison: `_compare`
+Every reproduce row is shown and decided from one comparison: `_compare`
 builds the expected cell and the PASS/FAIL verdict from the same operator
-and expected value, and `_near` does the same for the 1e-5 ratio rows.
+and expected value, with a formatter for values, counts and flags, and
+`_near` does the same for the 1e-5 ratio rows.
 `solve` runs the algorithms named in the `SOLVERS` table, which also gives
 the `--algorithms` default and checks the names at parse time.
 
@@ -338,12 +339,13 @@ def _case_mono_n(args):
             case, "optimum at most the split-one-deep partition", "<=", upper, rr.optimal_value
         ),
         _compare(case, "ratio >= 4/3 - 4/(3n+3) - 1e-5", ">=", lower, rr.ratio, fmt_decimal),
-        (
+        _compare(
             case,
             "ratio within the class bound 4/3 - 4/(9n+3)",
-            "<= " + fmt_decimal(rr.bound),
-            fmt_decimal(rr.ratio),
-            bool(rr.bound_ok),
+            "<=",
+            rr.bound,
+            rr.ratio,
+            fmt_decimal,
         ),
     ]
 
@@ -366,19 +368,21 @@ def _case_omega(args):
     quotient = expected_alg / upper
     case = f"omega(n={n},k={k})"
     return [
-        (
+        _compare(
             case,
             "chain jumps from trivial to singletons",
-            "2 partitions",
-            f"{len(rr.run.sequence)} partitions",
-            len(rr.run.sequence) == 2,
+            "==",
+            2,
+            len(rr.run.sequence),
+            lambda c: f"{c} partitions",
         ),
-        (
+        _compare(
             case,
             "chain partition isolates the arc tail",
-            "true",
-            _fmt_bool(1 in rr.run.partition),
+            "==",
+            True,
             1 in rr.run.partition,
+            _fmt_bool,
         ),
         _compare(case, "chain value", "==", expected_alg, rr.algorithm_value),
         _compare(
@@ -398,17 +402,13 @@ def _case_footnote(args):
     base = cheapest_singleton(oracle, k)
     opt_value = optimal_k_value(oracle, k)
     guarantee = algorithm_guarantee("singleton", "monotone", n, k)
-    _, within = ratio_to_optimum(base.value, opt_value, guarantee)
     case = f"matroid-footnote(k={k})"
+    # the optimum k is positive, so this is `ratio_to_optimum`'s bound test
     return [
         _compare(case, "cheapest-singleton value is 2k-1", "==", 2 * k - 1, base.value),
         _compare(case, "optimal value is k", "==", k, opt_value),
-        (
-            case,
-            "singleton guarantee 2 - 1/k holds",
-            "<= " + fmt_rational(guarantee * opt_value),
-            fmt_rational(base.value),
-            within,
+        _compare(
+            case, "singleton guarantee 2 - 1/k holds", "<=", guarantee * opt_value, base.value
         ),
     ]
 

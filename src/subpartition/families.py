@@ -31,8 +31,7 @@ table from `value` through the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .core import GroundSet, ValueOracle, as_fraction, over_common_denominator, require_within_cap
@@ -408,11 +407,11 @@ class CombinationFn(SetFunctionFamily):
 
     def _integer_table(self):
         tables = [p.scaled_table() for p in self.parts]
-        terms = list(zip(self.coefficients, tables))
-        d = reduce(lcm, (c.denominator * pd for c, (pd, _) in terms), 1)
+        # c f_i = c ints / pd = factor ints / d
+        weights = (c / pd for c, (pd, _) in zip(self.coefficients, tables))
+        d, factors = over_common_denominator(weights)
         total = [0] * (1 << self.n)
-        for c, (pd, ints) in terms:
-            factor = c.numerator * (d // (c.denominator * pd))
+        for factor, (_, ints) in zip(factors, tables):
             total = [t + factor * v for t, v in zip(total, ints)]
         return d, total
 

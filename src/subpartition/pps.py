@@ -256,12 +256,11 @@ def verify_pps(
     Verifies the chain endpoints, single-block refinement, nondecreasing
     breakpoints, the breakpoint formula, that both neighbors attain g at
     every breakpoint, and that each partition attains g throughout its
-    segment.  One minimize_g call per breakpoint, whatever the input,
-    records for every chain member whether it attains g at its left and at
-    its right breakpoint.  A member is optimal on all of its closed segment
-    exactly when it attains g at both finite ends, because g is concave and
-    the member's line lies on or above g; an unbounded end needs |P| = 1 on
-    the left and |P| = n on the right instead.
+    segment.  One minimize_g call per breakpoint, whatever the input.  A
+    member is optimal on all of its closed segment exactly when it attains
+    g at both finite ends, because g is concave and the member's line lies
+    on or above g; an unbounded end needs |P| = 1 on the left and |P| = n
+    on the right instead.
 
     `interior_samples` is accepted and ignored (the exact rule above made
     sampling redundant); a negative value raises ValueError, and so does a
@@ -273,7 +272,6 @@ def verify_pps(
     n = sequence.n
     parts = sequence.partitions
     bps = sequence.breakpoints
-    r = len(parts)
     failures: list[str] = []
 
     endpoints_ok = parts[0] == trivial_partition(n) and parts[-1] == singleton_partition(n)
@@ -281,7 +279,7 @@ def verify_pps(
         failures.append("chain must start at {V} and end at singletons")
 
     refinement_ok = True
-    for j in range(r - 1):
+    for j in range(len(parts) - 1):
         if not refines(parts[j + 1], parts[j]):
             refinement_ok = False
             failures.append(f"chain entry {j + 1} does not refine entry {j}")
@@ -306,21 +304,17 @@ def verify_pps(
                 f"{Fraction(gap, scale)}"
             )
 
-    # the open ends: left of its breakpoint {V}'s line (slope -1) rises the
-    # slowest of all lines, right of it the singletons' (slope -n) falls the
-    # fastest, so each counts as attained at its open end
-    attains_left = [len(parts[0]) == 1] + [False] * (r - 1)
-    attains_right = [False] * (r - 1) + [len(parts[-1]) == n]
     attained_ok = True
     for j, b in enumerate(bps):
         best = minimize_g(oracle, b)
-        attains_right[j] = _attains(totals[j], len(parts[j]), d, b, best)
-        attains_left[j + 1] = _attains(totals[j + 1], len(parts[j + 1]), d, b, best)
-        if not (attains_right[j] and attains_left[j + 1]):
+        if not all(_attains(totals[i], len(parts[i]), d, b, best) for i in (j, j + 1)):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")
 
-    segments_ok = all(left and right for left, right in zip(attains_left, attains_right))
+    # each finite segment end is a breakpoint, which attained_ok covers;
+    # the open ends are attained exactly by {V} on the left (its line, slope
+    # -1, rises the slowest) and the singletons on the right (slope -n)
+    segments_ok = attained_ok and len(parts[0]) == 1 and len(parts[-1]) == n
 
     return PpsVerification(
         ok=not failures,

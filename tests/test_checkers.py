@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import subpartition as sp
-from subpartition.checkers import _halves, _locally_posimodular, _locally_submodular
+from subpartition.checkers import _locally_posimodular, _locally_submodular, _slice_pairs
 
 from helpers import cardinality, mono3, omega, posi3, two_edges, zero_fn
 
@@ -172,14 +172,25 @@ def _triple_loop_submodular(n, tab):
 
 
 def test_local_submodular_matches_pair_loop():
-    # the slices hold the entries without the bit, then those with it
-    for n in range(1, 7):
-        masks = list(range(1 << n))
-        for i in range(n):
+    # the slice pairs pair each index without the bit with index + bit
+    # exactly once, and packed puts the indices without it, in order, into
+    # the half-size list; sizes up to 256 run both the strided and the
+    # chunk branch
+    branches = set()
+    for m in range(9):
+        size = 1 << m
+        indices = list(range(size))
+        for i in range(m):
             bit = 1 << i
-            without, with_bit = _halves(masks, bit)
-            assert list(without) == [m for m in masks if not m & bit]
-            assert list(with_bit) == [m for m in masks if m & bit]
+            pairs = _slice_pairs(size, bit)
+            branches.add(pairs[0][0].step is None)
+            paired, packed = [], [None] * (size >> 1)
+            for lacking, having, into in pairs:
+                paired += zip(indices[lacking], indices[having])
+                packed[into] = indices[lacking]
+            assert sorted(paired) == [(s, s + bit) for s in indices if not s & bit]
+            assert packed == [s for s in indices if not s & bit]
+    assert branches == {False, True}
 
     tables = []
     for i in range(2000):

@@ -657,11 +657,36 @@ reproduce: PASS (18 checks)
 """
 
 
+REPRODUCE_MONO_N5_EPS_HALF_STDOUT = """\
+case        check                                         expected          observed  status
+monoN(n=5)  chain 3-partition value is n                  5/1               5/1       PASS
+monoN(n=5)  optimum at most the split-one-deep partition  <= 6/1            5/1       PASS
+monoN(n=5)  ratio >= 4/3 - 4/(3n+3) - 1e-5                >= 1.11110111111  1         FAIL
+monoN(n=5)  ratio within the class bound 4/3 - 4/(9n+3)   <= 1.25           1         PASS
+reproduce: FAIL (1 of 4 checks failed)
+"""
+
+REPRODUCE_OMEGA_N4_K4_STDOUT = """\
+case            check                                       expected           observed      status
+omega(n=4,k=4)  chain jumps from trivial to singletons      2 partitions       2 partitions  PASS
+omega(n=4,k=4)  chain partition isolates the arc tail       true               true          PASS
+omega(n=4,k=4)  chain value                                 3000003/1          3000003/1     PASS
+omega(n=4,k=4)  optimum at most the tail-grouped partition  <= 3000004/1       3000003/1     PASS
+omega(n=4,k=4)  ratio at least their quotient               >= 0.999999666667  1             PASS
+reproduce: PASS (5 checks)
+"""
+
+
 def test_cli_reproduce_all(capsys):
-    assert main(["reproduce", "--case", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "reproduce: PASS" in out
-    assert out == REPRODUCE_ALL_STDOUT
+    # whole stdout and exit code: every case, a FAIL row, and omega at k = n
+    golden = [
+        (["--case", "all"], 0, REPRODUCE_ALL_STDOUT),
+        (["--case", "monoN", "--n", "5", "--eps", "1/2"], 1, REPRODUCE_MONO_N5_EPS_HALF_STDOUT),
+        (["--case", "omega", "--n", "4", "--k", "4"], 0, REPRODUCE_OMEGA_N4_K4_STDOUT),
+    ]
+    for options, code, stdout in golden:
+        assert main(["reproduce"] + options) == code, options
+        assert capsys.readouterr().out == stdout, options
 
 
 @pytest.mark.parametrize(

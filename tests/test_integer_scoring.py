@@ -231,8 +231,8 @@ def _chain(oracle):
 
 def _broken_chains(seq):
     """Chains built from a good one that fail verification in different
-    ways: (those with its members and other breakpoints, those with other
-    members)."""
+    ways: (those with its members and other breakpoints or cut short at an
+    end, those with other members)."""
     n, parts, bps = seq.n, seq.partitions, seq.breakpoints
     moved = [
         sp.PrincipalSequence(parts, tuple(b + Fraction(1, 7) for b in bps)),
@@ -252,6 +252,11 @@ def _broken_chains(seq):
     elif n > 2:
         other = next(sp.enumerate_partitions(n, 2))
         members.append(sp.PrincipalSequence((parts[0], other, parts[1]), (bps[0], bps[0])))
+    if len(parts) > 1:
+        # cut short at either end: every pair left attains g as before, but
+        # the chain no longer starts at {V} or ends at the singletons
+        moved.append(sp.PrincipalSequence(parts[1:], bps[1:]))
+        moved.append(sp.PrincipalSequence(parts[:-1], bps[:-1]))
     return moved, members
 
 
@@ -263,7 +268,7 @@ def _outcome(fn, *args):
 
 
 def test_integer_scoring_matches_the_fraction_code():
-    failing_chains = exits = repairs = 0
+    failing_chains = exits = repairs = open_ends = 0
     for fam in _cases():
         oracle, reference = fam.oracle(), fraction_oracle(fam)
         seq = _chain(oracle)
@@ -272,6 +277,7 @@ def test_integer_scoring_matches_the_fraction_code():
             result = sp.verify_pps(oracle, chain)
             assert result == _fraction_verify(reference, chain), (fam.name, chain)
             failing_chains += not result.ok
+            open_ends += result.breakpoints_attained_ok and not result.segments_optimal_ok
             repaired = _outcome(sp.repair_chain, oracle, chain)
             assert repaired == _outcome(_fraction_repair, reference, chain), (fam.name, chain)
             if isinstance(repaired, tuple):
@@ -292,8 +298,9 @@ def test_integer_scoring_matches_the_fraction_code():
             greedy = sp.greedy_splitting(oracle, k)
             assert greedy.value == sp.partition_value(reference, greedy.partition), (fam.name, k)
     # the broken chains and the non-submodular tables reach every failure
-    # path, and repair_chain both raises and splits
-    assert failing_chains > 500 and exits > 20 and repairs > 20
+    # path, repair_chain both raises and splits, and chains whose pairs all
+    # attain g still fail segment optimality at an open end
+    assert failing_chains > 500 and exits > 20 and repairs > 20 and open_ends > 100
 
 
 def test_breakpoints_are_exact_rationals():
