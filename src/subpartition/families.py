@@ -21,8 +21,10 @@ instances that meet their class bounds with equality in the limit.
 The 2^n value table that every exhaustive path reads comes from
 `scaled_table()`.  Every built-in family builds it in Python integers: the
 weights are put over one common denominator once, the table is filled with
-integer arithmetic (the edge families by a low-bit recurrence), and the
-result is reduced to lowest terms, so it equals the table read off the
+integer arithmetic (the edge families and the partition matroid by
+doubling: element v appends the 2^v values of the sets whose largest
+element is v, as list operations over the 2^v values already built), and
+the result is reduced to lowest terms, so it equals the table read off the
 Fraction `value` bit for bit.  Each `value` stays the exact reference the
 integer tables are tested against; a family without a builder gets its
 table from `value` through the oracle.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Sequence
 
 from .core import GroundSet, ValueOracle, as_fraction, over_common_denominator, require_within_cap
@@ -90,6 +93,8 @@ class SetFunctionFamily:
         require_within_cap(self.n, "scaled_table")
         d, ints = self._integer_table()
         common = gcd(d, *ints)
+        if common == 1:
+            return d, tuple(ints)
         return d // common, tuple(v // common for v in ints)
 
     def oracle(self) -> ValueOracle:
@@ -115,10 +120,14 @@ class _EdgeFamily(SetFunctionFamily):
     """Shared constructor of the weighted edge-list families: edges are
     (u, v, weight) with u != v and weight >= 0; parallel edges add up.
 
-    Both families grow by the same step: for v outside R,
-    f(R + v) = f(R) + deg(v) - overlap * w(v, R), where w(v, R) is the weight
-    of the edges between v and R, and overlap is 2 for the cut (those edges
-    stop being cut) and 1 for the coverage (they were covered already).
+    Both tables are built by doubling.  Element v appends the values of the
+    sets T + v, T a subset of {0..v-1}, in the order of the masks T:
+    f(T + v) = f(T) + deg(v) - overlap * w(v, T), where w(v, T) is the
+    weight of the edges between v and T, and overlap is 2 for the cut (those
+    edges stop being cut) and 1 for the coverage (they were covered
+    already).  The list of deg(v) - overlap * w(v, T) over T doubles the same
+    way, once per element u < v: the second half is the first less
+    overlap * w(u, v), or a copy of it when u and v share no weight.
     """
 
     overlap: int
@@ -138,20 +147,18 @@ class _EdgeFamily(SetFunctionFamily):
         n = self.n
         d, weights = over_common_denominator(w for _, _, w in self.edges)
         deg = [0] * n
-        # v is the lowest element of R + v, so only neighbours above v can lie in R
-        above: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # below[v][u]: overlap times the weight between u < v and v
+        below = [[0] * v for v in range(n)]
         for (u, v, _), w in zip(self.edges, weights):
             deg[u] += w
             deg[v] += w
-            above[min(u, v)].append((1 << max(u, v), w))
-        overlap = self.overlap
-        table = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            rest = mask ^ low
-            v = low.bit_length() - 1
-            shared = sum(w for bit, w in above[v] if rest & bit)
-            table[mask] = table[rest] + deg[v] - overlap * shared
+            below[max(u, v)][min(u, v)] += self.overlap * w
+        table = [0]
+        for v in range(n):
+            step = [deg[v]]
+            for w in below[v]:
+                step += [s - w for s in step] if w else step
+            table += list(map(add, table, step))
         return d, table
 
 
@@ -266,7 +273,16 @@ class PartitionMatroidRankFn(SetFunctionFamily):
         return Fraction(self._rank(mask))
 
     def _integer_table(self):
-        return 1, [self._rank(m) for m in range(1 << self.n)]
+        # rank(T + v) = rank(T) + [T misses B(v)], for T a subset of
+        # {0..v-1} and B(v) the elements of v's block below v
+        table = [0]
+        for v in range(self.n):
+            block = next(bm for bm in self.block_masks if bm >> v & 1)
+            step = [1]
+            for u in range(v):
+                step += [0] * len(step) if block >> u & 1 else step
+            table += list(map(add, table, step))
+        return 1, table
 
 
 class GraphicMatroidRankFn(SetFunctionFamily):

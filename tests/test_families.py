@@ -287,6 +287,50 @@ def test_integer_table_is_in_lowest_terms():
     assert scaled.scaled_table() == (1, (0, 4, 4, 0))
 
 
+EDGE_LISTS = {
+    "parallel both ways": (
+        4,
+        [(0, 1, 2), (1, 0, 3), (2, 3, 1), (3, 2, Fraction(1, 2)), (0, 3, 1), (3, 0, 1)],
+    ),
+    "zero weights": (5, [(0, 1, 0), (1, 2, 3), (2, 4, 0), (4, 0, 2), (3, 1, 0), (1, 0, 0)]),
+    "mixed denominators": (
+        5,
+        [(0, 1, "1/3"), (1, 2, Fraction(2, 7)), (2, 3, 5), (3, 4, "1/3"), (3, 1, 5), (4, 0, 2)],
+    ),
+    "edgeless middle elements": (6, [(0, 1, 1), (5, 1, 2), (0, 4, 3), (4, 5, "1/2")]),
+    "edgeless n=1": (1, []),
+    "edgeless n=5": (5, []),
+}
+
+
+@pytest.mark.parametrize("family", [sp.GraphCutFn, sp.GraphCoverageFn], ids=lambda f: f.name)
+@pytest.mark.parametrize("case", sorted(EDGE_LISTS))
+def test_doubling_edge_tables_on_unusual_edges(family, case):
+    # edge lists the generators never write: parallel edges given both ways,
+    # zero weights, weights over different denominators, edgeless elements
+    n, edges = EDGE_LISTS[case]
+    fam = family(n, edges)
+    assert fam.scaled_table() == _fraction_table(fam)
+
+
+def test_doubling_partition_matroid_tables():
+    for n in range(1, 10):
+        layouts = [[[i] for i in range(n)], [list(range(n))]]
+        # interleaved blocks, e.g. {0,2,4} and {1,3} at n = 5
+        layouts += [[list(range(r, n, step)) for r in range(step)] for step in (2, 3) if step <= n]
+        for blocks in layouts:
+            fam = sp.PartitionMatroidRankFn(n, blocks)
+            assert fam.scaled_table() == _fraction_table(fam), blocks
+
+
+def test_doubling_tables_in_a_fractional_combination():
+    n, edges = EDGE_LISTS["mixed denominators"]
+    cut = sp.GraphCutFn(n, edges)
+    cov = sp.GraphCoverageFn(n, EDGE_LISTS["parallel both ways"][1])
+    combo = sp.CombinationFn((cut, cov), (Fraction(3, 5), Fraction(7, 2)), "posimodular")
+    assert combo.scaled_table() == _fraction_table(combo)
+
+
 def test_integer_table_skips_value():
     # families with a builder fill the oracle's table without calling value,
     # and the oracle then counts all 2^n subsets as evaluated
