@@ -14,7 +14,6 @@ and expected value, with a formatter for values, counts and flags, and
 `_near` does the same for the 1e-5 ratio rows.
 `solve` runs the algorithms named in the `SOLVERS` table, which also gives
 the `--algorithms` default and checks the names at parse time.
-`main` builds its parser once per process, on the first call.
 
 Exit codes: 0 success, 1 failed check (a reproduce FAIL, a violated bound,
 a non-submodular instance under `verify`), 2 usage, parse, or validation
@@ -39,7 +38,6 @@ import argparse
 import csv
 import dataclasses
 import decimal
-import functools
 import json
 import operator
 import sys
@@ -523,12 +521,7 @@ def _algorithm_list(text: str) -> list[str]:
     return names
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # one parser serves every `main` call in the process: parse_args keeps
-    # no state between calls, each default is immutable or passes through a
-    # type that returns a fresh value, and each `func` looks up what it
-    # calls when it runs
     parser = argparse.ArgumentParser(
         prog="subpartition",
         description="Submodular k-partition via the principal partition sequence.",

@@ -93,9 +93,9 @@ class SetFunctionFamily:
         require_within_cap(self.n, "scaled_table")
         d, ints = self._integer_table()
         common = gcd(d, *ints)
-        if common == 1:
-            return d, tuple(ints)
-        return d // common, tuple(v // common for v in ints)
+        if common > 1:
+            d, ints = d // common, [v // common for v in ints]
+        return d, tuple(ints)
 
     def oracle(self) -> ValueOracle:
         table = None if self._integer_table is None else self.scaled_table

@@ -450,53 +450,6 @@ def test_cli_pps_has_no_interior_samples_option(tmp_path, capsys):
     assert "unrecognized arguments: --interior-samples 3" in capsys.readouterr().err
 
 
-def test_cli_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
-    # main builds one parser per process; each call, made after calls with
-    # other options, gives the exit code, stdout and stderr of a fresh parser
-    path = str(write_instance(tmp_path, weighted_path4()))
-    calls = [
-        (["solve", path, "--k", "3", "--algorithms", "greedy", "--no-timing"], 0),
-        (["solve", path, "--k", "3", "--no-timing"], 0),
-        (["reproduce", "--case", "monoN", "--n", "5", "--eps", "1/2"], 1),
-        (["reproduce", "--case", "monoN", "--n", "5"], 0),
-        (["pps", path, "--interior-samples", "3"], 2),
-        (["pps", path, "--json"], 0),
-    ]
-
-    def run(argv):
-        code = main(argv)
-        out, err = capsys.readouterr()
-        return code, out, err
-
-    fresh = []
-    for argv, _ in calls:
-        cli.build_parser.cache_clear()
-        fresh.append(run(argv))
-    cli.build_parser.cache_clear()
-    cached = [run(argv) for argv, _ in calls]
-    assert cli.build_parser.cache_info().misses == 1
-    assert cached == fresh
-    assert [code for code, _, _ in cached] == [code for _, code in calls]
-    # the second solve runs every algorithm, not the first call's list
-    rows = cached[1][1].splitlines()[2:]
-    assert [row.split()[0] for row in rows] == list(cli.SOLVERS)
-    # the default eps is back after an explicit one: the monoN rows all pass
-    assert "reproduce: PASS (4 checks)" in cached[3][1]
-
-
-def test_cli_parser_is_not_built_at_import():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", "import subpartition.cli as c; print(c.build_parser.cache_info())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.stdout == "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n", done.stderr
-
-
 def test_cli_solve_unknown_algorithm_rejected_before_loading(tmp_path, monkeypatch):
     path = write_instance(tmp_path, weighted_path4())
 
