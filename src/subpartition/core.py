@@ -19,7 +19,7 @@ the cap but never raise it.  The 2^n value table that every checker, brute
 force, minimizer and greedy split reads (`ValueOracle.scaled_table`) checks
 the cap on every call, as do partition enumeration and instance loading.
 An oracle built by a family's `oracle()` takes that table from the family's
-integer builder; a bare `ValueOracle(ground_set, fn)` builds it from `fn`
+`scaled_table()`; a bare `ValueOracle(ground_set, fn)` builds it from `fn`
 on every subset.
 
 Once the table exists, every layer scores a partition P in scaled integers,
@@ -153,18 +153,6 @@ class GroundSet:
         if mask < 0 or mask > self.full_mask:
             raise ValueError(f"mask {mask:#x} is not a subset of a {self.n}-element ground set")
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown element label {label!r}") from None
-
-    def subset(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
-        return mask
-
     def elements(self, mask: int) -> tuple[str, ...]:
         self.validate_mask(mask)
         return tuple(self.labels[i] for i in range(self.n) if mask >> i & 1)
@@ -285,24 +273,16 @@ def refined_part(coarse: Partition, fine: Partition) -> int | None:
     """The unique block of `coarse` that `fine` splits, if there is exactly one.
 
     Returns the mask of the block S when exactly one block of `coarse` is
-    missing from `fine` and every block of `fine` is either a block of
-    `coarse` or a proper subset of S.  Returns None otherwise (equal
-    partitions, more than one split part, or no refinement at all).
+    missing from `fine`: the other coarse blocks are then fine blocks, so
+    the remaining fine blocks partition S into at least two proper subsets.
+    Returns None otherwise (equal partitions, more than one split part, or
+    no refinement at all).
     """
     if coarse.n != fine.n:
         raise ValueError("partitions are over different ground sets")
-    coarse_set = set(coarse.blocks)
     fine_set = set(fine.blocks)
     missing = [b for b in coarse.blocks if b not in fine_set]
-    if len(missing) != 1:
-        return None
-    s = missing[0]
-    for b in fine.blocks:
-        if b in coarse_set:
-            continue
-        if b & ~s or b == s:
-            return None
-    return s
+    return missing[0] if len(missing) == 1 else None
 
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:

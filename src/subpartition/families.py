@@ -19,15 +19,15 @@ checkers in tests; the tight families at the bottom of this module are the
 instances that meet their class bounds with equality in the limit.
 
 The 2^n value table that every exhaustive path reads comes from
-`scaled_table()`.  Every built-in family builds it in Python integers: the
-weights are put over one common denominator once, the table is filled with
-integer arithmetic (the edge families and the partition matroid by
-doubling: element v appends the 2^v values of the sets whose largest
-element is v, as list operations over the 2^v values already built), and
-the result is reduced to lowest terms, so it equals the table read off the
-Fraction `value` bit for bit.  Each `value` stays the exact reference the
-integer tables are tested against; a family without a builder gets its
-table from `value` through the oracle.
+`scaled_table()`: the family's `_integer_table`, reduced to lowest terms,
+so it equals the table read off the Fraction `value` bit for bit.  Every
+built-in family fills it with integer arithmetic over one common
+denominator (the edge families and the partition matroid by doubling:
+element v appends the 2^v values of the sets whose largest element is v,
+as list operations over the 2^v values already built), and a combination
+sums its parts' integer tables.  Each `value` stays the exact reference
+the integer tables are tested against; a family without a builder
+inherits an `_integer_table` that reads `value` through a `ValueOracle`.
 """
 
 from __future__ import annotations
@@ -59,13 +59,11 @@ FUNCTION_CLASSES = ("monotone", "symmetric", "posimodular", "general")
 
 
 class SetFunctionFamily:
-    """Base class carrying the ground set and oracle plumbing."""
+    """Base class carrying the ground set and oracle plumbing; a subclass
+    defines `value`, and `_integer_table` if it fills its table in integers."""
 
     name = "family"
     function_class = "general"
-    # a family that builds its table in integers overrides this with a method
-    # returning (D, ints), f(mask) = ints[mask] / D for any common denominator D
-    _integer_table = None
 
     def __init__(self, n: int, labels: Sequence[str] | None = None):
         self._ground_set = GroundSet(n, labels)
@@ -84,12 +82,15 @@ class SetFunctionFamily:
     def value(self, mask: int) -> Fraction:
         raise NotImplementedError
 
+    def _integer_table(self) -> tuple[int, Sequence[int]]:
+        """(D, ints) with f(mask) = ints[mask] / D for any common denominator
+        D; by default `value` read through an oracle, which rejects floats."""
+        oracle = ValueOracle(self._ground_set, self.value, name=self.name)
+        return over_common_denominator(oracle.full_table())
+
     def scaled_table(self) -> tuple[int, tuple[int, ...]]:
         """(D, values) in lowest terms with f(mask) = values[mask] / D, the
-        table `ValueOracle.scaled_table` returns.  Built in integers when the
-        family has a builder, else from `value` on every subset."""
-        if self._integer_table is None:
-            return ValueOracle(self._ground_set, self.value, name=self.name).scaled_table()
+        table `ValueOracle.scaled_table` returns, from `_integer_table`."""
         require_within_cap(self.n, "scaled_table")
         d, ints = self._integer_table()
         common = gcd(d, *ints)
@@ -98,8 +99,7 @@ class SetFunctionFamily:
         return d, tuple(ints)
 
     def oracle(self) -> ValueOracle:
-        table = None if self._integer_table is None else self.scaled_table
-        return ValueOracle(self._ground_set, self.value, name=self.name, table=table)
+        return ValueOracle(self._ground_set, self.value, name=self.name, table=self.scaled_table)
 
 
 def _check_endpoint(i, n, what):
@@ -422,7 +422,7 @@ class CombinationFn(SetFunctionFamily):
         return total
 
     def _integer_table(self):
-        tables = [p.scaled_table() for p in self.parts]
+        tables = [p._integer_table() for p in self.parts]
         # c f_i = c ints / pd = factor ints / d
         weights = (c / pd for c, (pd, _) in zip(self.coefficients, tables))
         d, factors = over_common_denominator(weights)

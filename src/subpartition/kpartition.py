@@ -40,6 +40,7 @@ from fractions import Fraction
 from .core import (
     Partition,
     ValueOracle,
+    as_fraction,
     partition_value,
     refined_part,
     require_block_count,
@@ -272,6 +273,8 @@ def ratio_to_optimum(
     """(ratio, bound_ok) of a value against the exact optimum.  The ratio is 1
     at the optimum, value/optimum above a positive optimum, and None
     (unbounded, over any bound) above a nonpositive one."""
+    value, optimum = as_fraction(value), as_fraction(optimum)
+    bound = None if bound is None else as_fraction(bound)
     if value == optimum:
         ratio: Fraction | None = Fraction(1)
     elif optimum > 0:
@@ -308,6 +311,7 @@ def check_chain_lower_bounds(
     chain whose block counts do not bracket k raises ValueError."""
     require_block_count(k, oracle.n)
     _require_same_ground_set(oracle, pps)
+    optimal_value = as_fraction(optimal_value)
     if k in pps.block_counts():
         return ChainBoundsReport(applicable=False)
     below, above = _straddle(pps, k)

@@ -20,10 +20,11 @@ the hull's edges (Narayanan 1991).  `compute_pps` finds them by a bracket
 search with Narayanan's greedy (`partition_opt._dilworth_greedy`): at the
 crossing b of two members' lines, the greedy either proves the pair
 adjacent or returns the finest minimizer at b, a new member strictly
-between them.  It makes no minimize_g call.  Where an adjacent pair splits
-several blocks at one tied breakpoint, it restores step 2 by splitting them
-one at a time; `repair_chain` does the same on any chain, after checking
-against minimize_g that each such pair attains g.
+between them in block count, whatever the oracle, since g's tangent points
+are ordered by block count.  It makes no minimize_g call.  Where an
+adjacent pair splits several blocks at one tied breakpoint, it restores
+step 2 by splitting them one at a time; `repair_chain` does the same on any
+chain, after checking against minimize_g that each such pair attains g.
 
 `verify_pps` and `repair_chain` score the chain members on the oracle's
 scaled value table in integers (`core.scaled_value`), so at b = p/q a
@@ -115,15 +116,15 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     `_dilworth_greedy` call per bracket, at the b where the lines of its two
     members cross.  If the greedy's X equals their value there, both attain
     g(b) and the pair is adjacent, with breakpoint b.  Otherwise the
-    greedy's partition R must attain X and have a block count strictly
-    between the pair's; it then splits the bracket.  No submodular oracle
-    fails either check, and together they bound the search to 2r - 3 calls
-    for r members; a failure raises NonSubmodularError naming b and the
-    pair's block counts.  For submodular f, R is the finest minimizer at b,
-    so the members are the strict vertices of the lower hull of the points
-    (k, OPT_k) (Narayanan 1991).  Members that split several blocks are then
-    split stepwise as in `repair_chain`, and a pair that is not nested
-    raises NonSubmodularError.
+    greedy's partition R must attain X, which no submodular oracle fails (a
+    failure raises NonSubmodularError naming b and the pair's block counts);
+    R then has a block count strictly between the pair's, for any oracle
+    (the proof is at the push), and splits the bracket, so the search makes
+    2r - 3 calls for r members.  For submodular f, R is the finest
+    minimizer at b, so the members are the strict vertices of the lower hull
+    of the points (k, OPT_k) (Narayanan 1991).  Members that split several
+    blocks are then split stepwise as in `repair_chain`, and a pair that is
+    not nested raises NonSubmodularError.
     """
     n = oracle.n
     d, tab = oracle.scaled_table()
@@ -147,16 +148,20 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
             continue
         r_total = scaled_value(tab, r)
         if q * r_total - d * p * len(r) != x:
-            found = "does not attain x(V)"
-        elif not len(coarse) < len(r) < len(fine):
-            found = f"has {len(r)} blocks"
-        else:
-            pending.append((r, r_total))
-            continue
-        raise NonSubmodularError(
-            f"at b={b}, bracketed by chain members with {len(coarse)} and {len(fine)} "
-            f"blocks, the greedy's partition {found}, which no submodular oracle allows"
-        )
+            raise NonSubmodularError(
+                f"at b={b}, bracketed by chain members with {len(coarse)} and {len(fine)} "
+                "blocks, the greedy's partition does not attain x(V), which no submodular "
+                "oracle allows"
+            )
+        # R attains X <= D q (f(P) - b|P|) for every P (`_dilworth_greedy`),
+        # so it minimizes g at b, strictly below both members' lines.  Each
+        # member minimizes g somewhere: {V} as b -> -inf, the singletons as
+        # b -> +inf, a pushed R at its own b; the coarse one left of b and
+        # the fine one right of it, where its line is the lower of the two.
+        # Minimizers at b1 < b2 have |P1| <= |P2| (add the two optimality
+        # inequalities), and equal counts would put R's line strictly below
+        # the member's at the member's own b.  So |coarse| < |R| < |fine|.
+        pending.append((r, r_total))
     return _split_stepwise(PrincipalSequence(tuple(chain), tuple(breakpoints)))
 
 

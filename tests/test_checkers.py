@@ -48,6 +48,18 @@ def test_graph_cut_class_profile():
     assert sp.check_posimodular(oracle).ok
 
 
+def test_check_result_truth_and_description():
+    oracle = two_edges().oracle()
+    passed, failed = sp.check_submodular(oracle), sp.check_monotone(oracle)
+    # a result is as true as its verdict
+    assert passed and not failed
+    assert passed.describe() == passed.describe(oracle.ground_set) == "submodular: ok"
+    assert failed.describe() == "monotone: violated at A=0b1, B=0b11 (lhs=1, rhs=0)"
+    assert failed.describe(oracle.ground_set) == (
+        "monotone: violated at A={a}, B={a,b} (lhs=1, rhs=0)"
+    )
+
+
 def test_matroid_rank_class_profile():
     fam = sp.GraphicMatroidRankFn(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     oracle = fam.oracle()

@@ -26,6 +26,8 @@ def test_as_fraction_rejects_floats():
         sp.as_fraction(0.5)
     with pytest.raises((ValueError, TypeError)):
         sp.as_fraction("0.5x")
+    with pytest.raises(TypeError, match="cannot convert list to an exact Fraction"):
+        sp.as_fraction([1])
 
 
 def test_default_labels():
@@ -37,8 +39,6 @@ def test_default_labels():
 def test_ground_set_formatting_and_lookup():
     gs = sp.GroundSet(3, ("a", "b", "c"))
     assert gs.full_mask == 0b111
-    assert gs.subset(["a", "c"]) == 0b101
-    assert gs.index("b") == 1
     assert gs.elements(0b110) == ("b", "c")
     assert gs.format_subset(0b101) == "{a,c}"
     assert gs.format_subset(0) == "{}"
@@ -51,6 +51,8 @@ def test_ground_set_rejects_bad_labels():
         sp.GroundSet(2, ("x",))
     with pytest.raises(ValueError, match="expected 2 labels, got 0"):
         sp.GroundSet(2, ())
+    with pytest.raises(ValueError, match="integer size of at least 1"):
+        sp.GroundSet(0)
     assert sp.GroundSet(2).labels == sp.GroundSet(2, None).labels == ("a", "b")
 
 
@@ -61,6 +63,7 @@ def test_partition_canonicalizes_block_order():
     assert 0b1100 in p
     assert p == sp.Partition(4, [0b0011, 0b1100])
     assert hash(p) == hash(sp.Partition(4, [0b0011, 0b1100]))
+    assert repr(p) == "Partition(4, [[0, 1], [2, 3]])"
 
 
 def test_partition_validation():
@@ -72,6 +75,8 @@ def test_partition_validation():
         sp.Partition(3, [0b111, 0])  # empty block
     with pytest.raises(ValueError):
         sp.Partition(2, [0b100, 0b011])  # out of range
+    with pytest.raises(ValueError, match="positive int"):
+        sp.Partition(0, [])
 
 
 def test_partition_rejects_non_int_arguments():
@@ -111,6 +116,9 @@ def test_partition_block_of_and_rgs():
     p = sp.Partition(4, [0b0101, 0b1010])
     assert p.block_of(0) == 0b0101
     assert p.block_of(1) == 0b1010
+    for element in (-1, 4):
+        with pytest.raises(ValueError, match=f"element {element} out of range"):
+            p.block_of(element)
     assert p.rgs() == (0, 1, 0, 1)
     assert sp.singleton_partition(3).rgs() == (0, 1, 2)
     assert sp.trivial_partition(3).rgs() == (0, 0, 0)
@@ -129,6 +137,21 @@ def test_refines_and_refined_part():
     assert sp.refined_part(sp.trivial_partition(4), sp.singleton_partition(4)) == 0b1111
     both = sp.Partition(4, [0b0001, 0b0010, 0b0100, 0b1000])
     assert sp.refined_part(coarse, both) is None
+    for check in (sp.refines, sp.refined_part):
+        with pytest.raises(ValueError, match="different ground sets"):
+            check(coarse, sp.trivial_partition(3))
+
+
+def test_refined_part_matches_its_definition():
+    # the reference: `fine` refines `coarse` and exactly one coarse block is
+    # not a fine block
+    for n in range(1, 6):
+        partitions = list(sp.enumerate_partitions(n))
+        for coarse in partitions:
+            for fine in partitions:
+                missing = [b for b in coarse.blocks if b not in fine.blocks]
+                single = sp.refines(fine, coarse) and len(missing) == 1
+                assert sp.refined_part(coarse, fine) == (missing[0] if single else None)
 
 
 def test_trivial_and_singleton_partitions():
@@ -156,6 +179,11 @@ def test_oracle_rejects_floats_and_bad_masks():
     bad = sp.ValueOracle(gs, lambda m: 0.5)
     with pytest.raises(TypeError):
         bad.eval(1)
+    text = sp.ValueOracle(gs, lambda m: "1", name="texty")
+    with pytest.raises(TypeError, match="oracle 'texty' returned str; expected Fraction or int"):
+        text.eval(1)
+    with pytest.raises(TypeError, match="subset masks must be ints"):
+        gs.validate_mask("1")
     ok = sp.ValueOracle(gs, lambda m: m.bit_count())
     with pytest.raises(ValueError):
         ok.eval(1 << 5)
@@ -192,6 +220,9 @@ def test_enumeration_cap_env_lowers_only(monkeypatch):
     assert sp.enumeration_cap() == 13
     monkeypatch.setenv("SUBMOD_N_CAP", "zero")
     with pytest.raises(ValueError):
+        sp.enumeration_cap()
+    monkeypatch.setenv("SUBMOD_N_CAP", "0")
+    with pytest.raises(ValueError, match="SUBMOD_N_CAP must be at least 1"):
         sp.enumeration_cap()
 
 

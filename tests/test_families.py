@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -72,6 +73,8 @@ def test_partition_matroid_rank_values():
         sp.PartitionMatroidRankFn(3, [[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         sp.PartitionMatroidRankFn(3, [[0, 1]])
+    with pytest.raises(ValueError, match="base blocks must be nonempty"):
+        sp.PartitionMatroidRankFn(3, [[0, 1], [], [2]])
 
 
 def test_graphic_matroid_rank_values():
@@ -118,6 +121,8 @@ def test_graphic_matroid_rejects_bool_vertex_count():
     for count in (True, False):
         with pytest.raises(ValueError, match="num_vertices must be a positive int"):
             sp.GraphicMatroidRankFn(count, [(0, 0)])
+    with pytest.raises(ValueError, match="a graphic matroid needs at least one edge"):
+        sp.GraphicMatroidRankFn(3, [])
 
 
 def test_explicit_table_validation():
@@ -139,6 +144,13 @@ def test_combination_values():
         sp.CombinationFn((cov, cut), (1,), "posimodular")
     with pytest.raises(ValueError):
         sp.CombinationFn((cov, sp.GraphCutFn(4, [(0, 1, 1)])), (1, 1), "posimodular")
+    with pytest.raises(ValueError, match="a combination needs at least one part"):
+        sp.CombinationFn((), (), "general")
+
+
+def test_base_family_has_no_value():
+    with pytest.raises(NotImplementedError):
+        sp.SetFunctionFamily(2).value(0)
 
 
 def test_tight_monotone3_table():
@@ -346,3 +358,60 @@ def test_integer_table_skips_value():
     for cls, args in ((sp.MonoTightNFn, (5, EPS)), (sp.DigraphHyperFn, (4, 7))):
         no_value = type("NoValue", (cls,), {"value": NoValue.value})(*args)
         assert no_value.oracle().scaled_table() == _fraction_table(cls(*args))
+
+
+class HalfCardinality(sp.SetFunctionFamily):
+    """A family with no integer builder: f(S) = |S| / 2, or |S| / 2 + 1/3
+    on sets of three or more elements."""
+
+    name = "half_cardinality"
+
+    def value(self, mask):
+        return Fraction(mask.bit_count(), 2) + (Fraction(1, 3) if mask.bit_count() > 2 else 0)
+
+
+class FloatCardinality(sp.SetFunctionFamily):
+    name = "float_cardinality"
+
+    def value(self, mask):
+        return mask.bit_count() / 2
+
+
+def test_family_without_a_builder_reads_value(monkeypatch):
+    fam = HalfCardinality(4)
+    assert fam.scaled_table() == _fraction_table(fam)
+    oracle = fam.oracle()
+    assert oracle.scaled_table() == _fraction_table(fam)
+    # the table came from an oracle of its own: this one counts all 2^n
+    # subsets as evaluated without having answered a query
+    assert oracle.distinct_evaluations == 16
+    assert oracle.total_calls == 0
+    floats = FloatCardinality(3)
+    message = "oracle 'float_cardinality' returned a float for mask 0x0"
+    with pytest.raises(TypeError, match=message):
+        floats.scaled_table()
+    with pytest.raises(TypeError, match=message):
+        floats.oracle().scaled_table()
+    monkeypatch.setenv("SUBMOD_N_CAP", "3")
+    with pytest.raises(sp.GroundSetCapError):
+        fam.scaled_table()
+    with pytest.raises(sp.GroundSetCapError):
+        fam.oracle().scaled_table()
+
+
+def test_nested_combination_with_a_part_without_a_builder():
+    inner = sp.CombinationFn(
+        (sp.GraphCutFn(4, [(0, 1, Fraction(2, 3)), (2, 3, 4)]), HalfCardinality(4)),
+        (Fraction(3, 4), Fraction(6, 5)),
+        "general",
+    )
+    outer = sp.CombinationFn(
+        (inner, HalfCardinality(4), sp.GraphCoverageFn(4, [(1, 3, Fraction(5, 7))])),
+        (Fraction(10, 3), Fraction(1, 6), 2),
+        "general",
+    )
+    for fam in (inner, outer):
+        d, table = fam.scaled_table()
+        assert (d, table) == _fraction_table(fam)
+        assert math.gcd(d, *table) == 1
+        assert fam.oracle().scaled_table() == (d, table)

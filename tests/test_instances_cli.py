@@ -708,6 +708,18 @@ def test_cli_reproduce_zero_denominator_is_a_usage_error(capsys, option):
     assert f"error: argument {option}: zero denominator: '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["random", "--family", "graph_cut", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["reproduce", "--eps", "abc"], "argument --eps: invalid Fraction value: 'abc'"),
+    ],
+)
+def test_cli_unparsable_numbers_are_usage_errors(capsys, args, message):
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["omega", "matroid-footnote"])
 def test_cli_reproduce_k_below_range(case):
     assert main(["reproduce", "--case", case, "--k", "1"]) == 2

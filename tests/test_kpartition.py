@@ -416,6 +416,21 @@ def test_ratio_to_optimum_rule():
         assert sp.ratio_to_optimum(value, opt, None) == (None, True)
 
 
+def test_ratio_helpers_reject_floats():
+    for args in (
+        (Fraction(3), 2.0, None),
+        (3.0, Fraction(2), None),
+        (Fraction(3), Fraction(2), 1.5),
+    ):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            sp.ratio_to_optimum(*args)
+    oracle = sp.random_instance("graph_cut", 6, 1).oracle()
+    chain = sp.compute_pps(oracle)
+    assert 3 not in chain.block_counts()
+    with pytest.raises(TypeError, match="floats are not exact"):
+        sp.check_chain_lower_bounds(oracle, 3, chain, 2.5)
+
+
 def test_algorithm_guarantee():
     assert sp.algorithm_guarantee("pps", "symmetric", 6, 3) == sp.approximation_bound("symmetric", 6)
     assert sp.algorithm_guarantee("pps", "general", 6, 3) is None

@@ -300,6 +300,28 @@ def test_compute_pps_names_a_pair_that_is_not_nested():
         sp.compute_pps(oracle)
 
 
+def test_compute_pps_endings_on_tie_heavy_tables():
+    # values in {0, 1, 2} tie often and are mostly not submodular; every
+    # partition that attains the greedy's bound lies strictly between its
+    # bracket in block count, so the search ends in a verified chain, an
+    # unattained bound or a pair that is not nested, and in nothing else
+    rng = random.Random("tie-heavy")
+    errors = ("does not attain x(V)", "are not nested")
+    endings = dict.fromkeys(("chain", *errors), 0)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        values = [0] + [rng.randint(0, 2) for _ in range((1 << n) - 1)]
+        oracle = sp.ExplicitTableFn(n, values).oracle()
+        try:
+            chain = sp.compute_pps(oracle)
+        except sp.NonSubmodularError as err:
+            endings[next(end for end in errors if end in str(err))] += 1
+        else:
+            assert sp.verify_pps(oracle, chain).ok, values
+            endings["chain"] += 1
+    assert endings == {"chain": 600, "does not attain x(V)": 1397, "are not nested": 3}
+
+
 def test_repair_checks_attainment_of_the_pairs_it_splits(monkeypatch):
     # ({ab|cd}, singletons) splits two blocks, but at b=3 the singletons'
     # g of -8 beats {ab|cd}'s -6: the public repair checks the pair it would
@@ -385,6 +407,10 @@ def test_sequence_validation():
     with pytest.raises(ValueError):
         sp.PrincipalSequence(
             (sp.singleton_partition(3), sp.trivial_partition(3)), (Fraction(1),)
+        )
+    with pytest.raises(ValueError, match="chain partitions live on different ground sets"):
+        sp.PrincipalSequence(
+            (sp.trivial_partition(3), sp.singleton_partition(4)), (Fraction(1),)
         )
 
 
