@@ -139,6 +139,8 @@ class GroundSet:
         labels = default_labels(self.n) if self.labels is None else tuple(self.labels)
         if len(labels) != self.n:
             raise ValueError(f"expected {self.n} labels, got {len(labels)}")
+        if not all(isinstance(label, str) for label in labels):
+            raise TypeError("element labels must be strings")
         if len(set(labels)) != len(labels):
             raise ValueError("element labels must be distinct")
         object.__setattr__(self, "labels", labels)
@@ -230,10 +232,10 @@ class Partition:
         if not 0 <= element < self.n:
             raise ValueError(f"element {element} out of range")
         bit = 1 << element
+        # the blocks cover the ground set, so this returns; next() on a generator is 2x slower
         for b in self.blocks:
             if b & bit:
                 return b
-        raise AssertionError("unreachable: partition covers the ground set")
 
     def rgs(self) -> tuple[int, ...]:
         """Restricted-growth encoding; lexicographic order on these tuples is

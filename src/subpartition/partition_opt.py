@@ -99,17 +99,24 @@ def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
     return (Partition._trusted(n, masks) for masks in _raw_partitions(n, k))
 
 
+def _line(total: int, size: int, d: int, b: Fraction) -> int:
+    """P's line at b = p/q in integers, D q (f(P) - b|P|), from `size` = |P|
+    and `total` = D f(P), D = `d`.  Every test of a partition at b uses it;
+    only the greedy's inner loop writes it out, for single sets."""
+    return b.denominator * total - d * b.numerator * size
+
+
 def _dilworth_greedy(n: int, d: int, tab: tuple[int, ...], b: Fraction) -> tuple[int, Partition]:
     """Narayanan's greedy for the Dilworth truncation of f - b, in integers
     scaled by D q at b = p/q, on the scaled value table (D, tab).
 
     For i = 0..n-1, x_i is the minimum over the sets S with max(S) = i of
-    (q tab[S] - D p) - x(S - i), and i merges with every block that meets
+    `_line`(tab[S], 1) - x(S - i), and i merges with every block that meets
     the first minimizing S in ascending mask order.  Returns X = x(V) and
     the merged partition R.  Every nonempty S has a largest element, so
     x(S) <= D q (f(S) - b) for all S, and summing over the blocks of any
-    partition Q gives X <= D q (f(Q) - b|Q|): whenever R attains X, X is
-    D q g(b).  For submodular f it always does, and R is the finest
+    partition Q gives X <= `_line`(D f(Q), |Q|): whenever R's line attains
+    X, X is D q g(b).  For submodular f it always does, and R is the finest
     minimizer, because the first minimizing S is inclusion-minimal.
     """
     p, q = b.numerator, b.denominator
@@ -141,17 +148,16 @@ def minimize_g(oracle: ValueOracle, b) -> Fraction:
     """Minimize f(P) - b * |P| over all partitions of the ground set.
 
     Returns the exact minimum as a Fraction, with no minimizer and no count,
-    for any oracle: x(V) of `_dilworth_greedy` when its partition attains
-    it, which every submodular oracle guarantees, and otherwise the minimum
-    over k of OPT_k - b*k from `optimal_k_value`.
+    for any oracle: x(V) of `_dilworth_greedy` when its partition's `_line`
+    attains it, which every submodular oracle guarantees, and otherwise the
+    minimum over k of OPT_k - b*k from `optimal_k_value`.
     """
     b = as_fraction(b)
-    p, q = b.numerator, b.denominator
     n = oracle.n
     d, tab = oracle.scaled_table()
     x, r = _dilworth_greedy(n, d, tab, b)
-    if q * scaled_value(tab, r) - d * p * len(r) == x:
-        return Fraction(x, d * q)
+    if _line(scaled_value(tab, r), len(r), d, b) == x:
+        return Fraction(x, d * b.denominator)
     return min(optimal_k_value(oracle, k) - b * k for k in range(1, n + 1))
 
 

@@ -26,10 +26,12 @@ adjacent pair splits several blocks at one tied breakpoint, it restores
 step 2 by splitting them one at a time; `repair_chain` does the same on any
 chain, after checking against minimize_g that each such pair attains g.
 
-`verify_pps` and `repair_chain` score the chain members on the oracle's
-scaled value table in integers (`core.scaled_value`), so at b = p/q a
-member's g is (q * D f(P) - D p |P|) / (D q), compared with minimize_g's
-exact value without building a Fraction.
+Every test of a member at a parameter b reads its line f(P) - b|P| in
+integers through one helper, `partition_opt._line`, on the oracle's scaled
+value table (`core.scaled_value`): the search's tests against the greedy's
+x(V), the breakpoint formula (the two members' lines meet at b), and the
+check, shared by `verify_pps` and `repair_chain`, that a pair attains
+minimize_g's exact value.
 
 `verify_pps` re-checks all five conditions from scratch against minimize_g.
 Condition 5 is decided exactly from the attainment data of condition 4,
@@ -59,7 +61,7 @@ from .core import (
     singleton_partition,
     trivial_partition,
 )
-from .partition_opt import _dilworth_greedy, minimize_g, optimal_k_value
+from .partition_opt import _dilworth_greedy, _line, minimize_g, optimal_k_value
 
 __all__ = [
     "PpsVerification",
@@ -139,15 +141,14 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     while pending:
         fine, fine_total = pending[-1]
         b = Fraction(fine_total - coarse_total, d * (len(fine) - len(coarse)))
-        p, q = b.numerator, b.denominator
         x, r = _dilworth_greedy(n, d, tab, b)
-        if x == q * coarse_total - d * p * len(coarse):
+        if x == _line(coarse_total, len(coarse), d, b):
             chain.append(fine)
             breakpoints.append(b)
             coarse, coarse_total = pending.pop()
             continue
         r_total = scaled_value(tab, r)
-        if q * r_total - d * p * len(r) != x:
+        if _line(r_total, len(r), d, b) != x:
             raise NonSubmodularError(
                 f"at b={b}, bracketed by chain members with {len(coarse)} and {len(fine)} "
                 "blocks, the greedy's partition does not attain x(V), which no submodular "
@@ -192,12 +193,14 @@ def _require_same_ground_set(oracle: ValueOracle, sequence: PrincipalSequence) -
         raise ValueError(f"the chain is on {sequence.n} elements, the oracle on {oracle.n}")
 
 
-def _attains(total: int, size: int, d: int, b: Fraction, best: Fraction) -> bool:
-    """Whether a partition with `size` blocks and scaled value `total`
-    (D f(P), D = `d`) attains `best` = g(b): at b = p/q its g is
-    (q total - D p size) / (D q)."""
-    p, q = b.numerator, b.denominator
-    return (q * total - d * p * size) * best.denominator == best.numerator * d * q
+def _pair_attains(oracle: ValueOracle, b: Fraction, pair: tuple[Partition, ...]) -> bool:
+    """Whether both members of a chain pair attain g(b), from one
+    minimize_g call: each member's line must equal D q g(b), compared in
+    integers times the denominator of g(b)."""
+    best = minimize_g(oracle, b)
+    d, tab = oracle.scaled_table()
+    target = best.numerator * d * b.denominator
+    return all(_line(scaled_value(tab, p), len(p), d, b) * best.denominator == target for p in pair)
 
 
 def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalSequence:
@@ -219,16 +222,8 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
     for coarse, fine, b in zip(sequence.partitions, sequence.partitions[1:], sequence.breakpoints):
         if not refines(fine, coarse):
             break  # the insert names this pair
-        if refined_part(coarse, fine) is None:
-            best = minimize_g(oracle, b)
-            d, tab = oracle.scaled_table()
-            if not (
-                _attains(scaled_value(tab, coarse), len(coarse), d, b, best)
-                and _attains(scaled_value(tab, fine), len(fine), d, b, best)
-            ):
-                raise NonSubmodularError(
-                    f"chain pair does not attain the parametric minimum at b={b}"
-                )
+        if refined_part(coarse, fine) is None and not _pair_attains(oracle, b, (coarse, fine)):
+            raise NonSubmodularError(f"chain pair does not attain the parametric minimum at b={b}")
     return _split_stepwise(sequence)
 
 
@@ -300,19 +295,14 @@ def verify_pps(
     totals = [scaled_value(tab, part) for part in parts]  # D f(P_j)
     formula_ok = True
     for j, b in enumerate(bps):
-        # where the two members' g-lines cross: b = (total gap) / (D count gap)
-        gap, scale = totals[j + 1] - totals[j], d * (len(parts[j + 1]) - len(parts[j]))
-        if b.numerator * scale != gap * b.denominator:
+        if _line(totals[j], len(parts[j]), d, b) != _line(totals[j + 1], len(parts[j + 1]), d, b):
             formula_ok = False
-            failures.append(
-                f"breakpoint {j} is {b}, but the value/count differences give "
-                f"{Fraction(gap, scale)}"
-            )
+            gap = Fraction(totals[j + 1] - totals[j], d * (len(parts[j + 1]) - len(parts[j])))
+            failures.append(f"breakpoint {j} is {b}, but the value/count differences give {gap}")
 
     attained_ok = True
     for j, b in enumerate(bps):
-        best = minimize_g(oracle, b)
-        if not all(_attains(totals[i], len(parts[i]), d, b, best) for i in (j, j + 1)):
+        if not _pair_attains(oracle, b, parts[j : j + 2]):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")
 

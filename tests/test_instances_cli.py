@@ -230,6 +230,18 @@ def test_empty_labels_rejected(make, defaults):
     assert make(None).labels == tuple(defaults.split())
 
 
+def test_non_string_labels_rejected(tmp_path):
+    # int labels would be saved to a file that load_instance rejects, and
+    # formatting a subset of them would fail inside str.join
+    with pytest.raises(TypeError, match="element labels must be strings"):
+        sp.GraphCutFn(2, [(0, 1, 1)], labels=[0, 1])
+    with pytest.raises(TypeError, match="element labels must be strings"):
+        sp.GroundSet(2, ("a", None))
+    back = sp.load_instance(write_instance(tmp_path, sp.GraphCutFn(2, [(0, 1, 1)], labels=["0", "1"])))
+    assert back.labels == ("0", "1")
+    assert back.ground_set().format_subset(0b11) == "{0,1}"
+
+
 def test_empty_labels_in_file_rejected(tmp_path, capsys):
     doc = sp.instance_to_json(sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 1)]))
     doc["labels"] = []

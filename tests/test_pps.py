@@ -399,6 +399,27 @@ def test_repair_is_idempotent(monkeypatch):
     assert calls == []
 
 
+def test_minimize_calls_per_breakpoint_and_per_multi_split_pair(monkeypatch):
+    # unit edges a-b, c-d and weight-3 edges e-f, g-h: the chain splits a
+    # block at 0, two at the tied breakpoint 2 and two at 6
+    oracle = sp.GraphCutFn(8, [(0, 1, 1), (2, 3, 1), (4, 5, 3), (6, 7, 3)]).oracle()
+    seq = sp.compute_pps(oracle)
+    assert seq.breakpoints == (0, 2, 2, 6, 6)
+    calls = _count_minimize_calls(monkeypatch)
+    assert sp.verify_pps(oracle, seq).ok
+    assert calls == list(seq.breakpoints)
+    # with the middle member of each tie dropped, the pairs at 2 and 6 split
+    # two blocks each, and only they are checked
+    parts = seq.partitions
+    dropped = sp.PrincipalSequence((parts[0], parts[1], parts[3], parts[5]), (0, 2, 6))
+    calls.clear()
+    assert sp.repair_chain(oracle, dropped) == seq
+    assert calls == [2, 6]
+    calls.clear()
+    assert not sp.verify_pps(oracle, dropped).refinement_ok
+    assert calls == [0, 2, 6]
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         sp.PrincipalSequence((), ())

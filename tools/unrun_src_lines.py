@@ -8,10 +8,10 @@ some line of its span had a line event.  The outermost statements that
 never ran are printed (docstrings excluded; a statement inside one that
 never ran is not listed again).
 
-Exit status: the suite's own status when it fails, else 1 when a statement
-that never ran is missing from ALLOWED, else 0.  Line events for statements
-spread over several lines differ between Python versions; the allowlist is
-kept for Python 3.11.
+Exit status: the suite's own status when it fails, else 1 when any
+statement never ran, else 0.  Line events for statements spread over
+several lines differ between Python versions; the check is kept for
+Python 3.11.
 
 Usage, from the repository root:
 
@@ -27,13 +27,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "subpartition"
-
-# (qualified function name, first line of the statement): statements that no
-# input can reach, kept as a guard
-ALLOWED = {
-    ("Partition.block_of", 'raise AssertionError("unreachable: partition covers the ground set")'),
-}
-
 
 def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """Run Tier-1 under the line tracer; (pytest status, lines hit per file)."""
@@ -115,17 +108,15 @@ def main(argv: list[str]) -> int:
     if status != 0:
         print(f"the test suite failed (pytest status {status}); no line report")
         return status
-    unexpected = 0
+    unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         for scope, stmt in unrun_statements(source, hits.get(str(path), set())):
             text = ast.get_source_segment(source, stmt).splitlines()[0].strip()
-            allowed = (scope, text) in ALLOWED
-            unexpected += not allowed
-            mark = "allowed" if allowed else "NOT RUN"
-            print(f"{mark}  {path.relative_to(ROOT)}:{stmt.lineno}  {scope}: {text}")
-    print(f"{unexpected} unrun statement(s) in src/subpartition functions outside the allowlist")
-    return 1 if unexpected else 0
+            unrun += 1
+            print(f"{path.relative_to(ROOT)}:{stmt.lineno}  {scope}: {text}")
+    print(f"{unrun} unrun statement(s) in src/subpartition functions")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":
