@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import decimal
 import json
 import operator
@@ -168,7 +167,7 @@ def cmd_pps(args) -> int:
             "labels": list(gs.labels),
             "n": gs.n,
             "partitions": [_blocks_as_indices(p) for p in sequence.partitions],
-            "verification": dataclasses.asdict(report),
+            "verification": vars(report),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

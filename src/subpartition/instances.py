@@ -136,10 +136,12 @@ def instance_to_json(family: SetFunctionFamily) -> dict:
     elif isinstance(family, DigraphHyperFn):
         doc["params"] = {"a": _rat_to_json(family.a)}
     elif isinstance(family, (ExplicitTableFn, CombinationFn)):
-        # saved as the explicit table; display names are not family tags
+        # saved as the explicit table, read off the scaled value table (which
+        # refuses a ground set above the cap); display names are not family tags
+        d, ints = family.scaled_table()
         doc["family"] = "explicit_table"
         doc["params"] = {
-            "values": [_rat_to_json(family.value(m)) for m in range(1 << family.n)],
+            "values": [_rat_to_json(Fraction(v, d)) for v in ints],
             "function_class": family.function_class,
         }
     else:

@@ -259,9 +259,11 @@ def approximation_bound(function_class: str, n: int) -> Fraction | None:
 
 def algorithm_guarantee(algorithm: str, function_class: str, n: int, k: int) -> Fraction | None:
     """Proved approximation guarantee of "pps", "greedy" or "singleton" on a
-    function class, or None when there is none."""
+    function class, or None when there is none; an unknown function class
+    raises ValueError whatever the algorithm."""
+    bound = approximation_bound(function_class, n)
     if algorithm == "pps":
-        return approximation_bound(function_class, n)
+        return bound
     if algorithm == "singleton" and function_class == "monotone":
         return 2 - Fraction(1, k)
     return None

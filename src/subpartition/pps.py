@@ -33,16 +33,18 @@ x(V), the breakpoint formula (the two members' lines meet at b), and the
 check, shared by `verify_pps` and `repair_chain`, that a pair attains
 minimize_g's exact value.
 
-`verify_pps` re-checks all five conditions from scratch against minimize_g.
-Condition 5 is decided exactly from the attainment data of condition 4,
-without further calls: g is concave (a minimum of affine lines) and P_j's
-line never lies below it, so a line that meets g at both ends of a closed
-segment meets it everywhere between, and a line that misses g at an end is
-not optimal there.  The unbounded end segments need |P_1| = 1 and |P_r| = n
-instead of a far end, since no line is flatter (steeper) than the one-block
-(all-singletons) one.  The argument uses no property of f, so it holds for
-any oracle and nothing is left to sample.  minimize_g runs the same greedy
-that builds the chain, so the check does not yet stand apart from it.
+`verify_pps` re-checks all five conditions from scratch against minimize_g
+in one walk over the adjacent pairs, and each verdict is the absence of
+its own failure lines.  Condition 5 is decided exactly from conditions
+1 and 4, without further calls: g is concave (a minimum of affine lines)
+and P_j's line never lies below it, so a line that meets g at both ends
+of a closed segment meets it everywhere between, and a line that misses g
+at an end is not optimal there.  The unbounded end segments need
+|P_1| = 1 and |P_r| = n instead of a far end, since no line is flatter
+(steeper) than the one-block (all-singletons) one.  The argument uses no
+property of f, so it holds for any oracle and nothing is left to sample.
+minimize_g runs the same greedy that builds the chain, so the check does
+not yet stand apart from it.
 """
 
 from __future__ import annotations
@@ -78,15 +80,16 @@ class PrincipalSequence:
     """A partition chain with its breakpoints.
 
     partitions[j] is optimal for g on [breakpoints[j-1], breakpoints[j]]
-    (unbounded at the two ends).  Block counts increase strictly.
-    Breakpoints are stored as Fractions: ints and "p/q" strings are
-    converted, floats raise TypeError.
+    (unbounded at the two ends).  Block counts increase strictly.  Any
+    iterable of partitions is stored as a tuple, and breakpoints as
+    Fractions: ints and "p/q" strings are converted, floats raise TypeError.
     """
 
     partitions: tuple[Partition, ...]
     breakpoints: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "partitions", tuple(self.partitions))
         if not self.partitions:
             raise ValueError("a principal sequence needs at least one partition")
         if len(self.breakpoints) != len(self.partitions) - 1:
@@ -231,10 +234,12 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
 class PpsVerification:
     """Re-check of all chain conditions; `failures` lists every violation.
 
-    `segments_optimal_ok` is derived from attainment at the segment ends,
-    which decides it exactly, so it adds no failure line of its own: the
-    attainment or endpoint failure already names the point.
-    `samples_checked` counts the minimize_g calls made, one per breakpoint.
+    Each `*_ok` field is True exactly when its condition added no line to
+    `failures`, and `ok` when there are none.  `segments_optimal_ok` is
+    `endpoints_ok and breakpoints_attained_ok`, which decides it exactly,
+    so it adds no failure line of its own: the attainment or endpoint
+    failure already names the point.  `samples_checked` counts the
+    minimize_g calls made, one per breakpoint.
     """
 
     ok: bool
@@ -256,11 +261,13 @@ def verify_pps(
     Verifies the chain endpoints, single-block refinement, nondecreasing
     breakpoints, the breakpoint formula, that both neighbors attain g at
     every breakpoint, and that each partition attains g throughout its
-    segment.  One minimize_g call per breakpoint, whatever the input.  A
-    member is optimal on all of its closed segment exactly when it attains
-    g at both finite ends, because g is concave and the member's line lies
-    on or above g; an unbounded end needs |P| = 1 on the left and |P| = n
-    on the right instead.
+    segment.  One walk over the adjacent pairs collects the refinement,
+    formula and attainment failures, with one minimize_g call per
+    breakpoint in chain order, whatever the input.  A member is optimal on
+    all of its closed segment exactly when it attains g at both finite
+    ends, because g is concave and its line lies on or above g; an
+    unbounded end needs |P| = 1 ({V}) on the left and |P| = n (the
+    singletons) on the right instead.
 
     `interior_samples` is accepted and ignored (the exact rule above made
     sampling redundant); a negative value raises ValueError, and so does a
@@ -272,53 +279,40 @@ def verify_pps(
     n = sequence.n
     parts = sequence.partitions
     bps = sequence.breakpoints
-    failures: list[str] = []
-
-    endpoints_ok = parts[0] == trivial_partition(n) and parts[-1] == singleton_partition(n)
-    if not endpoints_ok:
-        failures.append("chain must start at {V} and end at singletons")
-
-    refinement_ok = True
-    for j in range(len(parts) - 1):
-        if not refines(parts[j + 1], parts[j]):
-            refinement_ok = False
-            failures.append(f"chain entry {j + 1} does not refine entry {j}")
-        elif refined_part(parts[j], parts[j + 1]) is None:
-            refinement_ok = False
-            failures.append(f"chain entry {j + 1} splits more than one block of entry {j}")
-
-    nondecreasing_ok = all(b1 <= b2 for b1, b2 in zip(bps, bps[1:]))
-    if not nondecreasing_ok:
-        failures.append("breakpoints are not nondecreasing")
-
     d, tab = oracle.scaled_table()
     totals = [scaled_value(tab, part) for part in parts]  # D f(P_j)
-    formula_ok = True
-    for j, b in enumerate(bps):
-        if _line(totals[j], len(parts[j]), d, b) != _line(totals[j + 1], len(parts[j + 1]), d, b):
-            formula_ok = False
-            gap = Fraction(totals[j + 1] - totals[j], d * (len(parts[j + 1]) - len(parts[j])))
-            failures.append(f"breakpoint {j} is {b}, but the value/count differences give {gap}")
-
-    attained_ok = True
-    for j, b in enumerate(bps):
-        if not _pair_attains(oracle, b, parts[j : j + 2]):
-            attained_ok = False
-            failures.append(f"chain pair {j} does not attain the minimum at b={b}")
-
-    # each finite segment end is a breakpoint, which attained_ok covers;
-    # the open ends are attained exactly by {V} on the left (its line, slope
-    # -1, rises the slowest) and the singletons on the right (slope -n)
-    segments_ok = attained_ok and len(parts[0]) == 1 and len(parts[-1]) == n
-
+    refinement: list[str] = []
+    formula: list[str] = []
+    attainment: list[str] = []
+    for j, (coarse, fine, b) in enumerate(zip(parts, parts[1:], bps)):
+        if not refines(fine, coarse):
+            refinement.append(f"chain entry {j + 1} does not refine entry {j}")
+        elif refined_part(coarse, fine) is None:
+            refinement.append(f"chain entry {j + 1} splits more than one block of entry {j}")
+        if _line(totals[j], len(coarse), d, b) != _line(totals[j + 1], len(fine), d, b):
+            gap = Fraction(totals[j + 1] - totals[j], d * (len(fine) - len(coarse)))
+            formula.append(f"breakpoint {j} is {b}, but the value/count differences give {gap}")
+        if not _pair_attains(oracle, b, (coarse, fine)):
+            attainment.append(f"chain pair {j} does not attain the minimum at b={b}")
+    endpoints: list[str] = []
+    if parts[0] != trivial_partition(n) or parts[-1] != singleton_partition(n):
+        endpoints.append("chain must start at {V} and end at singletons")
+    nondecreasing: list[str] = []
+    if any(b1 > b2 for b1, b2 in zip(bps, bps[1:])):
+        nondecreasing.append("breakpoints are not nondecreasing")
+    failures = endpoints + refinement + nondecreasing + formula + attainment
     return PpsVerification(
         ok=not failures,
-        endpoints_ok=endpoints_ok,
-        refinement_ok=refinement_ok,
-        breakpoints_nondecreasing_ok=nondecreasing_ok,
-        breakpoints_attained_ok=attained_ok,
-        segments_optimal_ok=segments_ok,
-        formula_ok=formula_ok,
+        endpoints_ok=not endpoints,
+        refinement_ok=not refinement,
+        breakpoints_nondecreasing_ok=not nondecreasing,
+        breakpoints_attained_ok=not attainment,
+        # each finite segment end is a breakpoint, which attainment covers;
+        # the open ends are attained exactly by {V} on the left (its line,
+        # slope -1, rises the slowest) and the singletons on the right
+        # (slope -n), which endpoints covers
+        segments_optimal_ok=not endpoints and not attainment,
+        formula_ok=not formula,
         samples_checked=len(bps),
         failures=tuple(failures),
     )

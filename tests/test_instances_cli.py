@@ -82,6 +82,50 @@ def test_combination_round_trips_as_table(tmp_path):
     assert table_of(back) == table_of(fam)
 
 
+def _forbid_value(monkeypatch, fam):
+    """Make `value` raise on the family's class and on its parts' classes."""
+
+    def unused(self, mask):
+        raise AssertionError("value was called")
+
+    for cls in {type(part) for part in (fam, *getattr(fam, "parts", ()))}:
+        monkeypatch.setattr(cls, "value", unused)
+
+
+def test_table_files_are_written_from_the_value_table(tmp_path, monkeypatch):
+    rng = random.Random("table files")
+    denominators = (1, 3, 7, 10**12 + 39)
+    explicit = sp.ExplicitTableFn(
+        4, [Fraction(rng.randint(-50, 50), rng.choice(denominators)) for _ in range(16)]
+    )
+    combination = sp.CombinationFn(
+        [weighted_path4(), cardinality(4)], [Fraction(1, 3), Fraction(5, 2)], "posimodular"
+    )
+    for i, fam in enumerate([explicit, combination, sp.random_instance("mono_sym_combo", 5, 1)]):
+        # the file the Fraction values give, in lowest terms, one [p, q] per mask
+        expected = {
+            "family": "explicit_table",
+            "format_version": 1,
+            "labels": list(fam.labels),
+            "n": fam.n,
+            "params": {
+                "values": [[v.numerator, v.denominator] for v in map(fam.value, range(1 << fam.n))],
+                "function_class": fam.function_class,
+            },
+        }
+        with monkeypatch.context() as patch:
+            _forbid_value(patch, fam)
+            path = write_instance(tmp_path, fam, f"t{i}.json")
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_table_file_above_the_cap_is_refused_before_writing(tmp_path):
+    path = tmp_path / "big.json"
+    with pytest.raises(sp.GroundSetCapError):
+        sp.save_instance(sp.ExplicitTableFn(14, [0] * (1 << 14)), path)
+    assert not path.exists()
+
+
 def base_doc():
     return sp.instance_to_json(weighted_path4())
 

@@ -439,6 +439,13 @@ def test_algorithm_guarantee():
     assert sp.algorithm_guarantee("greedy", "monotone", 6, 3) is None
 
 
+@pytest.mark.parametrize("algorithm", ["pps", "greedy", "singleton"])
+def test_algorithm_guarantee_rejects_an_unknown_class(algorithm):
+    # "no bound" (None) is an answer about a known class, never about a typo
+    with pytest.raises(ValueError, match="unknown function class 'nonsense'"):
+        sp.algorithm_guarantee(algorithm, "nonsense", 5, 2)
+
+
 def test_ratio_report_negative_optimum_attained():
     # f = -1 everywhere passes every class check; any 2-partition is optimal
     oracle = sp.ExplicitTableFn(4, [-1] * 16, "monotone").oracle()

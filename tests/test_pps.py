@@ -435,6 +435,52 @@ def test_sequence_validation():
         )
 
 
+def test_sequence_stores_its_partitions_as_a_tuple():
+    oracle = sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 2)]).oracle()
+    seq = sp.compute_pps(oracle)
+    for partitions in (list(seq.partitions), (p for p in seq.partitions)):
+        again = sp.PrincipalSequence(partitions, list(seq.breakpoints))
+        assert isinstance(again.partitions, tuple)
+        assert again == seq
+        assert hash(again) == hash(seq)
+
+
+def test_verify_lists_every_kind_of_failure_in_order(monkeypatch):
+    # a chain on the path a-b-c-d-e (weights 1, 2, 1, 3) that breaks every
+    # condition at once: it starts at {ab|cde}, its first pair is not
+    # nested, its second splits two blocks, its breakpoints decrease, and
+    # neither breakpoint is its pair's crossing nor attains g
+    oracle = sp.GraphCutFn(5, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3)]).oracle()
+    parts = (
+        sp.Partition(5, [0b00011, 0b11100]),
+        sp.Partition(5, [0b00101, 0b00010, 0b11000]),
+        sp.singleton_partition(5),
+    )
+    calls = _count_minimize_calls(monkeypatch)
+    res = sp.verify_pps(oracle, sp.PrincipalSequence(parts, (Fraction(2), Fraction(1))))
+    assert calls == [2, 1]
+    assert res == sp.PpsVerification(
+        ok=False,
+        endpoints_ok=False,
+        refinement_ok=False,
+        breakpoints_nondecreasing_ok=False,
+        breakpoints_attained_ok=False,
+        segments_optimal_ok=False,
+        formula_ok=False,
+        samples_checked=2,
+        failures=(
+            "chain must start at {V} and end at singletons",
+            "chain entry 1 does not refine entry 0",
+            "chain entry 2 splits more than one block of entry 1",
+            "breakpoints are not nondecreasing",
+            "breakpoint 0 is 2, but the value/count differences give 4",
+            "breakpoint 1 is 1, but the value/count differences give 3",
+            "chain pair 0 does not attain the minimum at b=2",
+            "chain pair 1 does not attain the minimum at b=1",
+        ),
+    )
+
+
 def test_verify_reports_decreasing_breakpoints():
     oracle = weighted_path4().oracle()
     good = sp.compute_pps(oracle)
