@@ -294,9 +294,6 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-_MISSING = object()
-
-
 class ValueOracle:
     """Memoizing wrapper around an exact set function.
 
@@ -339,12 +336,11 @@ class ValueOracle:
     def eval(self, mask: int) -> Fraction:
         self.ground_set.validate_mask(mask)
         self._total_calls += 1
-        value = self._memo.get(mask, _MISSING)
-        if value is not _MISSING:
-            return value
         if self._scaled is not None:
             d, tab = self._scaled
-            value = self._memo[mask] = Fraction(tab[mask], d)
+            return Fraction(tab[mask], d)
+        value = self._memo.get(mask)
+        if value is not None:
             return value
         raw = self._fn(mask)
         if isinstance(raw, float):

@@ -107,7 +107,11 @@ def _int_field(d, key, what):
 
 
 def instance_to_json(family: SetFunctionFamily) -> dict:
-    """Serialize a family to the instance-file dict."""
+    """Serialize a family to the instance-file dict.
+
+    A ground set above the enumeration cap is refused, since
+    `load_instance` could not read the file back."""
+    require_within_cap(family.n, "reading back a saved instance")
     doc = {
         "format_version": FORMAT_VERSION,
         "family": family.name,
@@ -136,8 +140,7 @@ def instance_to_json(family: SetFunctionFamily) -> dict:
     elif isinstance(family, DigraphHyperFn):
         doc["params"] = {"a": _rat_to_json(family.a)}
     elif isinstance(family, (ExplicitTableFn, CombinationFn)):
-        # saved as the explicit table, read off the scaled value table (which
-        # refuses a ground set above the cap); display names are not family tags
+        # saved as the explicit table; display names are not family tags
         d, ints = family.scaled_table()
         doc["family"] = "explicit_table"
         doc["params"] = {

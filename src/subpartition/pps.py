@@ -80,8 +80,8 @@ class PrincipalSequence:
     """A partition chain with its breakpoints.
 
     partitions[j] is optimal for g on [breakpoints[j-1], breakpoints[j]]
-    (unbounded at the two ends).  Block counts increase strictly.  Any
-    iterable of partitions is stored as a tuple, and breakpoints as
+    (unbounded at the two ends).  Block counts increase strictly.  Both
+    fields take any iterable and are stored as tuples, the breakpoints as
     Fractions: ints and "p/q" strings are converted, floats raise TypeError.
     """
 
@@ -90,6 +90,7 @@ class PrincipalSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "partitions", tuple(self.partitions))
+        object.__setattr__(self, "breakpoints", tuple(map(as_fraction, self.breakpoints)))
         if not self.partitions:
             raise ValueError("a principal sequence needs at least one partition")
         if len(self.breakpoints) != len(self.partitions) - 1:
@@ -101,7 +102,6 @@ class PrincipalSequence:
         counts = [len(p) for p in self.partitions]
         if any(c2 <= c1 for c1, c2 in zip(counts, counts[1:])):
             raise ValueError("chain block counts must increase strictly")
-        object.__setattr__(self, "breakpoints", tuple(map(as_fraction, self.breakpoints)))
 
     @property
     def n(self) -> int:
@@ -169,10 +169,13 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     return _split_stepwise(PrincipalSequence(tuple(chain), tuple(breakpoints)))
 
 
-def _split_stepwise(sequence: PrincipalSequence) -> PrincipalSequence:
+def _split_stepwise(
+    sequence: PrincipalSequence, oracle: ValueOracle | None = None
+) -> PrincipalSequence:
     """Split, at the pair's breakpoint, the blocks that a pair's finer
     member splits one at a time in canonical order; a non-nested pair
-    raises NonSubmodularError."""
+    raises NonSubmodularError, and so, given an oracle, does a pair that
+    splits several blocks and misses minimize_g's value."""
     n = sequence.n
     parts = [sequence.partitions[0]]
     bps: list[Fraction] = []
@@ -182,6 +185,8 @@ def _split_stepwise(sequence: PrincipalSequence) -> PrincipalSequence:
             raise NonSubmodularError(f"{pair} are not nested")
         fine_blocks = set(fine.blocks)
         split = [s for s in coarse.blocks if s not in fine_blocks]
+        if oracle is not None and len(split) > 1 and not _pair_attains(oracle, b, (coarse, fine)):
+            raise NonSubmodularError(f"chain pair does not attain the parametric minimum at b={b}")
         for s in split[:-1]:
             rest = [blk for blk in parts[-1].blocks if blk != s]
             parts.append(Partition(n, rest + [blk for blk in fine.blocks if blk & s]))
@@ -222,12 +227,7 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
     that is not nested or misses the minimum raises NonSubmodularError.
     """
     _require_same_ground_set(oracle, sequence)
-    for coarse, fine, b in zip(sequence.partitions, sequence.partitions[1:], sequence.breakpoints):
-        if not refines(fine, coarse):
-            break  # the insert names this pair
-        if refined_part(coarse, fine) is None and not _pair_attains(oracle, b, (coarse, fine)):
-            raise NonSubmodularError(f"chain pair does not attain the parametric minimum at b={b}")
-    return _split_stepwise(sequence)
+    return _split_stepwise(sequence, oracle)
 
 
 @dataclass(frozen=True)

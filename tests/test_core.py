@@ -239,6 +239,31 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _reads_optimize_state(node: ast.AST) -> bool:
+    # __debug__ is False under python -O, and sys.flags.optimize is 1; an
+    # attribute or an import named `flags` is refused whatever it names
+    if isinstance(node, ast.Name):
+        return node.id == "__debug__"
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("__debug__", "flags")
+    return isinstance(node, ast.alias) and node.name in ("__debug__", "flags")
+
+
+def test_no_debug_or_sys_flags_reads_in_package():
+    # python -O only strips asserts and sets __debug__ and sys.flags; with
+    # no assert and no read of either, every command prints the same bytes
+    # and exits with the same code under -O, for every input
+    sources = sorted(Path(sp.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _reads_optimize_state(node)
+    ]
+    assert found == []
+
+
 def test_package_namespace_is_the_union_of_module_exports():
     # a name in two module lists would be shadowed silently by the star
     # imports, so the lists must be disjoint and each name must resolve to

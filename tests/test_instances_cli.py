@@ -126,6 +126,19 @@ def test_table_file_above_the_cap_is_refused_before_writing(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "family",
+    [sp.GraphCutFn(14, [(0, 1, 1)]), sp.MonoTightNFn(15), sp.DigraphHyperFn(14)],
+    ids=lambda fam: fam.name,
+)
+def test_every_family_above_the_cap_is_refused_before_writing(tmp_path, family):
+    # load_instance could not read such a file back
+    path = tmp_path / "big.json"
+    with pytest.raises(sp.GroundSetCapError):
+        sp.save_instance(family, path)
+    assert not path.exists()
+
+
 def base_doc():
     return sp.instance_to_json(weighted_path4())
 

@@ -445,6 +445,13 @@ def test_sequence_stores_its_partitions_as_a_tuple():
         assert hash(again) == hash(seq)
 
 
+def test_sequence_takes_its_breakpoints_from_any_iterable():
+    oracle = sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 2)]).oracle()
+    seq = sp.compute_pps(oracle)
+    again = sp.PrincipalSequence(seq.partitions, (b for b in seq.breakpoints))
+    assert again == seq
+
+
 def test_verify_lists_every_kind_of_failure_in_order(monkeypatch):
     # a chain on the path a-b-c-d-e (weights 1, 2, 1, 3) that breaks every
     # condition at once: it starts at {ab|cde}, its first pair is not
