@@ -17,7 +17,8 @@ plus the bit in at most 2^(n/2) slice pairs per bit:
 * monotone: f(S) <= f(S+v) for every v and S outside v, n 2^(n-1)
   comparisons;
 * symmetric: the table equals its own reverse, since index full - S is
-  V - S.
+  V - S.  A symmetric table takes half the work: the submodular test on
+  the sets without the last element decides both pair properties.
 
 Only when a test fails does its checker scan, to name the first witness:
 all 4^n pairs for the two pair properties, the sets in order for the other
@@ -134,8 +135,18 @@ def _ordered(vals, op, start: int = 0) -> bool:
 def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
     """Diminishing returns for single elements: f(S+i) + f(S+j) >=
     f(S+i+j) + f(S) for all S and i < j outside S.  In the gains of i,
-    element j > i is bit j-1, so the bits from 1 << i up are the j > i."""
-    return all(_ordered(_gains(tab, 1 << i), operator.ge, i) for i in range(n))
+    element j > i is bit j-1, so the bits from 1 << i up are the j > i.
+    A symmetric f is read on the sets without the last element v: the
+    second difference at S is the one at V-i-j-S, and with g(X) = f(X+i) -
+    f(X), g(S+v) = -g(V-v-i-S), so j = v reads g(S) + g(V-v-i-S) >= 0."""
+    if tab != tab[::-1]:
+        return all(_ordered(_gains(tab, 1 << i), operator.ge, i) for i in range(n))
+    low = tab[: len(tab) >> 1]
+    for i in range(n - 1):
+        gain = _gains(low, 1 << i)
+        if not _ordered(gain, operator.ge, i) or min(map(operator.add, gain, reversed(gain))) < 0:
+            return False
+    return True
 
 
 def check_submodular(oracle: ValueOracle) -> CheckResult:
@@ -197,7 +208,9 @@ def check_symmetric(oracle: ValueOracle) -> CheckResult:
 
 def _locally_posimodular(n: int, tab: tuple[int, ...]) -> bool:
     """Gains against complements: f(S+e) - f(S) >= f(V-T-e) - f(V-T) for
-    every e and every S subset of T subset of V-e."""
+    every e and S subset of T subset of V-e.  Symmetric f: submodularity."""
+    if tab == tab[::-1]:
+        return _locally_submodular(n, tab)
     size = len(tab) >> 1
     for e in range(n):
         gain = _gains(tab, 1 << e)
@@ -228,7 +241,9 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
     about n^2 2^(n-2) comparisons in all, made over list slices.  With
     g(X) = f(X+e) - f(X), the test reads g(S) + g(V-e-T) >= 0 for the
     disjoint sets S and V-e-T, so an element whose gains are all
-    nonnegative passes without the sweep.  The 4^n pair scan runs only on
+    nonnegative passes without the sweep.  For symmetric f, f(A) = f(V-A),
+    A - B = V - ((V-A) | B) and B - A = (V-A) & B, so posimodularity at
+    (A, B) is submodularity at (V-A, B).  The 4^n pair scan runs only on
     failure, to report the first witness in scan order.
     """
     d, tab = oracle.scaled_table()

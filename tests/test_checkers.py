@@ -44,8 +44,16 @@ def test_graph_cut_class_profile():
     mono = sp.check_monotone(oracle)
     assert not mono.ok
     verify_witness(oracle, mono)
-    # symmetric implies posimodular
+    # symmetric and submodular implies posimodular
     assert sp.check_posimodular(oracle).ok
+    # symmetry alone does not: here f({a}) + f({b}) = 0 < f(V) + f({}) = 10
+    # and f({a}) + f({a}) = 0 < 2 f({}) = 10
+    bowl = sp.ExplicitTableFn(2, [5, 0, 0, 5]).oracle()
+    assert sp.check_symmetric(bowl).ok
+    for check in (sp.check_submodular, sp.check_posimodular):
+        res = check(bowl)
+        assert not res.ok
+        verify_witness(bowl, res)
 
 
 def test_check_result_truth_and_description():
@@ -297,6 +305,53 @@ def test_local_posimodular_check_matches_pair_scan():
             mixed_outcomes[ok] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
     assert mixed_outcomes[True] >= 10 and mixed_outcomes[False] >= 10
+
+
+def _symmetric_tables(count):
+    """Seeded symmetric tables: h(S) + h(V - S) with h random in -3..3 at
+    n = 1..7, and graph_cut or hypergraph_cut tables at n = 2..7, some with
+    a few mirror pairs S, V - S nudged together."""
+    for i in range(count):
+        rng = random.Random(f"symmetric:{i}")
+        if i % 2:
+            n = 1 + i // 2 % 7
+            h = [rng.randint(-3, 3) for _ in range(1 << n)]
+            table = [h[s] + h[-1 - s] for s in range(1 << n)]
+        else:
+            n = 2 + i // 2 % 6
+            family = rng.choice(("graph_cut", "hypergraph_cut"))
+            table = list(sp.random_instance(family, n, i).oracle().full_table())
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                m = rng.randrange(1 << n)
+                nudge = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+                table[m] += nudge
+                table[-1 - m] += nudge
+        yield sp.ExplicitTableFn(n, table, "general")
+
+
+def test_symmetric_tables_match_pair_scans():
+    # both local tests read a symmetric table on its half without the last
+    # element; on these tables they must agree with the references that
+    # read all of it, failing ones included
+    outcomes = {(name, ok): 0 for name in ("submodular", "posimodular") for ok in (True, False)}
+    for fam in _symmetric_tables(320):
+        oracle = fam.oracle()
+        tab = oracle.scaled_table()[1]
+        assert tab == tab[::-1]
+        submodular = _triple_loop_submodular(fam.n, tab)
+        assert _locally_submodular(fam.n, tab) == submodular, fam
+        for check, scan in (
+            (sp.check_submodular, _pair_scan_submodular),
+            (sp.check_posimodular, _pair_scan_posimodular),
+        ):
+            res = check(oracle)
+            ok, witness, lhs, rhs = scan(oracle)
+            assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs), fam
+            # a symmetric table is posimodular exactly when it is submodular
+            assert ok == submodular
+            outcomes[res.property_name, ok] += 1
+        assert _locally_posimodular(fam.n, tab) == submodular, fam
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def _ordered_scan_monotone(oracle):
