@@ -36,8 +36,8 @@ raises `RuntimeError` rather than report the table either way.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import GroundSet, ValueOracle
 
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one property check.
 
     On failure, `witness` holds the pair of subset masks of the first

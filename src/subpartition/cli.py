@@ -167,7 +167,7 @@ def cmd_pps(args) -> int:
             "labels": list(gs.labels),
             "n": gs.n,
             "partitions": [_blocks_as_indices(p) for p in sequence.partitions],
-            "verification": vars(report),
+            "verification": report._asdict(),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

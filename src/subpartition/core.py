@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -126,23 +125,52 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class _Frozen:
+    """A frozen dataclass without code generation: slotted, compared, hashed, pickled
+    and shown by its `__slots__` fields; setting or deleting one raises FrozenInstanceError."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # the constructor validates again
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # imported on this error path only
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class GroundSet(_Frozen):
     """Ground set {0, ..., n-1} with display labels (default ones for None)."""
 
+    __slots__ = ("n", "labels")
     n: int
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+    def __init__(self, n: int, labels: Iterable[str] | None = None):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("a ground set needs an integer size of at least 1")
-        labels = default_labels(self.n) if self.labels is None else tuple(self.labels)
-        if len(labels) != self.n:
-            raise ValueError(f"expected {self.n} labels, got {len(labels)}")
+        labels = default_labels(n) if labels is None else tuple(labels)
+        if len(labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(labels)}")
         if not all(isinstance(label, str) for label in labels):
             raise TypeError("element labels must be strings")
         if len(set(labels)) != len(labels):
             raise ValueError("element labels must be distinct")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -166,8 +194,7 @@ class GroundSet:
         return " | ".join(self.format_subset(b) for b in partition.blocks)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Partition:
+class Partition(_Frozen):
     """A partition of {0..n-1} into nonempty blocks, canonically ordered.
 
     Blocks are stored as masks sorted by ascending minimum element.  The
@@ -175,8 +202,6 @@ class Partition:
     the trusted classmethod to skip re-validation of blocks it built itself.
     """
 
-    # Slots written by hand: `dataclass(slots=True)` rebuilds the class, and
-    # the frozen `__setattr__` then raises TypeError for unknown attributes.
     __slots__ = ("n", "blocks")
     n: int
     blocks: tuple[int, ...]
@@ -210,9 +235,13 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
         return self
 
-    def __reduce__(self):
-        # the default pickle state is restored by setattr, which frozen forbids
-        return (type(self), (self.n, self.blocks))
+    def __eq__(self, other):  # (n, blocks) directly: the generic field tuple is slower
+        if other.__class__ is self.__class__:
+            return (self.n, self.blocks) == (other.n, other.blocks)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)

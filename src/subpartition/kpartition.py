@@ -34,8 +34,8 @@ reads the table instead when the oracle already holds it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     Partition,
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KPartitionRun:
+class KPartitionRun(NamedTuple):
     """One run of the sequence-based k-partition algorithm, with diagnostics.
 
     On an exact hit, `partition` is the chain member with k blocks and the
@@ -162,8 +161,7 @@ def pps_k_partition(
     )
 
 
-@dataclass(frozen=True)
-class BaselineResult:
+class BaselineResult(NamedTuple):
     algorithm: str
     partition: Partition
     value: Fraction
@@ -286,8 +284,7 @@ def ratio_to_optimum(
     return ratio, bound is None or (ratio is not None and ratio <= bound)
 
 
-@dataclass(frozen=True)
-class ChainBoundsReport:
+class ChainBoundsReport(NamedTuple):
     """The two chain lower bounds on the optimal k-partition value.
 
     Applicable on straddled (non-exact-hit) runs: with L = |below|, U =
@@ -332,8 +329,7 @@ def check_chain_lower_bounds(
     )
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Run value vs `optimal_k_value` vs class bound, all exact.
 
     `ratio`, `bound_ok` and, on straddled runs, `chain_coarse_ratio` =

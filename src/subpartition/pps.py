@@ -49,13 +49,14 @@ not yet stand apart from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .core import (
     NonSubmodularError,
     Partition,
     ValueOracle,
+    _Frozen,
     as_fraction,
     refined_part,
     refines,
@@ -75,30 +76,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrincipalSequence:
+class PrincipalSequence(_Frozen):
     """A partition chain with its breakpoints.
 
     partitions[j] is optimal for g on [breakpoints[j-1], breakpoints[j]]
-    (unbounded at the two ends).  Block counts increase strictly.  Both
-    fields take any iterable and are stored as tuples, the breakpoints as
-    Fractions: ints and "p/q" strings are converted, floats raise TypeError.
+    (unbounded at the two ends).  Block counts increase strictly.  Both fields
+    take any iterable and are stored as tuples, of `Partition`s (else TypeError)
+    and of Fractions: ints and "p/q" strings are converted, floats raise TypeError.
     """
 
+    __slots__ = ("partitions", "breakpoints")
     partitions: tuple[Partition, ...]
     breakpoints: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "partitions", tuple(self.partitions))
-        object.__setattr__(self, "breakpoints", tuple(map(as_fraction, self.breakpoints)))
+    def __init__(self, partitions: Iterable[Partition], breakpoints: Iterable):
+        object.__setattr__(self, "partitions", tuple(partitions))
+        if not all(isinstance(p, Partition) for p in self.partitions):
+            raise TypeError("chain members must be Partition objects")
+        object.__setattr__(self, "breakpoints", tuple(map(as_fraction, breakpoints)))
         if not self.partitions:
             raise ValueError("a principal sequence needs at least one partition")
         if len(self.breakpoints) != len(self.partitions) - 1:
             raise ValueError("need exactly one breakpoint between adjacent partitions")
         n = self.partitions[0].n
-        for p in self.partitions:
-            if p.n != n:
-                raise ValueError("chain partitions live on different ground sets")
+        if any(p.n != n for p in self.partitions):
+            raise ValueError("chain partitions live on different ground sets")
         counts = [len(p) for p in self.partitions]
         if any(c2 <= c1 for c1, c2 in zip(counts, counts[1:])):
             raise ValueError("chain block counts must increase strictly")
@@ -230,8 +232,7 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
     return _split_stepwise(sequence, oracle)
 
 
-@dataclass(frozen=True)
-class PpsVerification:
+class PpsVerification(NamedTuple):
     """Re-check of all chain conditions; `failures` lists every violation.
 
     Each `*_ok` field is True exactly when its condition added no line to

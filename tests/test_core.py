@@ -112,6 +112,113 @@ def test_partition_equality_and_hash():
     assert p != (3, (0b001, 0b110))
 
 
+def _path3():
+    # the weighted path a-b-c (weights 1, 2) and its chain {abc}, {a|bc}, singletons
+    oracle = sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 2)]).oracle()
+    return oracle, sp.compute_pps(oracle)
+
+
+def test_ground_set_and_sequence_are_immutable():
+    for obj, field in ((sp.GroundSet(2), "labels"), (_path3()[1], "breakpoints")):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {field!r}"):
+            setattr(obj, field, ())
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field {field!r}"):
+            delattr(obj, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.x = 4
+        assert not hasattr(obj, "__dict__")
+
+
+def test_ground_set_and_sequence_pickle_and_deepcopy_round_trip():
+    for obj in (sp.GroundSet(3, ["x", "y", "z"]), _path3()[1]):
+        for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert copied == obj and type(copied) is type(obj)
+            assert hash(copied) == hash(obj)
+
+
+def test_ground_set_and_sequence_equality_and_hash():
+    _, seq = _path3()
+    assert hash(sp.GroundSet(2)) == hash((2, ("a", "b")))
+    assert hash(seq) == hash((seq.partitions, seq.breakpoints))
+    assert sp.GroundSet(2) == sp.GroundSet(2, ["a", "b"])
+    assert sp.GroundSet(2) != sp.GroundSet(2, ["b", "a"])
+    assert sp.GroundSet(2) != (2, ("a", "b"))
+    assert seq != (seq.partitions, seq.breakpoints)
+    assert seq != sp.PrincipalSequence(seq.partitions[:2], seq.breakpoints[:1])
+
+
+def test_value_classes_keep_the_dataclass_repr():
+    oracle, seq = _path3()
+    chain = (
+        "PrincipalSequence(partitions=(Partition(3, [[0, 1, 2]]), Partition(3, [[0], [1, 2]]), "
+        "Partition(3, [[0], [1], [2]])), breakpoints=(Fraction(2, 1), Fraction(4, 1)))"
+    )
+    run = (
+        "KPartitionRun(k=2, partition=Partition(3, [[0], [1, 2]]), value=Fraction(2, 1), "
+        f"exact_hit=True, sequence={chain}, below=None, above=None, split_block=None, "
+        "piece_order=None, num_taken=None, gap_above=None)"
+    )
+    cases = [
+        (sp.GroundSet(2), "GroundSet(n=2, labels=('a', 'b'))"),
+        (seq, chain),
+        (
+            sp.CheckResult("submodular", False, (1, 2), Fraction(1, 2), 3),
+            "CheckResult(property_name='submodular', ok=False, witness=(1, 2), "
+            "lhs=Fraction(1, 2), rhs=3)",
+        ),
+        (
+            sp.verify_pps(oracle, seq),
+            "PpsVerification(ok=True, endpoints_ok=True, refinement_ok=True, "
+            "breakpoints_nondecreasing_ok=True, breakpoints_attained_ok=True, "
+            "segments_optimal_ok=True, formula_ok=True, samples_checked=2, failures=())",
+        ),
+        (sp.pps_k_partition(oracle, 2, pps=seq), run),
+        (
+            sp.greedy_splitting(oracle, 2),
+            "BaselineResult(algorithm='greedy', partition=Partition(3, [[0], [1, 2]]), "
+            "value=Fraction(2, 1))",
+        ),
+        (
+            sp.check_chain_lower_bounds(oracle, 2, seq, 1),
+            "ChainBoundsReport(applicable=False, interpolated_bound=None, coarse_bound=None, "
+            "interpolated_ok=None, coarse_ok=None)",
+        ),
+        (
+            sp.ratio_report(oracle, 2, "symmetric", pps=seq),
+            "RatioReport(n=3, k=2, function_class='symmetric', algorithm_value=Fraction(2, 1), "
+            "optimal_value=Fraction(2, 1), ratio=Fraction(1, 1), bound=Fraction(4, 3), "
+            f"bound_ok=True, exact_hit=True, chain_coarse_ratio=None, run={run})",
+        ),
+    ]
+    for obj, text in cases:
+        assert repr(obj) == text
+
+
+def test_result_records_are_named_tuples():
+    # the records are tuples: unpacked, indexed, equal to a plain tuple, and
+    # read-only, but with no __dict__ for vars()
+    result = sp.CheckResult("monotone", False, (1, 3), Fraction(1), Fraction(0))
+    name, ok, witness, lhs, rhs = result
+    assert (name, ok, witness) == ("monotone", False, (1, 3)) and not result
+    assert result == ("monotone", False, (1, 3), 1, 0) and result[3] == lhs
+    assert result._asdict()["rhs"] == rhs
+    with pytest.raises(AttributeError):
+        result.ok = True
+    with pytest.raises(TypeError):
+        vars(result)
+    oracle, seq = _path3()
+    records = [
+        sp.verify_pps(oracle, seq),
+        sp.pps_k_partition(oracle, 2, pps=seq),
+        sp.cheapest_singleton(oracle, 2),
+        sp.check_chain_lower_bounds(oracle, 2, seq, 1),
+        sp.ratio_report(oracle, 2, "symmetric", pps=seq),
+    ]
+    for record in records:
+        assert isinstance(record, tuple) and tuple(record) == record
+        assert record._replace() == record
+
+
 def test_partition_block_of_and_rgs():
     p = sp.Partition(4, [0b0101, 0b1010])
     assert p.block_of(0) == 0b0101

@@ -809,6 +809,30 @@ def test_python_m_subpartition():
     assert "reproduce: PASS" in done.stdout
 
 
+def test_one_shot_pps_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # `dataclasses`, through `inspect`, costs about as much import time as
+    # the whole package; -S keeps what `site` imports out of the check
+    path = tmp_path / "cut.json"
+    sp.save_instance(sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 2)]), path)
+    code = (
+        "import sys\n"
+        "from subpartition.cli import main\n"
+        "code = main(['pps', sys.argv[1], '--json'])\n"
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert '"verification": {' in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_installed_entry_point(monkeypatch):
     # `run` is the `subpartition` console script named in pyproject.toml
     monkeypatch.setattr("sys.argv", ["subpartition", "reproduce", "--case", "mono3"])

@@ -420,6 +420,14 @@ def test_minimize_calls_per_breakpoint_and_per_multi_split_pair(monkeypatch):
     assert calls == [0, 2, 6]
 
 
+@pytest.mark.parametrize("partitions", [[(1, 2)], "ab", [sp.trivial_partition(2), 3]])
+def test_sequence_members_must_be_partitions(partitions):
+    # checked first: a tuple member has no block count, and a string's
+    # characters would be counted against the breakpoints
+    with pytest.raises(TypeError, match="chain members must be Partition objects"):
+        sp.PrincipalSequence(partitions, [])
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         sp.PrincipalSequence((), ())
