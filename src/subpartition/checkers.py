@@ -67,16 +67,12 @@ class CheckResult(NamedTuple):
     def __bool__(self) -> bool:
         return self.ok
 
-    def describe(self, ground_set: GroundSet | None = None) -> str:
+    def describe(self, ground_set: GroundSet) -> str:
         if self.ok:
             return f"{self.property_name}: ok"
-        a, b = self.witness
-        if ground_set is not None:
-            sa, sb = ground_set.format_subset(a), ground_set.format_subset(b)
-        else:
-            sa, sb = f"{a:#b}", f"{b:#b}"
+        a, b = (ground_set.format_subset(m) for m in self.witness)
         return (
-            f"{self.property_name}: violated at A={sa}, B={sb} "
+            f"{self.property_name}: violated at A={a}, B={b} "
             f"(lhs={self.lhs}, rhs={self.rhs})"
         )
 

@@ -50,7 +50,7 @@ from .checkers import (
     check_submodular,
     check_symmetric,
 )
-from .core import NonSubmodularError, require_block_count
+from .core import NonSubmodularError, require_block_count, require_within_cap
 from .families import (
     FUNCTION_CLASSES,
     DigraphHyperFn,
@@ -327,6 +327,7 @@ def _case_mono3(args):
 def _case_mono_n(args):
     n = 9 if args.n is None else args.n
     k = (n + 1) // 2
+    require_within_cap(n, "reproduce monoN")
     fam = MonoTightNFn(n, args.eps)
     rr = ratio_report(fam.oracle(), k, "monotone")
     upper = Fraction(3 * n + 3, 4) + Fraction(n + 1, 2) * fam.eps
@@ -357,6 +358,7 @@ def _case_posi3(args):
 def _case_omega(args):
     n = 8 if args.n is None else args.n
     k = 3 if args.k is None else args.k
+    require_within_cap(n, "reproduce omega")
     fam = DigraphHyperFn(n, args.a)
     a = fam.a
     if not 2 <= k <= n:
@@ -396,6 +398,7 @@ def _case_footnote(args):
     if k < 2:
         raise ValueError("matroid-footnote needs k >= 2")
     n = 2 * k
+    require_within_cap(n, "reproduce matroid-footnote")
     fam = PartitionMatroidRankFn(n, [[i, i + k] for i in range(k)])
     oracle = fam.oracle()
     base = cheapest_singleton(oracle, k)

@@ -9,15 +9,16 @@ the representations the rest of the package builds on:
 * partitions are tuples of disjoint nonempty masks covering V, stored in a
   canonical order (blocks sorted by their minimum element).
 
-The canonical block order induces a restricted-growth encoding of each
-partition, and lexicographic order on those encodings is the canonical
-total order on partitions of a fixed ground set.  Every "ties broken
-canonically" rule in this package means exactly that order.
+The canonical block order induces a restricted-growth string for each
+partition (element i's block index), and lexicographic order on those
+strings is the canonical total order on partitions of a fixed ground set.
+Every "ties broken canonically" rule in this package means exactly that
+order.
 
 Exhaustive work is capped at n <= 13 ground elements; SUBMOD_N_CAP can lower
 the cap but never raise it.  The 2^n value table that every checker, brute
 force, minimizer and greedy split reads (`ValueOracle.scaled_table`) checks
-the cap on every call, as do partition enumeration and instance loading.
+the cap on every call, as does instance loading.
 An oracle built by a family's `oracle()` takes that table from the family's
 `scaled_table()`; a bare `ValueOracle(ground_set, fn)` builds it from `fn`
 on every subset.
@@ -25,8 +26,8 @@ on every subset.
 Once the table exists, every layer scores a partition P in scaled integers,
 D * f(P) = `scaled_value(tab, P)`, and builds a `Fraction` only for a value
 it reports; `ValueOracle.eval` then answers from the table too.
-`partition_value` and `g_value` stay the exact `Fraction` reference through
-`eval`: the tests use them, and so does a baseline that reads no table
+`partition_value` stays the exact `Fraction` reference through `eval`: the
+tests use it, and so does a baseline that reads no table
 (`cheapest_singleton`, and `greedy_splitting` at k = 1).
 """
 
@@ -48,7 +49,6 @@ __all__ = [
     "ValueOracle",
     "as_fraction",
     "enumeration_cap",
-    "g_value",
     "partition_value",
     "refined_part",
     "refines",
@@ -266,18 +266,6 @@ class Partition(_Frozen):
             if b & bit:
                 return b
 
-    def rgs(self) -> tuple[int, ...]:
-        """Restricted-growth encoding; lexicographic order on these tuples is
-        the canonical total order on partitions of the same ground set."""
-        out = [0] * self.n
-        for bi, b in enumerate(self.blocks):
-            m = b
-            while m:
-                low = m & -m
-                out[low.bit_length() - 1] = bi
-                m ^= low
-        return tuple(out)
-
 
 def trivial_partition(n: int) -> Partition:
     """The one-block partition {V}."""
@@ -423,7 +411,3 @@ def partition_value(oracle: ValueOracle, partition: Partition) -> Fraction:
         total += oracle.eval(b)
     return total
 
-
-def g_value(oracle: ValueOracle, partition: Partition, b) -> Fraction:
-    """The parametric objective f(P) - b * |P| for one partition."""
-    return partition_value(oracle, partition) - as_fraction(b) * len(partition)

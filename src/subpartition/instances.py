@@ -269,7 +269,7 @@ def save_instance(family: SetFunctionFamily, path) -> None:
 def load_instance(path, validate: bool = True) -> SetFunctionFamily:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
     return instance_from_json(doc, validate=validate)
 

@@ -2,8 +2,6 @@
 
 This module holds the exhaustive engines under the principal-sequence search:
 
-* `enumerate_partitions(n, k)` streams all partitions of {0..n-1} (or those
-  with exactly k blocks) in canonical order, lazily, O(n) memory,
 * `_dilworth_greedy(n, D, tab, b)` is Narayanan's greedy for the Dilworth
   truncation of f - b (Narayanan 1991; Fujishige 2005): one pass over the
   2^n sets in scaled integers gives a lower bound x(V) on g(b) and a
@@ -20,8 +18,9 @@ This module holds the exhaustive engines under the principal-sequence search:
   DP over (subset, blocks left) with one flat list per level, rebuilt on
   every call,
 * `brute_force_optimal_k_partition(oracle, k)` is the enumeration reference
-  the tests check it against: it scans the k-block partitions and returns
-  the canonically first optimal one with its value.
+  the tests check it against: it scans the k-block partitions, streamed
+  lazily by the module's one partition generator `_raw_partitions(n, k)`,
+  and returns the canonically first optimal one with its value.
 
 Canonical order is lexicographic on restricted-growth strings: element 0
 opens block 0, and each later element either joins an existing block
@@ -31,8 +30,7 @@ minimizer found" a well-defined deterministic tie-break.
 Nothing is cached between calls.  The greedy scans sets and the optimum
 scans (subset, block) pairs, so a bug in either cannot reappear in the
 other, and brute force shares code with neither.  All of them read the
-oracle's value table, which checks the enumeration cap on every call;
-`enumerate_partitions` checks it.
+oracle's value table, which checks the enumeration cap on every call.
 """
 
 from __future__ import annotations
@@ -45,58 +43,40 @@ from .core import (
     ValueOracle,
     as_fraction,
     require_block_count,
-    require_within_cap,
     scaled_value,
 )
 
 __all__ = [
     "brute_force_all_k",
     "brute_force_optimal_k_partition",
-    "enumerate_partitions",
     "minimize_g",
     "optimal_k_value",
 ]
 
-# Bell numbers up to the hard cap of 13
-BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437)
-
-
-def _raw_partitions(n: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield partitions as canonical tuples of block masks, lexicographically
-    by restricted-growth string.  With k, only partitions with k blocks."""
+def _raw_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions with k blocks as canonical tuples of block masks,
+    lexicographically by restricted-growth string."""
     masks = [0] * n
 
     def rec(i: int, m: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            if k is None or m == k:
+            if m == k:
                 yield tuple(masks[:m])
             return
-        if k is not None and m + (n - i) < k:
+        if m + (n - i) < k:
             return  # cannot open enough new blocks any more
         bit = 1 << i
         for j in range(m):
             masks[j] |= bit
             yield from rec(i + 1, m)
             masks[j] ^= bit
-        if k is None or m < k:
+        if m < k:
             masks[m] = bit
             yield from rec(i + 1, m + 1)
             masks[m] = 0
 
     masks[0] = 1
     yield from rec(1, 1)
-
-
-def enumerate_partitions(n: int, k: int | None = None) -> Iterator[Partition]:
-    """Stream Partition objects of {0..n-1} in canonical order, lazily.
-
-    With k, restrict to partitions with exactly k blocks.  Subject to the
-    enumeration cap.  Both checks run when called, before any iteration.
-    """
-    require_within_cap(n, "enumerate_partitions")
-    if k is not None:
-        require_block_count(k, n)
-    return (Partition._trusted(n, masks) for masks in _raw_partitions(n, k))
 
 
 def _line(total: int, size: int, d: int, b: Fraction) -> int:

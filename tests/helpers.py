@@ -5,11 +5,52 @@ tests can be frozen as exact rationals.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import subpartition as sp
 
 EPS = Fraction(1, 10**6)
 BIG_A = Fraction(10**6)
+
+# Bell(n), the number of partitions of an n-element set, for n = 0..8
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+@cache
+def _canonical_partitions(n: int) -> tuple[sp.Partition, ...]:
+    strings = [(0,)]
+    for _ in range(n - 1):
+        # extending a lexicographically sorted list keeps it sorted
+        strings = [s + (j,) for s in strings for j in range(max(s) + 2)]
+    out = []
+    for s in strings:
+        blocks = [0] * (max(s) + 1)
+        for i, j in enumerate(s):
+            blocks[j] |= 1 << i
+        out.append(sp.Partition(n, blocks))
+    return tuple(out)
+
+
+def partitions(n: int, k: int | None = None) -> tuple[sp.Partition, ...]:
+    """Every partition of {0..n-1} (with k, every one with k blocks) in
+    canonical order: lexicographic on restricted-growth strings, which are
+    built here string by string, sharing no code with the package's own
+    generator."""
+    every = _canonical_partitions(n)
+    return every if k is None else tuple(p for p in every if len(p) == k)
+
+
+def rgs(partition: sp.Partition) -> tuple[int, ...]:
+    """The restricted-growth string of a partition: element i's block index,
+    blocks taken in the partition's canonical order."""
+    blocks = partition.blocks
+    return tuple(next(j for j, b in enumerate(blocks) if b >> i & 1) for i in range(partition.n))
+
+
+def g_value(oracle: sp.ValueOracle, partition: sp.Partition, b) -> Fraction:
+    """The parametric objective f(P) - b|P| of one partition, through the
+    oracle's `eval`."""
+    return sp.partition_value(oracle, partition) - sp.as_fraction(b) * len(partition)
 
 
 def mono3(eps=EPS) -> sp.MonoTight3Fn:

@@ -18,7 +18,7 @@ import pytest
 import subpartition as sp
 
 from conftest import record_criterion
-from helpers import EPS, BIG_A, fraction_oracle, mono3, mono_n, omega, posi3
+from helpers import EPS, BIG_A, fraction_oracle, mono3, mono_n, omega, partitions, posi3
 
 
 def finish(code, description, failures):
@@ -177,7 +177,7 @@ def test_criterion_02_monotone_tight_family(named_cases):
         oracle = named_cases[f"mono_n{n}"].oracle
         heavy_threshold = Fraction(n + 1, 2)
         worst = 0
-        for p in sp.enumerate_partitions(n):
+        for p in partitions(n):
             heavy = sum(1 for blk in p.blocks if fam.unclamped(blk) >= heavy_threshold)
             worst = max(worst, heavy)
         c.expect(worst <= 1, f"n={n}: a partition has {worst} heavy parts")

@@ -11,7 +11,7 @@ import pytest
 import subpartition as sp
 from subpartition.core import default_labels, require_within_cap
 
-from helpers import weighted_path4
+from helpers import g_value, partitions, rgs, weighted_path4
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -226,9 +226,9 @@ def test_partition_block_of_and_rgs():
     for element in (-1, 4):
         with pytest.raises(ValueError, match=f"element {element} out of range"):
             p.block_of(element)
-    assert p.rgs() == (0, 1, 0, 1)
-    assert sp.singleton_partition(3).rgs() == (0, 1, 2)
-    assert sp.trivial_partition(3).rgs() == (0, 0, 0)
+    assert rgs(p) == (0, 1, 0, 1)
+    assert rgs(sp.singleton_partition(3)) == (0, 1, 2)
+    assert rgs(sp.trivial_partition(3)) == (0, 0, 0)
 
 
 def test_refines_and_refined_part():
@@ -253,9 +253,8 @@ def test_refined_part_matches_its_definition():
     # the reference: `fine` refines `coarse` and exactly one coarse block is
     # not a fine block
     for n in range(1, 6):
-        partitions = list(sp.enumerate_partitions(n))
-        for coarse in partitions:
-            for fine in partitions:
+        for coarse in partitions(n):
+            for fine in partitions(n):
                 missing = [b for b in coarse.blocks if b not in fine.blocks]
                 single = sp.refines(fine, coarse) and len(missing) == 1
                 assert sp.refined_part(coarse, fine) == (missing[0] if single else None)
@@ -312,8 +311,8 @@ def test_partition_value_and_g_value():
     oracle = weighted_path4().oracle()
     p = sp.Partition(4, [0b0011, 0b1100])
     assert sp.partition_value(oracle, p) == Fraction(2)
-    assert sp.g_value(oracle, p, Fraction(1, 2)) == Fraction(1)
-    assert sp.g_value(oracle, p, 3) == Fraction(-4)
+    assert g_value(oracle, p, Fraction(1, 2)) == Fraction(1)
+    assert g_value(oracle, p, 3) == Fraction(-4)
 
 
 def test_enumeration_cap_env_lowers_only(monkeypatch):

@@ -618,18 +618,27 @@ def test_cli_no_validate_exits_3_without_a_unique_finest_minimizer(tmp_path, cap
         ["random", "--family", "graph_cut", "--n", "4", "--seed", "1", "--out-dir", "{file}"],
         ["pps", "{file}/x.json"],
         ["solve", "{instance}", "--k", "2", "--csv", "{file}/x.csv"],
+        ["pps", "{nested}"],
+        ["verify", "{not_utf8}"],
     ],
-    ids=["random-out-dir", "pps-instance", "solve-csv"],
+    ids=["random-out-dir", "pps-instance", "solve-csv", "pps-nested-json", "verify-not-utf8"],
 )
 def test_cli_file_errors_are_usage_errors(tmp_path, capsys, command):
-    # a path that runs through a regular file is a usage error (exit 2), not
-    # a traceback that reads like a failed check
+    # a path that runs through a regular file, or a file that is not JSON, is
+    # a usage error (exit 2) that names the path, not a traceback that reads
+    # like a failed check
     file = tmp_path / "file"
     file.write_text("")
     instance = write_instance(tmp_path, weighted_path4())
-    argv = [arg.format(file=file, instance=instance) for arg in command]
+    nested = tmp_path / "nested.json"  # deeper than the JSON decoder recurses
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"family": "\xff"}')
+    paths = {"file": file, "instance": instance, "nested": nested, "not_utf8": not_utf8}
+    argv = [arg.format(**paths) for arg in command]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def _non_submodular_tables(count):
@@ -792,6 +801,30 @@ def test_cli_unparsable_numbers_are_usage_errors(capsys, args, message):
 @pytest.mark.parametrize("case", ["omega", "matroid-footnote"])
 def test_cli_reproduce_k_below_range(case):
     assert main(["reproduce", "--case", case, "--k", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "case, option, constructor",
+    [
+        ("monoN", "--n", "MonoTightNFn"),
+        ("omega", "--n", "DigraphHyperFn"),
+        ("matroid-footnote", "--k", "PartitionMatroidRankFn"),
+    ],
+)
+def test_cli_reproduce_checks_the_cap_before_building(
+    monkeypatch, capsys, case, option, constructor
+):
+    # the case's n (2k for the footnote) is checked against the cap before
+    # its family is built, so a huge n fails at once, not after the build
+    def build(*args):
+        raise AssertionError(f"{constructor} was built")
+
+    monkeypatch.setattr(cli, constructor, build)
+    with pytest.raises(AssertionError, match="was built"):
+        main(["reproduce", "--case", case, option, "3"])
+    above = "7" if option == "--k" else "15"
+    assert main(["reproduce", "--case", case, option, above]) == 2
+    assert "above the cap of 13" in capsys.readouterr().err
 
 
 def test_python_m_subpartition():

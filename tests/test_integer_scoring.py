@@ -20,9 +20,11 @@ from helpers import (
     cardinality,
     footnote_matroid,
     fraction_oracle,
+    g_value,
     mono3,
     mono_n,
     omega,
+    partitions,
     posi3,
     two_edges,
     two_triangles,
@@ -68,8 +70,8 @@ def _fraction_verify(oracle, sequence):
     attained_ok = True
     for j, b in enumerate(bps):
         best = sp.minimize_g(oracle, b)
-        attains_right[j] = sp.g_value(oracle, parts[j], b) == best
-        attains_left[j + 1] = sp.g_value(oracle, parts[j + 1], b) == best
+        attains_right[j] = g_value(oracle, parts[j], b) == best
+        attains_left[j + 1] = g_value(oracle, parts[j + 1], b) == best
         if not (attains_right[j] and attains_left[j + 1]):
             attained_ok = False
             failures.append(f"chain pair {j} does not attain the minimum at b={b}")
@@ -92,7 +94,7 @@ def _fraction_repair(oracle, sequence):
             break
         if sp.refined_part(coarse, fine) is None:
             best = sp.minimize_g(oracle, b)
-            if sp.g_value(oracle, coarse, b) != best or sp.g_value(oracle, fine, b) != best:
+            if g_value(oracle, coarse, b) != best or g_value(oracle, fine, b) != best:
                 raise sp.NonSubmodularError(
                     f"chain pair does not attain the parametric minimum at b={b}"
                 )
@@ -243,14 +245,14 @@ def _broken_chains(seq):
     members = []
     if len(parts) > 2:
         mid = parts[1]
-        other = next(p for p in sp.enumerate_partitions(n, len(mid)) if p != mid)
+        other = next(p for p in partitions(n, len(mid)) if p != mid)
         members.append(sp.PrincipalSequence((parts[0], other) + parts[2:], bps))
         # dropping a middle member leaves a pair that may split several
         # blocks, which repair_chain checks and splits again
         for j in range(1, len(parts) - 1):
             members.append(sp.PrincipalSequence(parts[:j] + parts[j + 1 :], bps[: j - 1] + bps[j:]))
     elif n > 2:
-        other = next(sp.enumerate_partitions(n, 2))
+        other = partitions(n, 2)[0]
         members.append(sp.PrincipalSequence((parts[0], other, parts[1]), (bps[0], bps[0])))
     if len(parts) > 1:
         # cut short at either end: every pair left attains g as before, but
@@ -321,7 +323,7 @@ def test_chain_checks_reject_a_chain_that_does_not_bracket_k(k):
     # a chain cut to block counts 1..4 has nothing above k = 5, and one cut
     # to 3..5 has nothing below k = 2
     oracle = sp.random_instance("graph_cut", 5, 1).oracle()
-    parts = [next(sp.enumerate_partitions(5, c)) for c in range(1, 6)]
+    parts = [partitions(5, c)[0] for c in range(1, 6)]
     chains = {
         5: sp.PrincipalSequence(tuple(parts[:4]), (Fraction(1),) * 3),
         2: sp.PrincipalSequence(tuple(parts[2:]), (Fraction(1),) * 2),

@@ -467,7 +467,7 @@ def test_ratio_report_negative_optimum_attained():
 def test_ratio_report_at_the_cap_enumerates_nothing(
     monkeypatch, fam, k, function_class, algorithm_value, optimal_value
 ):
-    def no_enumeration(n, k=None):
+    def no_enumeration(n, k):
         raise AssertionError(f"enumerated the partitions of {n} elements")
 
     monkeypatch.setattr(partition_opt, "_raw_partitions", no_enumeration)

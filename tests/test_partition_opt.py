@@ -6,18 +6,21 @@ import pytest
 
 import subpartition as sp
 from subpartition import partition_opt
-from subpartition.partition_opt import BELL
 
 from helpers import (
+    BELL,
     EPS,
     cardinality,
     coverage_path3,
     footnote_matroid,
     fraction_oracle,
+    g_value,
     mono3,
     mono_n,
     omega,
+    partitions,
     posi3,
+    rgs,
     submodular_table,
     two_edges,
     two_triangles,
@@ -31,29 +34,34 @@ STIRLING = {(4, 2): 7, (5, 3): 25, (6, 3): 90, (7, 4): 350, (8, 4): 1701}
 
 def test_bell_counts():
     for n in range(1, 9):
-        assert sum(1 for _ in sp.enumerate_partitions(n)) == BELL[n]
+        assert len(partitions(n)) == BELL[n]
 
 
 def test_stirling_counts():
     for (n, k), count in STIRLING.items():
-        assert sum(1 for _ in sp.enumerate_partitions(n, k)) == count
+        assert len(partitions(n, k)) == count
 
 
-def test_block_counts_partition_bell():
-    n = 6
-    assert sum(
-        sum(1 for _ in sp.enumerate_partitions(n, k)) for k in range(1, n + 1)
-    ) == BELL[n]
+def test_raw_partitions_are_the_canonical_k_block_partitions():
+    # brute force keeps the first optimum that `_raw_partitions` yields and
+    # trusts its block order, so at every k the generator must yield exactly
+    # the k-block partitions, as canonical block tuples, in canonical order
+    for n in range(1, 8):
+        counts = []
+        for k in range(1, n + 1):
+            raw = list(partition_opt._raw_partitions(n, k))
+            assert raw == [p.blocks for p in partitions(n, k)], (n, k)
+            counts.append(len(raw))
+        assert sum(counts) == BELL[n], n
 
 
 def test_single_element_ground_set():
-    parts = list(sp.enumerate_partitions(1))
-    assert parts == [sp.Partition(1, [0b1])]
-    assert parts[0].rgs() == (0,)
+    assert partitions(1) == (sp.Partition(1, [0b1]),)
+    assert rgs(partitions(1)[0]) == (0,)
 
 
 def test_canonical_order_n3():
-    assert [p.rgs() for p in sp.enumerate_partitions(3)] == [
+    assert [rgs(p) for p in partitions(3)] == [
         (0, 0, 0),
         (0, 0, 1),
         (0, 1, 0),
@@ -63,31 +71,24 @@ def test_canonical_order_n3():
 
 
 def test_order_is_lex_on_growth_strings():
-    seen = [p.rgs() for p in sp.enumerate_partitions(5)]
+    seen = [rgs(p) for p in partitions(5)]
     assert seen == sorted(seen)
     assert len(set(seen)) == BELL[5]
 
 
 def test_k_out_of_range():
-    with pytest.raises(ValueError):
-        list(sp.enumerate_partitions(3, 0))
-    with pytest.raises(ValueError):
-        list(sp.enumerate_partitions(3, 4))
+    # no partition has 0 blocks or more blocks than elements
+    for k in (0, 4):
+        assert list(partition_opt._raw_partitions(3, k)) == []
 
 
 def test_streaming_is_lazy():
-    # Bell(13) is 27.6 million; taking a prefix must not materialize the rest
-    first = list(islice(sp.enumerate_partitions(13), 2))
-    assert first[0] == sp.trivial_partition(13)
-    assert first[1].rgs() == (0,) * 12 + (1,)
-
-
-def test_enumeration_checks_its_arguments_when_called():
-    # the checks run at the call itself, not at the first next()
-    with pytest.raises(sp.GroundSetCapError):
-        sp.enumerate_partitions(14)
-    with pytest.raises(ValueError):
-        sp.enumerate_partitions(5, 9)
+    # S(13, 7) is 5.6 million; taking a prefix must not materialize the rest
+    first = list(islice(partition_opt._raw_partitions(13, 7), 2))
+    assert [rgs(sp.Partition(13, masks)) for masks in first] == [
+        (0,) * 7 + (1, 2, 3, 4, 5, 6),
+        (0,) * 6 + (1, 0, 2, 3, 4, 5, 6),
+    ]
 
 
 def _finest(oracle, b):
@@ -128,9 +129,9 @@ def test_minimize_g_result_is_global_minimum():
         oracle, reference = fam.oracle(), fraction_oracle(fam)
         for b in (0, Fraction(1, 3), 1, Fraction(5, 2)):
             value = sp.minimize_g(oracle, b)
-            for p in sp.enumerate_partitions(oracle.n):
-                assert value <= sp.g_value(reference, p, b)
-            assert value == sp.g_value(reference, _finest(oracle, b), b)
+            for p in partitions(oracle.n):
+                assert value <= g_value(reference, p, b)
+            assert value == g_value(reference, _finest(oracle, b), b)
 
 
 def test_minimizer_line_bounds_h_everywhere():
@@ -141,7 +142,7 @@ def test_minimizer_line_bounds_h_everywhere():
     for b0 in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)):
         star = _finest(oracle, b0)
         for bp in grid:
-            assert sp.minimize_g(oracle, bp) <= sp.g_value(reference, star, bp)
+            assert sp.minimize_g(oracle, bp) <= g_value(reference, star, bp)
 
 
 def test_minimize_g_rejects_float_parameter():
@@ -209,8 +210,6 @@ def test_brute_force_all_k_matches_per_k():
 
 def test_enumeration_cap_enforced(monkeypatch):
     monkeypatch.setenv("SUBMOD_N_CAP", "4")
-    with pytest.raises(sp.GroundSetCapError):
-        next(sp.enumerate_partitions(5))
     oracle5 = zero_fn(5).oracle()
     with pytest.raises(sp.GroundSetCapError):
         sp.minimize_g(oracle5, 1)
@@ -279,7 +278,7 @@ def test_minimize_g_matches_independent_scan():
         oracle = fam.oracle()
         submodular = sp.check_submodular(oracle).ok
         reference = fraction_oracle(fam)
-        scored = [(p, sp.partition_value(reference, p)) for p in sp.enumerate_partitions(oracle.n)]
+        scored = [(p, sp.partition_value(reference, p)) for p in partitions(oracle.n)]
         params = {Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(50)}
         try:
             breakpoints = sp.compute_pps(oracle).breakpoints
@@ -296,7 +295,7 @@ def test_minimize_g_matches_independent_scan():
             else:
                 tied_finest += finest is None
                 # where the greedy's partition misses g(b), minimize_g falls back
-                missed += sp.g_value(reference, _finest(oracle, b), b) != value
+                missed += g_value(reference, _finest(oracle, b), b) != value
     assert tied_finest and missed
 
 
@@ -328,7 +327,7 @@ def _optima_by_bell_scan(oracle):
     from one walk over all partitions (in integers scaled by d)."""
     d, tab = oracle.scaled_table()
     optima = {}
-    for part in sp.enumerate_partitions(oracle.n):
+    for part in partitions(oracle.n):
         k, value = len(part), sum(tab[m] for m in part.blocks)
         if k not in optima or value < optima[k][0]:
             optima[k] = (value, [part])

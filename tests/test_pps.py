@@ -14,9 +14,11 @@ from helpers import (
     EPS,
     cardinality,
     fraction_oracle,
+    g_value,
     mono3,
     mono_n,
     omega,
+    partitions,
     posi3,
     submodular_table,
     two_edges,
@@ -150,7 +152,7 @@ def _two_level_by_scan(oracle):
     d, tab = oracle.scaled_table()
     f_trivial = tab[oracle.ground_set.full_mask]
     rhs_num = sum(tab[1 << i] for i in range(n)) - f_trivial  # over n - 1
-    for part in sp.enumerate_partitions(n):
+    for part in partitions(n):
         size = len(part)
         if size == 1 or size == n:
             continue
@@ -443,6 +445,16 @@ def test_sequence_validation():
         )
 
 
+def test_sequence_rejects_consecutive_members_with_equal_block_counts():
+    # the counts must increase strictly: two different 2-block members, one
+    # after the other, are refused although no count decreases
+    pair = (sp.Partition(3, [0b011, 0b100]), sp.Partition(3, [0b101, 0b010]))
+    with pytest.raises(ValueError, match="chain block counts must increase strictly"):
+        sp.PrincipalSequence(pair, (Fraction(1),))
+    with pytest.raises(ValueError, match="chain block counts must increase strictly"):
+        sp.PrincipalSequence((sp.trivial_partition(3),) + pair, (Fraction(0), Fraction(1)))
+
+
 def test_sequence_stores_its_partitions_as_a_tuple():
     oracle = sp.GraphCutFn(3, [(0, 1, 1), (1, 2, 2)]).oracle()
     seq = sp.compute_pps(oracle)
@@ -523,7 +535,7 @@ def test_verify_reports_shifted_breakpoint():
     assert len(res.failures) == 2
     # the witness: {V} claims [.., 1] but is beaten inside it, at b = 1/2
     half = Fraction(1, 2)
-    assert sp.g_value(fraction_oracle(two_edges()), bad.partitions[0], half) == Fraction(-1, 2)
+    assert g_value(fraction_oracle(two_edges()), bad.partitions[0], half) == Fraction(-1, 2)
     assert sp.minimize_g(oracle, half) == -1
 
 
@@ -605,7 +617,7 @@ def _segment_witness(oracle, seq):
         else:
             points.append((lo + hi) / 2)
         for point in points:
-            if sp.g_value(oracle, part, point) > sp.minimize_g(oracle, point):
+            if g_value(oracle, part, point) > sp.minimize_g(oracle, point):
                 return True
     return False
 
@@ -679,7 +691,7 @@ def test_segment_proof_agrees_with_sampling():
             hi = bps[j] if j < len(bps) else None
             for point in _old_sample_points(lo, hi):
                 best = sp.minimize_g(oracle, point)
-                assert sp.g_value(reference, part, point) == best, (fam.name, j, point)
+                assert g_value(reference, part, point) == best, (fam.name, j, point)
                 checked += 1
     assert checked > 700
 
