@@ -17,11 +17,13 @@ order.
 
 Exhaustive work is capped at n <= 13 ground elements; SUBMOD_N_CAP can lower
 the cap but never raise it.  The 2^n value table that every checker, brute
-force, minimizer and greedy split reads (`ValueOracle.scaled_table`) checks
-the cap on every call, as does instance loading.
-An oracle built by a family's `oracle()` takes that table from the family's
-`scaled_table()`; a bare `ValueOracle(ground_set, fn)` builds it from `fn`
-on every subset.
+force, minimizer and greedy split reads comes from one method,
+`ValueOracle.scaled_table`, the only code that checks the cap for a table
+(on every call; instance loading checks it too), builds the table, reduces
+it to lowest terms and caches it.  An oracle built by a family's `oracle()`
+builds it from the family's integer builder; a bare
+`ValueOracle(ground_set, fn)` reads `fn` once per subset, and counts none
+of those reads as queries.
 
 Once the table exists, every layer scores a partition P in scaled integers,
 D * f(P) = `scaled_value(tab, P)`, and builds a `Fraction` only for a value
@@ -37,7 +39,7 @@ import os
 import string
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -235,14 +237,6 @@ class Partition(_Frozen):
         object.__setattr__(self, "blocks", blocks)
         return self
 
-    def __eq__(self, other):  # (n, blocks) directly: the generic field tuple is slower
-        if other.__class__ is self.__class__:
-            return (self.n, self.blocks) == (other.n, other.blocks)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -312,15 +306,15 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]
 
 
 class ValueOracle:
-    """Memoizing wrapper around an exact set function.
+    """Memoizing wrapper around an exact set function, and the one builder
+    of its value table.
 
     `fn` maps a subset mask to a Fraction (ints are coerced; floats raise).
-    `table`, when given, builds the scaled value table without calling `fn`:
-    it returns (D, values) in lowest terms, as `scaled_table` does.  Once
-    the table is built, `eval` answers from it and no longer calls `fn`.
-    The oracle counts total eval calls and distinct evaluations; the number
-    of distinct evaluations can never exceed 2^n, and is 2^n once the table
-    is built.
+    `scaled_table` builds the table from `table` when given, which returns
+    (D, ints) over any common denominator without calling `fn`, else from
+    `fn` read once per subset; after that, `eval` answers from the table.
+    `total_calls` counts `eval` calls alone, never the build, and
+    `distinct_evaluations` is at most 2^n, and 2^n once the table is built.
     """
 
     def __init__(
@@ -328,7 +322,7 @@ class ValueOracle:
         ground_set: GroundSet,
         fn: Callable[[int], Fraction],
         name: str = "oracle",
-        table: Callable[[], tuple[int, tuple[int, ...]]] | None = None,
+        table: Callable[[], tuple[int, Sequence[int]]] | None = None,
     ):
         self.ground_set = ground_set
         self.name = name
@@ -357,8 +351,12 @@ class ValueOracle:
             d, tab = self._scaled
             return Fraction(tab[mask], d)
         value = self._memo.get(mask)
-        if value is not None:
-            return value
+        if value is None:
+            value = self._memo[mask] = self._read(mask)
+        return value
+
+    def _read(self, mask: int) -> Fraction:
+        """f(mask) from `fn`, checked to be exact: neither counted nor memoized."""
         raw = self._fn(mask)
         if isinstance(raw, float):
             raise TypeError(
@@ -366,33 +364,28 @@ class ValueOracle:
                 "set functions must return exact Fractions"
             )
         if isinstance(raw, Fraction):
-            value = raw
-        elif isinstance(raw, int):
-            value = Fraction(raw)
-        else:
-            raise TypeError(
-                f"oracle {self.name!r} returned {type(raw).__name__}; expected Fraction or int"
-            )
-        self._memo[mask] = value
-        return value
-
-    def full_table(self) -> tuple[Fraction, ...]:
-        """Values on every subset, indexed by mask."""
-        return tuple(self.eval(m) for m in range(self.ground_set.full_mask + 1))
+            return raw
+        if isinstance(raw, int):
+            return Fraction(raw)
+        raise TypeError(
+            f"oracle {self.name!r} returned {type(raw).__name__}; expected Fraction or int"
+        )
 
     def scaled_table(self) -> tuple[int, tuple[int, ...]]:
-        """(D, values) with D the lcm of all denominators and values integers,
-        so that f(mask) = values[mask] / D.  Comes from the `table` builder
-        when there is one, else from `eval` on every subset.  Cached after
-        the first call; every call, cached or not, checks the enumeration
-        cap."""
+        """(D, values) in lowest terms, so that f(mask) = values[mask] / D.
+        Built once, from the `table` builder when there is one, else from
+        `fn` read once per subset, and then cached; every call, cached or
+        not, checks the enumeration cap."""
         require_within_cap(self.n, "scaled_table")
         if self._scaled is None:
             if self._build_table is not None:
-                self._scaled = self._build_table()
+                d, ints = self._build_table()
             else:
-                d, ints = over_common_denominator(self.full_table())
-                self._scaled = (d, tuple(ints))
+                d, ints = over_common_denominator(map(self._read, range(1 << self.n)))
+            common = gcd(d, *ints)
+            if common > 1:
+                d, ints = d // common, [v // common for v in ints]
+            self._scaled = (d, tuple(ints))
         return self._scaled
 
 

@@ -18,26 +18,25 @@ combinations of them.  The declarations are verified exhaustively by the
 checkers in tests; the tight families at the bottom of this module are the
 instances that meet their class bounds with equality in the limit.
 
-The 2^n value table that every exhaustive path reads comes from
-`scaled_table()`: the family's `_integer_table`, reduced to lowest terms,
-so it equals the table read off the Fraction `value` bit for bit.  Every
-built-in family fills it with integer arithmetic over one common
-denominator (the edge families and the partition matroid by doubling:
-element v appends the 2^v values of the sets whose largest element is v,
-as list operations over the 2^v values already built), and a combination
-sums its parts' integer tables.  Each `value` stays the exact reference
-the integer tables are tested against; a family without a builder
-inherits an `_integer_table` that reads `value` through a `ValueOracle`.
+A family's 2^n value table is built by `ValueOracle.scaled_table`:
+`oracle()` hands it the family's `_integer_table`, and `scaled_table()` is
+a fresh oracle's table, in lowest terms, so it equals the table read off
+the Fraction `value` bit for bit.  Every built-in family fills it with
+integer arithmetic over one common denominator (the edge families and the
+partition matroid by doubling: element v appends the 2^v values of the
+sets whose largest element is v, as list operations over the 2^v values
+already built), and a combination sums its parts' tables.  Each `value`
+stays the exact reference the integer tables are tested against; with no
+`_integer_table`, the oracle reads `value` once per subset.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import add
 from typing import Sequence
 
-from .core import GroundSet, ValueOracle, as_fraction, over_common_denominator, require_within_cap
+from .core import GroundSet, ValueOracle, as_fraction, over_common_denominator
 
 __all__ = [
     "FUNCTION_CLASSES",
@@ -82,24 +81,16 @@ class SetFunctionFamily:
     def value(self, mask: int) -> Fraction:
         raise NotImplementedError
 
-    def _integer_table(self) -> tuple[int, Sequence[int]]:
-        """(D, ints) with f(mask) = ints[mask] / D for any common denominator
-        D; by default `value` read through an oracle, which rejects floats."""
-        oracle = ValueOracle(self._ground_set, self.value, name=self.name)
-        return over_common_denominator(oracle.full_table())
+    # () -> (D, ints), f(mask) = ints[mask] / D over any common denominator
+    _integer_table = None
 
     def scaled_table(self) -> tuple[int, tuple[int, ...]]:
-        """(D, values) in lowest terms with f(mask) = values[mask] / D, the
-        table `ValueOracle.scaled_table` returns, from `_integer_table`."""
-        require_within_cap(self.n, "scaled_table")
-        d, ints = self._integer_table()
-        common = gcd(d, *ints)
-        if common > 1:
-            d, ints = d // common, [v // common for v in ints]
-        return d, tuple(ints)
+        """(D, values) in lowest terms with f(mask) = values[mask] / D: the
+        table of a fresh `oracle()`."""
+        return self.oracle().scaled_table()
 
     def oracle(self) -> ValueOracle:
-        return ValueOracle(self._ground_set, self.value, name=self.name, table=self.scaled_table)
+        return ValueOracle(self._ground_set, self.value, name=self.name, table=self._integer_table)
 
 
 def _check_endpoint(i, n, what):
@@ -422,7 +413,7 @@ class CombinationFn(SetFunctionFamily):
         return total
 
     def _integer_table(self):
-        tables = [p._integer_table() for p in self.parts]
+        tables = [p.scaled_table() for p in self.parts]
         # c f_i = c ints / pd = factor ints / d
         weights = (c / pd for c, (pd, _) in zip(self.coefficients, tables))
         d, factors = over_common_denominator(weights)

@@ -158,7 +158,7 @@ def _perturbed_tables(count):
         rng = random.Random(f"perturb:{i}")
         n = 3 + i % 5
         base = sp.random_instance(families[i % len(families)], n, i)
-        table = list(base.oracle().full_table())
+        table = [base.value(m) for m in range(1 << n)]
         for _ in range(rng.choice((0, 1, 1, 2, 3))):
             m = rng.randrange(len(table))
             table[m] += Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
@@ -319,7 +319,8 @@ def _symmetric_tables(count):
         else:
             n = 2 + i // 2 % 6
             family = rng.choice(("graph_cut", "hypergraph_cut"))
-            table = list(sp.random_instance(family, n, i).oracle().full_table())
+            fam = sp.random_instance(family, n, i)
+            table = [fam.value(m) for m in range(1 << n)]
             for _ in range(rng.choice((0, 1, 1, 2))):
                 m = rng.randrange(1 << n)
                 nudge = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))

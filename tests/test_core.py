@@ -307,6 +307,32 @@ def test_oracle_scaled_table_clears_denominators():
         assert Fraction(table[mask], d) == fam.value(mask) == oracle.eval(mask)
 
 
+def test_bare_oracle_table_build_is_not_a_query():
+    # a bare oracle reads fn once per subset to build its table, counts none
+    # of those reads as queries, and then answers eval from the table
+    gs = sp.GroundSet(4)
+    reads = []
+
+    def fn(mask):
+        reads.append(mask)
+        return Fraction(mask, 6)
+
+    oracle = sp.ValueOracle(gs, fn)
+    assert oracle.scaled_table() == (6, tuple(range(16)))
+    assert sorted(reads) == list(range(16))
+    assert (oracle.total_calls, oracle.distinct_evaluations) == (0, 16)
+    assert [oracle.eval(m) for m in range(16)] == [Fraction(m, 6) for m in range(16)]
+    assert len(reads) == 16
+    assert (oracle.total_calls, oracle.distinct_evaluations) == (16, 16)
+    # the build checks each read as eval does, with eval's messages
+    floats = sp.ValueOracle(gs, lambda m: 0.5, name="floaty")
+    with pytest.raises(TypeError, match="oracle 'floaty' returned a float for mask 0x0; "):
+        floats.scaled_table()
+    text = sp.ValueOracle(gs, lambda m: "1", name="texty")
+    with pytest.raises(TypeError, match="oracle 'texty' returned str; expected Fraction or int"):
+        text.scaled_table()
+
+
 def test_partition_value_and_g_value():
     oracle = weighted_path4().oracle()
     p = sp.Partition(4, [0b0011, 0b1100])

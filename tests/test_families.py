@@ -382,8 +382,8 @@ def test_family_without_a_builder_reads_value(monkeypatch):
     assert fam.scaled_table() == _fraction_table(fam)
     oracle = fam.oracle()
     assert oracle.scaled_table() == _fraction_table(fam)
-    # the table came from an oracle of its own: this one counts all 2^n
-    # subsets as evaluated without having answered a query
+    # the oracle built its table from value, once per subset: it counts all
+    # 2^n subsets as evaluated without having answered a query
     assert oracle.distinct_evaluations == 16
     assert oracle.total_calls == 0
     floats = FloatCardinality(3)

@@ -45,7 +45,7 @@ def write_instance(tmp_path, fam, name="inst.json"):
 
 
 def table_of(fam):
-    return fam.oracle().full_table()
+    return [fam.value(m) for m in range(1 << fam.n)]
 
 
 def test_round_trip_all_families(tmp_path):
@@ -653,7 +653,7 @@ def _non_submodular_tables(count):
             table = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(1 << n)]
         else:
             base = sp.random_instance(families[i // 2 % len(families)], n, i)
-            table = list(base.oracle().full_table())
+            table = [base.value(m) for m in range(1 << n)]
             for _ in range(rng.randint(1, 3)):
                 m = rng.randrange(len(table))
                 table[m] += Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
@@ -919,6 +919,20 @@ def test_cli_random_usage_error_before_disk(tmp_path, capsys, bad, message):
     assert not out_dir.exists()
 
 
+def _record_table_reads(monkeypatch):
+    # every oracle that reads its value table, once per read; each oracle
+    # builds its table on its first read, so the distinct ones count builds
+    readers = []
+    scaled_table = sp.ValueOracle.scaled_table
+
+    def recorded(self):
+        readers.append(self)
+        return scaled_table(self)
+
+    monkeypatch.setattr(sp.ValueOracle, "scaled_table", recorded)
+    return readers
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -932,16 +946,9 @@ def test_cli_random_usage_error_before_disk(tmp_path, capsys, bad, message):
 def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
     # validation, the chain and brute force all read one oracle's table
     path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
-    builds = []
-    scaled_table = sp.GraphCutFn.scaled_table
-
-    def counted(self):
-        builds.append(self)
-        return scaled_table(self)
-
-    monkeypatch.setattr(sp.GraphCutFn, "scaled_table", counted)
+    readers = _record_table_reads(monkeypatch)
     assert main(command + [str(path)]) == 0
-    assert len(builds) == 1
+    assert len(set(readers)) == 1
 
 
 @pytest.mark.parametrize("k", ["0", "7"])
@@ -949,23 +956,17 @@ def test_cli_solve_checks_k_before_oracle_work(tmp_path, monkeypatch, capsys, k)
     # a block count outside 1..n is a usage error before validation reads f
     path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
     calls = []
-    builds = []
     value = sp.GraphCutFn.value
-    scaled_table = sp.GraphCutFn.scaled_table
 
     def counted(self, mask):
         calls.append(mask)
         return value(self, mask)
 
-    def counted_build(self):
-        builds.append(self)
-        return scaled_table(self)
-
     monkeypatch.setattr(sp.GraphCutFn, "value", counted)
-    monkeypatch.setattr(sp.GraphCutFn, "scaled_table", counted_build)
+    readers = _record_table_reads(monkeypatch)
     assert main(["solve", str(path), "--k", k, "--brute-force"]) == 2
     assert calls == []
-    assert builds == []
+    assert readers == []
     assert f"block count k={k} must be between 1 and n=6" in capsys.readouterr().err
 
 
