@@ -7,7 +7,7 @@ from `_slice_pairs`, which pairs each index lacking a bit with that index
 plus the bit in at most 2^(n/2) slice pairs per bit:
 
 * submodular: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j
-  outside S, equivalent to the condition on all 4^n subset pairs: the
+  outside S, equivalent to the condition on all subset pairs: the
   gains f(S+i) - f(S) of each i must not grow along the bits of the j > i,
   about n^2 2^n / 8 comparisons;
 * posimodular: f(S+e) - f(S) >= f(V-T-e) - f(V-T) for every e and every
@@ -21,11 +21,14 @@ plus the bit in at most 2^(n/2) slice pairs per bit:
   the sets without the last element decides both pair properties.
 
 Only when a test fails does its checker scan, to name the first witness:
-all 4^n pairs for the two pair properties, the sets in order for the other
-two.  A failed check returns the first counterexample in the documented
-scan order, which makes failures reproducible and comparable across runs:
+the pairs with B >= A for the two pair properties, the sets in order for
+the other two.  A failed check returns the first counterexample in the
+documented scan order, which makes failures reproducible and comparable
+across runs:
 
-* submodular / posimodular: pairs (A, B) with A ascending, then B ascending,
+* submodular / posimodular: pairs (A, B) with A ascending, then B ascending
+  from A (both relations are symmetric in A and B, so this is the first
+  witness of the scan over all pairs),
 * monotone: sets S ascending, then added elements ascending,
 * symmetric: sets S ascending (each violation is met first at min(S, V-S)).
 
@@ -79,10 +82,12 @@ class CheckResult(NamedTuple):
 
 def _first_pair_witness(name, d, tab, rhs) -> CheckResult:
     """The failed check for the first pair (A, B), scanning A then B in mask
-    order, with f(A) + f(B) < rhs(A, B); `tab` is scaled by `d`.  Called only
-    after a local test failed, so a scan without a witness is a bug."""
+    order, with f(A) + f(B) < rhs(A, B); `tab` is scaled by `d`.  Both pair
+    relations are symmetric in A and B, so a violation with B < A was met
+    in row B already, and row A scans B from A up.  Called only after a
+    local test failed, so a scan without a witness is a bug."""
     for a, fa in enumerate(tab):
-        for b, fb in enumerate(tab):
+        for b, fb in enumerate(tab[a:], a):
             lhs, r = fa + fb, rhs(a, b)
             if lhs < r:
                 return CheckResult(name, False, (a, b), Fraction(lhs, d), Fraction(r, d))
@@ -147,8 +152,8 @@ def _locally_submodular(n: int, tab: tuple[int, ...]) -> bool:
 def check_submodular(oracle: ValueOracle) -> CheckResult:
     """f(A) + f(B) >= f(A | B) + f(A & B) for all subset pairs.
 
-    Decided by the local test; the 4^n pair scan runs only on failure, to
-    report the first witness in scan order.
+    Decided by the local test; the scan of the pairs with B >= A runs only
+    on failure, to report the first witness in scan order.
     """
     d, tab = oracle.scaled_table()
     if _locally_submodular(oracle.n, tab):
@@ -238,8 +243,8 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
     disjoint sets S and V-e-T, so an element whose gains are all
     nonnegative passes without the sweep.  For symmetric f, f(A) = f(V-A),
     A - B = V - ((V-A) | B) and B - A = (V-A) & B, so posimodularity at
-    (A, B) is submodularity at (V-A, B).  The 4^n pair scan runs only on
-    failure, to report the first witness in scan order.
+    (A, B) is submodularity at (V-A, B).  The scan of the pairs with B >= A
+    runs only on failure, to report the first witness in scan order.
     """
     d, tab = oracle.scaled_table()
     if _locally_posimodular(oracle.n, tab):

@@ -513,13 +513,16 @@ def _rational(text: str) -> Fraction:
 
 def _algorithm_list(text: str) -> list[str]:
     """argparse type of --algorithms: the comma-separated names, each a key
-    of SOLVERS, so an unknown name is a usage error before any work."""
+    of SOLVERS named once, so an unknown or repeated name is a usage error
+    before any work."""
     names = [a.strip() for a in text.split(",") if a.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in SOLVERS:
             raise argparse.ArgumentTypeError(
                 f"unknown algorithm {name!r} (choose from {', '.join(SOLVERS)})"
             )
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"algorithm {name!r} is named twice")
     return names
 
 

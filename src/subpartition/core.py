@@ -27,10 +27,9 @@ of those reads as queries.
 
 Once the table exists, every layer scores a partition P in scaled integers,
 D * f(P) = `scaled_value(tab, P)`, and builds a `Fraction` only for a value
-it reports; `ValueOracle.eval` then answers from the table too.
-`partition_value` stays the exact `Fraction` reference through `eval`: the
-tests use it, and so does a baseline that reads no table
-(`cheapest_singleton`, and `greedy_splitting` at k = 1).
+it reports; `ValueOracle.eval` then answers from the table too.  A
+baseline that needs no table (`cheapest_singleton`, and `greedy_splitting`
+at k = 1) asks a fresh oracle's `eval` for the few subsets it names.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "ValueOracle",
     "as_fraction",
     "enumeration_cap",
-    "partition_value",
     "refined_part",
     "refines",
     "scaled_value",
@@ -393,14 +391,3 @@ def scaled_value(tab: Sequence[int], partition: Partition) -> int:
     """D * f(P): the scaled value table `tab` of `scaled_table` summed over
     the blocks of P, in integers."""
     return sum(map(tab.__getitem__, partition.blocks))
-
-
-def partition_value(oracle: ValueOracle, partition: Partition) -> Fraction:
-    """Sum of oracle values over the blocks of the partition, as a Fraction
-    through `eval`: the reference that `scaled_value` replaces wherever the
-    value table is built."""
-    total = Fraction(0)
-    for b in partition.blocks:
-        total += oracle.eval(b)
-    return total
-

@@ -25,10 +25,10 @@ rounds of the cheapest single-block 2-split).
 Everything here except `cheapest_singleton` and `greedy_splitting` at k = 1
 reads the oracle's scaled value table: it orders pieces and scores
 partitions and bounds in integers (`core.scaled_value`), and builds a
-Fraction only for a value it reports.  The two exceptions query the oracle
-through `eval` and `partition_value`, so on a fresh oracle they read only
-the subsets they name (n + 1 and 1) and build no table; `cheapest_singleton`
-reads the table instead when the oracle already holds it.
+Fraction only for a value it reports.  The two exceptions ask a fresh
+oracle's `eval` for only the subsets they name (n + 1 and 1) and build no
+table; `cheapest_singleton` has one reader for ordering and scoring, which
+is the table when the oracle already holds it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     Partition,
     ValueOracle,
     as_fraction,
-    partition_value,
     refined_part,
     require_block_count,
     scaled_value,
@@ -171,38 +170,21 @@ def cheapest_singleton(oracle: ValueOracle, k: int) -> BaselineResult:
     """Split off the k-1 cheapest singletons, keep the rest as one block.
 
     Ties are broken by element index.  For monotone f this is within a
-    factor 2 - 1/k of the optimal k-partition.  An oracle that holds its
-    value table is read from the table, with no `eval` call; a fresh one is
-    asked through `eval` for the n singletons and the rest of V only.
+    factor 2 - 1/k of the optimal k-partition.  One reader orders and
+    scores: the value table, with no `eval` call, when the oracle holds
+    it, else `eval`, which a fresh oracle answers for the n singletons and
+    the rest of V only.
     """
     n = oracle.n
     require_block_count(k, n)
-    held = oracle._scaled  # the table, if some earlier call built it
-    if held is None:
-        order = sorted(range(n), key=lambda i: (oracle.eval(1 << i), i))
-    else:
-        d, tab = held
-        order = sorted(range(n), key=lambda i: (tab[1 << i], i))
+    held = oracle._scaled  # (D, table), if some earlier call built it
+    d, read = (held[0], held[1].__getitem__) if held else (1, oracle.eval)
+    order = sorted(range(n), key=lambda i: (read(1 << i), i))
     blocks = [1 << i for i in order[: k - 1]]
     blocks.append(oracle.ground_set.full_mask - sum(blocks))
     blocks.sort(key=lambda m: m & -m)
     partition = Partition._trusted(n, tuple(blocks))
-    if held is None:
-        value = partition_value(oracle, partition)
-    else:
-        value = Fraction(scaled_value(tab, partition), d)
-    return BaselineResult("singleton", partition, value)
-
-
-def _submasks_with_low_bit(mask: int):
-    """Proper nonempty submasks of `mask` containing its lowest set bit,
-    ascending.  Covers each 2-split of the block exactly once."""
-    low = mask & -mask
-    rest = mask ^ low
-    t = 0
-    while t != rest:
-        yield low | t
-        t = (t - rest) & rest  # next submask of rest in ascending order
+    return BaselineResult("singleton", partition, Fraction(sum(map(read, blocks)), d))
 
 
 def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
@@ -217,21 +199,23 @@ def greedy_splitting(oracle: ValueOracle, k: int) -> BaselineResult:
     """
     n = oracle.n
     require_block_count(k, n)
+    full = oracle.ground_set.full_mask
     if k == 1:
-        partition = trivial_partition(n)
-        return BaselineResult("greedy", partition, partition_value(oracle, partition))
-    blocks = [oracle.ground_set.full_mask]
+        return BaselineResult("greedy", trivial_partition(n), oracle.eval(full))
+    blocks = [full]
     d, tab = oracle.scaled_table()
     for _ in range(k - 1):
-        best = None  # (scaled cost, block_index, submask)
+        best = None  # (scaled cost, block_index, half with the low bit)
         for bi, blk in enumerate(blocks):
-            if blk.bit_count() < 2:
-                continue
+            low = blk & -blk
+            rest = blk ^ low
             f_blk = tab[blk]
-            for sub in _submasks_with_low_bit(blk):
-                cost = tab[sub] + tab[blk ^ sub] - f_blk
+            t = 0
+            while t != rest:  # proper submasks of rest, ascending; none for a singleton
+                cost = tab[low | t] + tab[rest ^ t] - f_blk
                 if best is None or cost < best[0]:
-                    best = (cost, bi, sub)
+                    best = (cost, bi, low | t)
+                t = (t - rest) & rest
         # k <= n leaves fewer than n blocks here, so some block can split
         _, bi, sub = best
         blk = blocks.pop(bi)

@@ -47,10 +47,19 @@ def rgs(partition: sp.Partition) -> tuple[int, ...]:
     return tuple(next(j for j, b in enumerate(blocks) if b >> i & 1) for i in range(partition.n))
 
 
+def partition_value(oracle: sp.ValueOracle, partition: sp.Partition) -> Fraction:
+    """f(P), the sum of oracle values over the blocks of P, as a Fraction
+    through `eval`: the reference that `sp.scaled_value` is compared with."""
+    total = Fraction(0)
+    for b in partition.blocks:
+        total += oracle.eval(b)
+    return total
+
+
 def g_value(oracle: sp.ValueOracle, partition: sp.Partition, b) -> Fraction:
     """The parametric objective f(P) - b|P| of one partition, through the
     oracle's `eval`."""
-    return sp.partition_value(oracle, partition) - sp.as_fraction(b) * len(partition)
+    return partition_value(oracle, partition) - sp.as_fraction(b) * len(partition)
 
 
 def mono3(eps=EPS) -> sp.MonoTight3Fn:

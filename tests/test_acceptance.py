@@ -18,7 +18,17 @@ import pytest
 import subpartition as sp
 
 from conftest import record_criterion
-from helpers import EPS, BIG_A, fraction_oracle, mono3, mono_n, omega, partitions, posi3
+from helpers import (
+    EPS,
+    BIG_A,
+    fraction_oracle,
+    mono3,
+    mono_n,
+    omega,
+    partition_value,
+    partitions,
+    posi3,
+)
 
 
 def finish(code, description, failures):
@@ -159,7 +169,7 @@ def test_criterion_02_monotone_tight_family(named_cases):
             bit = d_rest & -d_rest
             blocks.append(bit)
             d_rest ^= bit
-        comparison = sp.partition_value(fraction_oracle(fam), sp.Partition(n, blocks))
+        comparison = partition_value(fraction_oracle(fam), sp.Partition(n, blocks))
         c.expect(
             comparison == Fraction(3 * n + 3, 4) + Fraction(n + 1, 2) * EPS,
             f"n={n}: comparison partition value {comparison}",

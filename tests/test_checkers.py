@@ -281,6 +281,11 @@ def test_local_posimodular_check_matches_pair_scan():
     pinned = sp.ExplicitTableFn(3, [0, 0, 0, 2, 2, 1, 0, 4], "general")
     res = sp.check_posimodular(pinned.oracle())
     assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (0b001, 0b101), 1, 2)
+    # the first witness has B = A: a row scan that started at B = A + 1
+    # would report (1, 3)
+    diagonal = sp.ExplicitTableFn(2, [1, 0, 1, 1], "general")
+    res = sp.check_posimodular(diagonal.oracle())
+    assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (1, 1), 0, 2)
 
     # at n = 7 the sweep folds by strided slices (steps 1, 2, 4) and by
     # contiguous chunks (steps 8, 16, 32), and elements whose gains are all
@@ -288,7 +293,7 @@ def test_local_posimodular_check_matches_pair_scan():
     mixed = list(_mixed_gain_tables(60))
     assert sum(any(signs) and not all(signs) for signs in map(_gain_signs, mixed)) >= 50
 
-    families = [pinned, *_perturbed_tables(360), *_small_integer_tables(240)]
+    families = [pinned, diagonal, *_perturbed_tables(360), *_small_integer_tables(240)]
     first_mixed = len(families)
     outcomes = {True: 0, False: 0}
     mixed_outcomes = {True: 0, False: 0}

@@ -11,7 +11,7 @@ import pytest
 import subpartition as sp
 from subpartition.core import default_labels, require_within_cap
 
-from helpers import g_value, partitions, rgs, weighted_path4
+from helpers import g_value, partition_value, partitions, rgs, weighted_path4
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -336,7 +336,7 @@ def test_bare_oracle_table_build_is_not_a_query():
 def test_partition_value_and_g_value():
     oracle = weighted_path4().oracle()
     p = sp.Partition(4, [0b0011, 0b1100])
-    assert sp.partition_value(oracle, p) == Fraction(2)
+    assert partition_value(oracle, p) == Fraction(2)
     assert g_value(oracle, p, Fraction(1, 2)) == Fraction(1)
     assert g_value(oracle, p, 3) == Fraction(-4)
 

@@ -519,14 +519,25 @@ def test_cli_pps_has_no_interior_samples_option(tmp_path, capsys):
     assert "unrecognized arguments: --interior-samples 3" in capsys.readouterr().err
 
 
-def test_cli_solve_unknown_algorithm_rejected_before_loading(tmp_path, monkeypatch):
+def test_cli_solve_unknown_algorithm_rejected_before_loading(tmp_path, capsys, monkeypatch):
+    # so is a name given twice, which would print its row twice, in stdout
+    # and in the CSV
     path = write_instance(tmp_path, weighted_path4())
 
     def no_load(path, validate=True):
         raise AssertionError("load_instance ran before the usage error")
 
     monkeypatch.setattr(cli, "load_instance", no_load)
-    assert main(["solve", str(path), "--k", "2", "--algorithms", "pps,magic"]) == 2
+    csv_path = tmp_path / "rows.csv"
+    for names, message in [
+        ("pps,magic", "unknown algorithm 'magic'"),
+        ("pps, greedy,pps", "algorithm 'pps' is named twice"),
+    ]:
+        argv = ["solve", str(path), "--k", "2", "--algorithms", names, "--csv", str(csv_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    assert not csv_path.exists()
 
 
 def test_cli_solve_k_out_of_range_without_algorithms(tmp_path, capsys):
@@ -695,6 +706,30 @@ def test_cli_verify_unconfirmed_declared_class(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "declared class 'monotone' not confirmed" in out
     assert "verify: FAIL" in out
+
+
+RAISED_CUT_VERIFY_STDOUT = """\
+instance: explicit_table (n=13, declared class general)
+  submodular   FAIL  [submodular: violated at A={a,b}, B={a,c} (lhs=397/4, rhs=1291/12)]
+  monotone     FAIL  [monotone: violated at A={a}, B={a,e} (lhs=389/12, rhs=23)]
+  symmetric    PASS
+  posimodular  FAIL  [posimodular: violated at A={a,b}, B={b,d,f,g,j} (lhs=1291/12, rhs=433/4)]
+verify: FAIL
+"""
+
+
+def test_cli_verify_names_the_first_witnesses_of_a_raised_cut_table(tmp_path, capsys):
+    # symmetric but not submodular: the graph_cut table at the cap with {a}
+    # and V - {a} both raised by 100 scaled units; the half-table tests must
+    # fail it, and each witness is the first one of the full pair scan
+    d, tab = sp.random_instance("graph_cut", 13, 1).scaled_table()
+    tab = list(tab)
+    tab[1] += 100
+    tab[-2] += 100
+    raised = sp.ExplicitTableFn(13, [Fraction(t, d) for t in tab])
+    path = write_instance(tmp_path, raised, "raised.json")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == RAISED_CUT_VERIFY_STDOUT
 
 
 def test_cli_reproduce_mono3(capsys):

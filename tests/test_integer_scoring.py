@@ -24,6 +24,7 @@ from helpers import (
     mono3,
     mono_n,
     omega,
+    partition_value,
     partitions,
     posi3,
     two_edges,
@@ -58,7 +59,7 @@ def _fraction_verify(oracle, sequence):
         failures.append("breakpoints are not nondecreasing")
     formula_ok = True
     for j, (coarse, fine) in enumerate(zip(parts, parts[1:])):
-        value_gap = sp.partition_value(oracle, fine) - sp.partition_value(oracle, coarse)
+        value_gap = partition_value(oracle, fine) - partition_value(oracle, coarse)
         expected = value_gap / (len(fine) - len(coarse))
         if bps[j] != expected:
             formula_ok = False
@@ -110,7 +111,7 @@ def _fraction_k_partition(oracle, k, pps):
     counts = pps.block_counts()
     if k in counts:
         partition = pps.partitions[counts.index(k)]
-        value = sp.partition_value(oracle, partition)
+        value = partition_value(oracle, partition)
         return sp.KPartitionRun(k, partition, value, True, pps)
     below, above = _fraction_straddle(pps, k)
     split = sp.refined_part(below, above)
@@ -131,7 +132,7 @@ def _fraction_k_partition(oracle, k, pps):
     return sp.KPartitionRun(
         k=k,
         partition=partition,
-        value=sp.partition_value(oracle, partition),
+        value=partition_value(oracle, partition),
         exact_hit=False,
         sequence=pps,
         below=below,
@@ -148,8 +149,8 @@ def _fraction_bounds(oracle, k, pps, optimal_value):
         return sp.ChainBoundsReport(applicable=False)
     below, above = _fraction_straddle(pps, k)
     low, up = len(below), len(above)
-    f_below = sp.partition_value(oracle, below)
-    f_above = sp.partition_value(oracle, above)
+    f_below = partition_value(oracle, below)
+    f_above = partition_value(oracle, above)
     interpolated = ((up - k) * f_below + (k - low) * f_above) / (up - low)
     return sp.ChainBoundsReport(
         applicable=True,
@@ -168,7 +169,7 @@ def _fraction_ratio_report(oracle, k, function_class, pps):
     coarse_ratio = None
     if not run.exact_hit:
         coarse_ratio, _ = sp.ratio_to_optimum(
-            sp.partition_value(oracle, run.below), opt_value, None
+            partition_value(oracle, run.below), opt_value, None
         )
     return sp.RatioReport(
         oracle.n, k, function_class, run.value, opt_value, ratio, bound, bound_ok,
@@ -298,7 +299,7 @@ def test_integer_scoring_matches_the_fraction_code():
             bounds = sp.check_chain_lower_bounds(oracle, k, seq, opt)
             assert bounds == _fraction_bounds(reference, k, seq, opt), (fam.name, k)
             greedy = sp.greedy_splitting(oracle, k)
-            assert greedy.value == sp.partition_value(reference, greedy.partition), (fam.name, k)
+            assert greedy.value == partition_value(reference, greedy.partition), (fam.name, k)
     # the broken chains and the non-submodular tables reach every failure
     # path, repair_chain both raises and splits, and chains whose pairs all
     # attain g still fail segment optimality at an open end

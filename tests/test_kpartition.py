@@ -14,6 +14,7 @@ from helpers import (
     mono3,
     mono_n,
     omega,
+    partition_value,
     posi3,
     two_triangles,
     weighted_path4,
@@ -241,7 +242,7 @@ def _fraction_greedy(oracle, k):
         blocks.extend([sub, blk ^ sub])
         blocks.sort(key=lambda m: m & -m)
     partition = sp.Partition(oracle.n, blocks)
-    return partition, sp.partition_value(oracle, partition)
+    return partition, partition_value(oracle, partition)
 
 
 def _greedy_cases():
@@ -279,15 +280,22 @@ def test_greedy_reads_no_table_at_k1():
 
 
 def test_oracle_evals_contract(monkeypatch):
-    # a fresh oracle builds no table for the table-less baselines: singleton
-    # reads the n singletons and the rest of V, greedy at k = 1 reads V
+    # a fresh oracle builds no table for the table-less baselines.  Singleton
+    # asks once per element to order them and once per block to score,
+    # n + k calls, over the n singletons and the rest of V (itself a
+    # singleton at k = n); greedy at k = 1 asks for V once
+    families = [sp.GraphCutFn(1, []), footnote_matroid(3), cardinality(4)]
+    families += [sp.random_instance(family, n, 1) for family in sorted(sp.GENERATOR_FAMILIES) for n in (2, 6)]
+    for fam in families:
+        n = fam.n
+        for k in range(1, n + 1):
+            oracle = fam.oracle()
+            sp.cheapest_singleton(oracle, k)
+            assert (oracle.total_calls, oracle.distinct_evaluations) == (n + k, n + (k < n)), (fam, k)
+        oracle = fam.oracle()
+        sp.greedy_splitting(oracle, 1)
+        assert (oracle.total_calls, oracle.distinct_evaluations) == (1, 1), fam
     fam = sp.random_instance("graph_cut", 6, 1)
-    oracle = fam.oracle()
-    sp.cheapest_singleton(oracle, 3)
-    assert oracle.distinct_evaluations == 6 + 1
-    oracle = fam.oracle()
-    sp.greedy_splitting(oracle, 1)
-    assert oracle.distinct_evaluations == 1
     # the chain k-partition reads the table even with a chain passed in, so
     # it counts all 2^n subsets and checks the cap, as greedy does
     seq = sp.compute_pps(fam.oracle())

@@ -18,6 +18,7 @@ from helpers import (
     mono3,
     mono_n,
     omega,
+    partition_value,
     partitions,
     posi3,
     rgs,
@@ -278,7 +279,7 @@ def test_minimize_g_matches_independent_scan():
         oracle = fam.oracle()
         submodular = sp.check_submodular(oracle).ok
         reference = fraction_oracle(fam)
-        scored = [(p, sp.partition_value(reference, p)) for p in partitions(oracle.n)]
+        scored = [(p, partition_value(reference, p)) for p in partitions(oracle.n)]
         params = {Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(50)}
         try:
             breakpoints = sp.compute_pps(oracle).breakpoints

@@ -18,6 +18,7 @@ from helpers import (
     mono3,
     mono_n,
     omega,
+    partition_value,
     partitions,
     posi3,
     submodular_table,
@@ -114,7 +115,7 @@ def test_breakpoint_formula_holds_on_chain():
         for j in range(len(seq) - 1):
             lo, hi = seq.partitions[j], seq.partitions[j + 1]
             expected = (
-                sp.partition_value(reference, hi) - sp.partition_value(reference, lo)
+                partition_value(reference, hi) - partition_value(reference, lo)
             ) / (len(hi.blocks) - len(lo.blocks))
             assert seq.breakpoints[j] == expected
 
@@ -714,7 +715,7 @@ def test_chain_at_the_cap():
     assert seq.block_counts() == (1, 2, 13)
     for part in seq.partitions:
         _, opt = sp.brute_force_optimal_k_partition(oracle, len(part))
-        assert sp.partition_value(fraction_oracle(fam), part) == opt
+        assert partition_value(fraction_oracle(fam), part) == opt
 
 
 def test_chain_search_frees_the_oracle():
