@@ -69,7 +69,7 @@ from .kpartition import (
     ratio_to_optimum,
 )
 from .partition_opt import optimal_k_value
-from .pps import compute_pps, verify_pps
+from .pps import _certified_pps, verify_pps
 
 __all__ = ["CSV_COLUMNS", "main", "run"]
 
@@ -157,8 +157,8 @@ def _load_oracle(args, k=None):
 
 def cmd_pps(args) -> int:
     fam, oracle = _load_oracle(args)
-    sequence = compute_pps(oracle)
-    report = verify_pps(oracle, sequence)
+    sequence, certificates = _certified_pps(oracle)
+    report = verify_pps(oracle, sequence, certificates=certificates)
     gs = oracle.ground_set
 
     if args.json:

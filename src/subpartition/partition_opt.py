@@ -4,10 +4,11 @@ This module holds the exhaustive engines under the principal-sequence search:
 
 * `_dilworth_greedy(n, D, tab, b)` is Narayanan's greedy for the Dilworth
   truncation of f - b (Narayanan 1991; Fujishige 2005): one pass over the
-  2^n sets in scaled integers gives a lower bound x(V) on g(b) and a
-  partition R; when R attains x(V), that is g(b), proved for any f, and for
+  2^n sets in scaled integers gives a vector x with x(S) <= D q (f(S) - b)
+  for every nonempty S, hence a lower bound x(V) on g(b), and a partition
+  R; when R attains x(V), that is g(b), proved for any f, and for
   submodular f it always does, with R the finest minimizer.  `pps` builds
-  the whole chain from it,
+  the whole chain from it and keeps each breakpoint's x as its certificate,
 * `minimize_g(oracle, b)` returns g(b) = min over P of f(P) - b|P| as an
   exact Fraction (no count and no minimizer), from the greedy, or from
   `optimal_k_value` where the greedy's partition misses its bound, which
@@ -29,8 +30,10 @@ minimizer found" a well-defined deterministic tie-break.
 
 Nothing is cached between calls.  The greedy scans sets and the optimum
 scans (subset, block) pairs, so a bug in either cannot reappear in the
-other, and brute force shares code with neither.  All of them read the
-oracle's value table, which checks the enumeration cap on every call.
+other, and brute force shares code with neither.  Only `verify_pps`, at
+a breakpoint without a valid certificate, and the public `repair_chain`
+call `minimize_g`.  All of them read the oracle's value table, which
+checks the enumeration cap on every call.
 """
 
 from __future__ import annotations
@@ -86,22 +89,25 @@ def _line(total: int, size: int, d: int, b: Fraction) -> int:
     return b.denominator * total - d * b.numerator * size
 
 
-def _dilworth_greedy(n: int, d: int, tab: tuple[int, ...], b: Fraction) -> tuple[int, Partition]:
+def _dilworth_greedy(
+    n: int, d: int, tab: tuple[int, ...], b: Fraction
+) -> tuple[int, Partition, tuple[int, ...]]:
     """Narayanan's greedy for the Dilworth truncation of f - b, in integers
     scaled by D q at b = p/q, on the scaled value table (D, tab).
 
     For i = 0..n-1, x_i is the minimum over the sets S with max(S) = i of
     `_line`(tab[S], 1) - x(S - i), and i merges with every block that meets
-    the first minimizing S in ascending mask order.  Returns X = x(V) and
-    the merged partition R.  Every nonempty S has a largest element, so
-    x(S) <= D q (f(S) - b) for all S, and summing over the blocks of any
-    partition Q gives X <= `_line`(D f(Q), |Q|): whenever R's line attains
-    X, X is D q g(b).  For submodular f it always does, and R is the finest
+    the first minimizing S in ascending mask order.  Returns X = x(V), the
+    merged partition R and x = (x_0, ..., x_{n-1}).  Every nonempty S has
+    a largest element, so x(S) <= D q (f(S) - b) for all S, and summing
+    over the blocks of any partition Q gives X <= `_line`(D f(Q), |Q|):
+    whenever R's line attains X, X is D q g(b).  For submodular f it always does, and R is the finest
     minimizer, because the first minimizing S is inclusion-minimal.
     """
     p, q = b.numerator, b.denominator
     dp = d * p
     xs = [0]  # xs[T] = x(T) for every T within {0..i-1}
+    x = []
     blocks: list[int] = []
     for i in range(n):
         lo = 1 << i
@@ -110,6 +116,7 @@ def _dilworth_greedy(n: int, d: int, tab: tuple[int, ...], b: Fraction) -> tuple
         best = min(gaps)
         t = gaps.index(best)
         xi = best - dp
+        x.append(xi)
         xs += [s + xi for s in xs]
         merged = lo
         kept = []
@@ -121,7 +128,7 @@ def _dilworth_greedy(n: int, d: int, tab: tuple[int, ...], b: Fraction) -> tuple
         kept.append(merged)
         blocks = kept
     blocks.sort(key=lambda m: m & -m)
-    return xs[-1], Partition._trusted(n, tuple(blocks))
+    return xs[-1], Partition._trusted(n, tuple(blocks)), tuple(x)
 
 
 def minimize_g(oracle: ValueOracle, b) -> Fraction:
@@ -135,7 +142,7 @@ def minimize_g(oracle: ValueOracle, b) -> Fraction:
     b = as_fraction(b)
     n = oracle.n
     d, tab = oracle.scaled_table()
-    x, r = _dilworth_greedy(n, d, tab, b)
+    x, r, _ = _dilworth_greedy(n, d, tab, b)
     if _line(scaled_value(tab, r), len(r), d, b) == x:
         return Fraction(x, d * b.denominator)
     return min(optimal_k_value(oracle, k) - b * k for k in range(1, n + 1))

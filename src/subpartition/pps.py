@@ -29,28 +29,40 @@ chain, after checking against minimize_g that each such pair attains g.
 Every test of a member at a parameter b reads its line f(P) - b|P| in
 integers through one helper, `partition_opt._line`, on the oracle's scaled
 value table (`core.scaled_value`): the search's tests against the greedy's
-x(V), the breakpoint formula (the two members' lines meet at b), and the
-check, shared by `verify_pps` and `repair_chain`, that a pair attains
-minimize_g's exact value.
+x(V), the breakpoint formula (the two members' lines meet at b), the
+certificate check, and the check, shared by `verify_pps` and
+`repair_chain`, that a pair attains minimize_g's exact value.
 
-`verify_pps` re-checks all five conditions from scratch against minimize_g
-in one walk over the adjacent pairs, and each verdict is the absence of
-its own failure lines.  Condition 5 is decided exactly from conditions
-1 and 4, without further calls: g is concave (a minimum of affine lines)
-and P_j's line never lies below it, so a line that meets g at both ends
-of a closed segment meets it everywhere between, and a line that misses g
-at an end is not optimal there.  The unbounded end segments need
-|P_1| = 1 and |P_r| = n instead of a far end, since no line is flatter
-(steeper) than the one-block (all-singletons) one.  The argument uses no
-property of f, so it holds for any oracle and nothing is left to sample.
-minimize_g runs the same greedy that builds the chain, so the check does
-not yet stand apart from it.
+Each breakpoint b of a computed chain comes with a certificate: the vector
+x of the greedy call that proved its pair, with x(S) <= D q (f(S) - b) for
+every nonempty S.  Summed over the blocks of any partition, that bounds
+every line from below by x(V), so a pair whose two lines equal x(V) attains
+g(b), for any f and any such x.  `_slacks` checks the bound on all 2^n sets
+with its own subset-sum pass, sharing no code with the greedy.
+
+`verify_pps` re-checks all five conditions from scratch in one walk over
+the adjacent pairs, and each verdict is the absence of its own failure
+lines.  A pair attains g at its breakpoint when the breakpoint's
+certificate, if one is passed, proves it, and otherwise when it attains
+minimize_g's value; the two tests agree on every input.  Condition 5 is
+decided exactly from conditions 1 and 4, without further calls: g is
+concave (a minimum of affine lines) and P_j's line never lies below it,
+so a line that meets g at both ends of a closed segment meets it
+everywhere between, and a line that misses g at an end is not optimal
+there.  The unbounded end segments need |P_1| = 1 and |P_r| = n instead
+of a far end, since no line is flatter (steeper) than the one-block
+(all-singletons) one.  The argument uses no property of f, so it holds
+for any oracle and nothing is left to sample.
+`check_two_level_condition` reads its answer off one certificate at the
+chord's slope as well, and asks `optimal_k_value` only where the greedy's
+partition misses x(V), which no submodular oracle allows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     NonSubmodularError,
@@ -133,23 +145,31 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     blocks are then split stepwise as in `repair_chain`, and a pair that is
     not nested raises NonSubmodularError.
     """
+    return _certified_pps(oracle)[0]
+
+
+def _certified_pps(oracle: ValueOracle) -> tuple[PrincipalSequence, tuple[tuple[int, ...], ...]]:
+    """`compute_pps`, with the certificate of each breakpoint b: the x of
+    the greedy call at b that proved the pair adjacent (`_slacks`)."""
     n = oracle.n
     d, tab = oracle.scaled_table()
     coarse = trivial_partition(n)
     if n == 1:
-        return PrincipalSequence((coarse,), ())
+        return PrincipalSequence((coarse,), ()), ()
     coarse_total = tab[-1]
     chain = [coarse]
     breakpoints: list[Fraction] = []
+    proofs: list[tuple[int, ...]] = []  # the x of each accepted pair
     singletons = singleton_partition(n)
     pending = [(singletons, scaled_value(tab, singletons))]  # members to reach, next on top
     while pending:
         fine, fine_total = pending[-1]
         b = Fraction(fine_total - coarse_total, d * (len(fine) - len(coarse)))
-        x, r = _dilworth_greedy(n, d, tab, b)
+        x, r, proof = _dilworth_greedy(n, d, tab, b)
         if x == _line(coarse_total, len(coarse), d, b):
             chain.append(fine)
             breakpoints.append(b)
+            proofs.append(proof)
             coarse, coarse_total = pending.pop()
             continue
         r_total = scaled_value(tab, r)
@@ -168,7 +188,14 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
         # inequalities), and equal counts would put R's line strictly below
         # the member's at the member's own b.  So |coarse| < |R| < |fine|.
         pending.append((r, r_total))
-    return _split_stepwise(PrincipalSequence(tuple(chain), tuple(breakpoints)))
+    sequence = _split_stepwise(PrincipalSequence(tuple(chain), tuple(breakpoints)))
+    if len(sequence) > len(chain):
+        # a member inserted at b attains x(V) as well (`repair_chain`), so
+        # it shares b's certificate: the pair it ends is the one whose
+        # block counts bracket its own
+        counts = [len(p) for p in chain]
+        proofs = [proofs[bisect_left(counts, len(p)) - 1] for p in sequence.partitions[1:]]
+    return sequence, tuple(proofs)
 
 
 def _split_stepwise(
@@ -213,6 +240,30 @@ def _pair_attains(oracle: ValueOracle, b: Fraction, pair: tuple[Partition, ...])
     return all(_line(scaled_value(tab, p), len(p), d, b) * best.denominator == target for p in pair)
 
 
+def _slacks(d: int, tab: tuple[int, ...], b: Fraction, x: Sequence[int]) -> list[int]:
+    """The slack q tab[S] - D p - x(S) of every set S at b = p/q, on the
+    scaled value table (D, tab), with x(S) the sum of x_i over i in S,
+    rebuilt by doubling: the sums over the subsets of {0..i-1}, then the
+    same sums plus x_i.  Entry 0, the empty set's, has no meaning.  x
+    certifies b when every other entry is >= 0."""
+    sums = [d * b.numerator]  # D p + x(S)
+    for xi in x:
+        sums += [s + xi for s in sums]
+    q = b.denominator
+    return [q * t - s for t, s in zip(tab, sums)]
+
+
+def _certifies(n: int, d: int, tab: tuple[int, ...], b: Fraction, x: Sequence[int], line: int) -> bool:
+    """Whether x is a certificate at b (n integers, no slack below 0) whose
+    x(V) equals `line`, which then attains g(b)."""
+    return (
+        len(x) == n
+        and all(isinstance(xi, int) for xi in x)
+        and sum(x) == line
+        and min(_slacks(d, tab, b, x)[1:]) >= 0
+    )
+
+
 def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalSequence:
     """Restore single-block refinement between adjacent chain partitions.
 
@@ -240,7 +291,8 @@ class PpsVerification(NamedTuple):
     `endpoints_ok and breakpoints_attained_ok`, which decides it exactly,
     so it adds no failure line of its own: the attainment or endpoint
     failure already names the point.  `samples_checked` counts the
-    minimize_g calls made, one per breakpoint.
+    breakpoints checked for attainment, each by its certificate or by one
+    minimize_g call.
     """
 
     ok: bool
@@ -255,24 +307,33 @@ class PpsVerification(NamedTuple):
 
 
 def verify_pps(
-    oracle: ValueOracle, sequence: PrincipalSequence, interior_samples: int = 3
+    oracle: ValueOracle,
+    sequence: PrincipalSequence,
+    interior_samples: int = 3,
+    *,
+    certificates: Sequence[Sequence[int] | None] | None = None,
 ) -> PpsVerification:
-    """Check a sequence against minimize_g from scratch.
+    """Check a sequence from scratch.
 
     Verifies the chain endpoints, single-block refinement, nondecreasing
     breakpoints, the breakpoint formula, that both neighbors attain g at
     every breakpoint, and that each partition attains g throughout its
     segment.  One walk over the adjacent pairs collects the refinement,
-    formula and attainment failures, with one minimize_g call per
-    breakpoint in chain order, whatever the input.  A member is optimal on
-    all of its closed segment exactly when it attains g at both finite
-    ends, because g is concave and its line lies on or above g; an
-    unbounded end needs |P| = 1 ({V}) on the left and |P| = n (the
-    singletons) on the right instead.
+    formula and attainment failures.  A pair attains g at its breakpoint b
+    when `certificates`, one entry per breakpoint (an x as kept by
+    `compute_pps`, or None), holds an x that certifies b and whose x(V)
+    equals both members' lines; otherwise one minimize_g call at b decides,
+    in chain order.  Both tests are exact, so the result does not depend on
+    the certificates, only its cost.  A member is optimal on all of its
+    closed segment exactly when it attains g at both finite ends, because g
+    is concave and its line lies on or above g; an unbounded end needs
+    |P| = 1 ({V}) on the left and |P| = n (the singletons) on the right
+    instead.
 
     `interior_samples` is accepted and ignored (the exact rule above made
-    sampling redundant); a negative value raises ValueError, and so does a
-    chain on another ground set than the oracle's.
+    sampling redundant); a negative value raises ValueError, and so do
+    certificates of another length than the breakpoints and a chain on
+    another ground set than the oracle's.
     """
     if interior_samples < 0:
         raise ValueError("interior_samples must be nonnegative")
@@ -280,20 +341,27 @@ def verify_pps(
     n = sequence.n
     parts = sequence.partitions
     bps = sequence.breakpoints
+    if certificates is None:
+        certificates = (None,) * len(bps)
+    elif len(certificates) != len(bps):
+        raise ValueError(f"need one certificate per breakpoint, {len(bps)}, not {len(certificates)}")
     d, tab = oracle.scaled_table()
     totals = [scaled_value(tab, part) for part in parts]  # D f(P_j)
     refinement: list[str] = []
     formula: list[str] = []
     attainment: list[str] = []
-    for j, (coarse, fine, b) in enumerate(zip(parts, parts[1:], bps)):
+    for j, (coarse, fine, b, x) in enumerate(zip(parts, parts[1:], bps, certificates)):
         if not refines(fine, coarse):
             refinement.append(f"chain entry {j + 1} does not refine entry {j}")
         elif refined_part(coarse, fine) is None:
             refinement.append(f"chain entry {j + 1} splits more than one block of entry {j}")
-        if _line(totals[j], len(coarse), d, b) != _line(totals[j + 1], len(fine), d, b):
+        line = _line(totals[j], len(coarse), d, b)
+        meet = line == _line(totals[j + 1], len(fine), d, b)
+        if not meet:
             gap = Fraction(totals[j + 1] - totals[j], d * (len(fine) - len(coarse)))
             formula.append(f"breakpoint {j} is {b}, but the value/count differences give {gap}")
-        if not _pair_attains(oracle, b, (coarse, fine)):
+        certified = meet and x is not None and _certifies(n, d, tab, b, x, line)
+        if not certified and not _pair_attains(oracle, b, (coarse, fine)):
             attainment.append(f"chain pair {j} does not attain the minimum at b={b}")
     endpoints: list[str] = []
     if parts[0] != trivial_partition(n) or parts[-1] != singleton_partition(n):
@@ -325,13 +393,37 @@ def check_two_level_condition(oracle: ValueOracle) -> bool:
     True when every partition P other than {V} and the singletons Q satisfies
     (f(P) - f(V)) / (|P| - 1) > b* = (f(Q) - f(V)) / (n - 1).  When this
     holds, the principal sequence is exactly ({V}, Q) with the single
-    breakpoint b*.  Only the cheapest partition of each block count
-    matters, so it holds exactly when every point (k, OPT_k), 1 < k < n,
-    lies strictly above the chord from (1, f(V)) to (n, f(Q)); OPT_k comes
-    from `optimal_k_value`, f(V) and f(Q) from the value table.
+    breakpoint b*.  Equivalently, every such P's line f(P) - b*|P| lies
+    strictly above the chord, the common line of {V} and Q at b*.
+
+    Decided, for any f, from one `_dilworth_greedy` call at b* (its x(V) lies
+    on or below every line) and the slacks of its x (`_slacks`):
+
+    * if its partition R attains an x(V) below the chord, R is a P strictly
+      below it: False;
+    * if x(V) is the chord and no slack is below 0, no P lies below the
+      chord, and P lies on it exactly when all its blocks have slack 0.
+      The singletons' slacks sum to 0, so each is 0, and S plus the
+      singletons of V - S is such a P for any S of slack 0: True exactly
+      when no S with 2 <= |S| <= n - 1 has slack 0;
+    * otherwise, which no submodular f reaches, every point (k, OPT_k),
+      1 < k < n, is tested against the chord, with OPT_k from
+      `optimal_k_value`.
+
+    n <= 2 leaves no P to test: True.
     """
     n = oracle.n
     d, tab = oracle.scaled_table()
-    top = Fraction(tab[-1], d)
-    rise = Fraction(sum(tab[1 << i] for i in range(n)), d) - top
-    return all((optimal_k_value(oracle, k) - top) * (n - 1) > rise * (k - 1) for k in range(2, n))
+    if n <= 2:
+        return True
+    top = tab[-1]
+    b = Fraction(sum(tab[1 << i] for i in range(n)) - top, d * (n - 1))
+    total, r, x = _dilworth_greedy(n, d, tab, b)
+    chord = _line(top, 1, d, b)
+    if total < chord and _line(scaled_value(tab, r), len(r), d, b) == total:
+        return False
+    if total == chord:
+        slacks = _slacks(d, tab, b, x)
+        if min(slacks[1:]) >= 0:
+            return not any(s == 0 and 1 < m.bit_count() < n for m, s in enumerate(slacks))
+    return all(optimal_k_value(oracle, k) - Fraction(top, d) > b * (k - 1) for k in range(2, n))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import subpartition as sp
-from subpartition import cli
+from subpartition import cli, pps
 from subpartition.cli import CSV_COLUMNS, fmt_decimal, fmt_rational, main
 
 from helpers import (
@@ -473,15 +473,16 @@ def test_cli_pps_text(tmp_path, capsys):
 
 
 def test_cli_pps_text_reports_failures(tmp_path, capsys, monkeypatch):
-    # a chain with its middle breakpoint moved: the text report lists each
-    # failure and the command exits 3
+    # a chain with its middle breakpoint moved, passed on with the chain's
+    # own certificates: the text report lists each failure and the command
+    # exits 3
     def shifted_pps(oracle):
-        good = sp.compute_pps(oracle)
+        good, certificates = pps._certified_pps(oracle)
         bps = list(good.breakpoints)
         bps[1] += 1
-        return sp.PrincipalSequence(good.partitions, tuple(bps))
+        return sp.PrincipalSequence(good.partitions, tuple(bps)), certificates
 
-    monkeypatch.setattr(cli, "compute_pps", shifted_pps)
+    monkeypatch.setattr(cli, "_certified_pps", shifted_pps)
     path = write_instance(tmp_path, weighted_path4())
     assert main(["pps", str(path)]) == 3
     out = capsys.readouterr().out

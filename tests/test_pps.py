@@ -7,7 +7,8 @@ import pytest
 
 import subpartition as sp
 from subpartition import pps
-from subpartition.cli import RANDOM_FAMILIES
+from subpartition.cli import RANDOM_FAMILIES, main
+from subpartition.partition_opt import optimal_k_value
 
 from helpers import (
     BIG_A,
@@ -231,6 +232,76 @@ def test_two_level_condition_never_minimizes(monkeypatch):
     assert calls == []
 
 
+def _two_level_by_optima(oracle):
+    """The two-level test as it read OPT_k for every k before the
+    certificate: every point (k, OPT_k), 1 < k < n, strictly above the
+    chord from (1, f(V)) to (n, f(singletons))."""
+    n = oracle.n
+    d, tab = oracle.scaled_table()
+    top = Fraction(tab[-1], d)
+    rise = Fraction(sum(tab[1 << i] for i in range(n)), d) - top
+    return all((optimal_k_value(oracle, k) - top) * (n - 1) > rise * (k - 1) for k in range(2, n))
+
+
+def test_two_level_certificate_matches_the_optima(monkeypatch):
+    # the inputs are generator instances, submodular tables and tie-heavy
+    # cuts, all submodular and decided from the greedy's certificate, then
+    # arbitrary tables, which fall back to the optima wherever the greedy's
+    # partition misses x(V)
+    rng = random.Random("two-level-certificate")
+    families = [
+        sp.random_instance(family, n, seed)
+        for family in sorted(sp.GENERATOR_FAMILIES)
+        for n in range(2, 10)
+        for seed in range(6)
+    ]
+    families += [sp.ExplicitTableFn(n, submodular_table(rng, n)) for n in [2, 3, 4, 5, 6, 7] * 100]
+    families += _tie_heavy_cuts(rng, 600)
+    submodular = len(families)
+    for i in range(2000):
+        n = 1 + i % 6
+        families.append(sp.ExplicitTableFn(n, [rng.randint(0, 4) for _ in range(1 << n)]))
+    oracles = [fam.oracle() for fam in families]
+    calls = []
+    monkeypatch.setattr(
+        pps, "optimal_k_value", lambda oracle, k: calls.append(k) or optimal_k_value(oracle, k)
+    )
+    outcomes, fell_back = [], []
+    for i, oracle in enumerate(oracles):
+        calls.clear()
+        outcomes.append(sp.check_two_level_condition(oracle))
+        if calls:
+            fell_back.append(i)
+    monkeypatch.undo()
+    assert outcomes == [_two_level_by_optima(oracle) for oracle in oracles]
+    assert (submodular, len(outcomes), sum(outcomes), len(fell_back)) == (1488, 3488, 1129, 870)
+    assert fell_back[0] >= submodular
+
+
+def test_two_level_condition_checks_the_greedy_certificate(monkeypatch):
+    # an x that keeps x(V) but lies above D q (f(S) - b*) on {0} proves
+    # nothing: the answer then comes from the optima, and is unchanged
+    real = pps._dilworth_greedy
+
+    def skewed(n, d, tab, b):
+        total, r, x = real(n, d, tab, b)
+        return total, r, (x[0] + 10**9, x[1] - 10**9, *x[2:])
+
+    calls = []
+    monkeypatch.setattr(
+        pps, "optimal_k_value", lambda oracle, k: calls.append(k) or optimal_k_value(oracle, k)
+    )
+    for fam, expected in ((mono_n(5), True), (omega(5, 10), True), (mono3(), False), (cardinality(4), False)):
+        oracle = fam.oracle()
+        calls.clear()
+        assert sp.check_two_level_condition(oracle) is expected
+        assert calls == []
+        monkeypatch.setattr(pps, "_dilworth_greedy", skewed)
+        assert sp.check_two_level_condition(oracle) is expected
+        assert calls
+        monkeypatch.setattr(pps, "_dilworth_greedy", real)
+
+
 def _strict_lower_hull(optima):
     """Block counts of the strict vertices of the lower convex hull of the
     points (k, OPT_k): the two ends, and every k that lies strictly below
@@ -421,6 +492,119 @@ def test_minimize_calls_per_breakpoint_and_per_multi_split_pair(monkeypatch):
     calls.clear()
     assert not sp.verify_pps(oracle, dropped).refinement_ok
     assert calls == [0, 2, 6]
+
+
+def _certified_instances():
+    for family in RANDOM_FAMILIES:
+        for n in (3, 5, 7):
+            yield sp.random_instance(family, n, 1)
+    yield from (weighted_path4(), two_edges(), mono3(), posi3(), mono_n(5), omega(5, 10), zero_fn(1))
+    yield sp.GraphCutFn(8, [(0, 1, 1), (2, 3, 1), (4, 5, 3), (6, 7, 3)])
+
+
+def _tampered_chains(seq, certificates):
+    """The chain with its certificates, then copies broken as the verify
+    tests break them, each with the certificates of its breakpoints: every
+    breakpoint moved, every inner member dropped, either end dropped, and
+    every inner member replaced, where one exists, by one with as many
+    blocks that is not nested between its neighbours."""
+    parts, bps, xs = list(seq.partitions), list(seq.breakpoints), list(certificates)
+    yield parts, bps, xs
+    for j in range(len(bps)):
+        for shift in (Fraction(-1, 3), Fraction(1, 2)):
+            yield parts, bps[:j] + [bps[j] + shift] + bps[j + 1 :], xs
+    for j in range(1, len(parts) - 1):
+        yield parts[:j] + parts[j + 1 :], bps[:j] + bps[j + 1 :], xs[:j] + xs[j + 1 :]
+        before, after = parts[j - 1], parts[j + 1]
+        for other in partitions(seq.n, len(parts[j])):
+            if not (sp.refines(other, before) and sp.refines(after, other)):
+                yield parts[:j] + [other] + parts[j + 1 :], bps, xs
+                break
+    if bps:
+        yield parts[1:], bps[1:], xs[1:]
+        yield parts[:-1], bps[:-1], xs[:-1]
+
+
+def test_certificates_leave_every_verdict_unchanged(monkeypatch):
+    # a certificate only spares the minimize_g call: on a computed chain
+    # every pair is certified, and on a broken copy the pairs whose
+    # certificate fails fall back, with the verdict of the call
+    calls = _count_minimize_calls(monkeypatch)
+    pairs = fallbacks = broken = 0
+    for fam in _certified_instances():
+        oracle = fam.oracle()
+        seq, certificates = pps._certified_pps(oracle)
+        assert seq == sp.compute_pps(oracle)
+        for i, (parts, bps, xs) in enumerate(_tampered_chains(seq, certificates)):
+            chain = sp.PrincipalSequence(parts, bps)
+            calls.clear()
+            certified = sp.verify_pps(oracle, chain, certificates=xs)
+            assert certified.ok is (i == 0)
+            if i == 0:
+                assert calls == []
+            else:
+                pairs, fallbacks = pairs + len(bps), fallbacks + len(calls)
+            assert certified == sp.verify_pps(oracle, chain), (fam.name, parts, bps)
+            broken += i > 0
+    assert broken > 100
+    assert 0 < fallbacks < pairs
+
+
+def test_a_tampered_certificate_falls_back_to_minimize_g(monkeypatch):
+    # one entry raised by 1, another breakpoint's x, all zeros, then three
+    # that keep x(V) but break the proof: weight moved from x_1 to x_0
+    # (a negative slack), inexact floats and an extra element
+    calls = _count_minimize_calls(monkeypatch)
+    instances = ("graph_coverage", 2), ("hypergraph_cut", 1), ("graph_cut", 2)
+    for fam in (weighted_path4(), *(sp.random_instance(family, 7, seed) for family, seed in instances)):
+        oracle = fam.oracle()
+        seq, certificates = pps._certified_pps(oracle)
+        expected = sp.verify_pps(oracle, seq)
+        assert expected.ok
+        bps = seq.breakpoints
+        for j, x in enumerate(certificates):
+            other = next(y for b, y in zip(bps, certificates) if b != bps[j])
+            for bad in (
+                (x[0] + 1, *x[1:]),
+                other,
+                (0,) * len(x),
+                (x[0] + 10**9, x[1] - 10**9, *x[2:]),
+                tuple(map(float, x)),
+                (*x, 0),
+            ):
+                tampered = list(certificates)
+                tampered[j] = bad
+                calls.clear()
+                assert sp.verify_pps(oracle, seq, certificates=tampered) == expected
+                assert calls == [bps[j]], (fam.name, j, bad)
+
+
+def test_certificates_need_one_entry_per_breakpoint():
+    oracle = weighted_path4().oracle()
+    seq, certificates = pps._certified_pps(oracle)
+    for wrong in ((), certificates[:-1], certificates + (None,)):
+        with pytest.raises(ValueError, match="need one certificate per breakpoint, 3, not"):
+            sp.verify_pps(oracle, seq, certificates=wrong)
+    assert sp.verify_pps(oracle, seq, certificates=(None,) * 3) == sp.verify_pps(oracle, seq)
+
+
+def test_cli_pps_makes_no_minimize_call(monkeypatch, tmp_path, capsys):
+    # the chain's certificates prove every breakpoint, also where the
+    # chain was split stepwise (two_edges); without them, the check makes
+    # one minimize_g call per breakpoint
+    calls = _count_minimize_calls(monkeypatch)
+    families = [sp.random_instance(family, 7, seed) for family in RANDOM_FAMILIES for seed in (1, 2)]
+    for i, fam in enumerate(families + [two_edges()]):
+        path = tmp_path / f"inst{i}.json"
+        sp.save_instance(fam, path)
+        calls.clear()
+        assert main(["pps", str(path)]) == 0
+        assert calls == []
+        assert "verification: PASS" in capsys.readouterr().out
+        oracle = fam.oracle()
+        seq = sp.compute_pps(oracle)
+        assert sp.verify_pps(oracle, seq).ok
+        assert calls == list(seq.breakpoints)
 
 
 @pytest.mark.parametrize("partitions", [[(1, 2)], "ab", [sp.trivial_partition(2), 3]])
