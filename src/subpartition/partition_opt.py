@@ -30,10 +30,10 @@ minimizer found" a well-defined deterministic tie-break.
 
 Nothing is cached between calls.  The greedy scans sets and the optimum
 scans (subset, block) pairs, so a bug in either cannot reappear in the
-other, and brute force shares code with neither.  Only `verify_pps`, at
-a breakpoint without a valid certificate, and the public `repair_chain`
-call `minimize_g`.  All of them read the oracle's value table, which
-checks the enumeration cap on every call.
+other, and brute force shares code with neither.  Only `verify_pps` and
+the public `repair_chain` call `minimize_g`, through `pps._pair_attains`,
+at a chain pair whose certificate is missing or fails.  All of them read
+the oracle's value table, which checks the enumeration cap on every call.
 """
 
 from __future__ import annotations

@@ -29,22 +29,23 @@ chain, after checking against minimize_g that each such pair attains g.
 Every test of a member at a parameter b reads its line f(P) - b|P| in
 integers through one helper, `partition_opt._line`, on the oracle's scaled
 value table (`core.scaled_value`): the search's tests against the greedy's
-x(V), the breakpoint formula (the two members' lines meet at b), the
-certificate check, and the check, shared by `verify_pps` and
-`repair_chain`, that a pair attains minimize_g's exact value.
+x(V), the breakpoint formula (the two members' lines meet at b), and the
+pair test `_pair_attains` that `verify_pps` and `repair_chain` share.
 
-Each breakpoint b of a computed chain comes with a certificate: the vector
-x of the greedy call that proved its pair, with x(S) <= D q (f(S) - b) for
-every nonempty S.  Summed over the blocks of any partition, that bounds
-every line from below by x(V), so a pair whose two lines equal x(V) attains
-g(b), for any f and any such x.  `_slacks` checks the bound on all 2^n sets
-with its own subset-sum pass, sharing no code with the greedy.
+A computed chain carries a certificate per breakpoint b
+(`PrincipalSequence.certificates`): the x of the greedy call that proved
+its pair, with x(S) <= D q (f(S) - b) for every nonempty S.  Summed over
+the blocks of any partition, that bounds every line from below by x(V), so
+a pair whose two lines equal x(V) attains g(b), for any f and any such x.
+`_slacks` checks the bound on all 2^n sets with its own subset-sum pass,
+sharing no code with the greedy.  `_pair_attains` tries the certificate
+and makes one minimize_g call only where it is missing or fails; the two
+tests agree on every input, so a chain without certificates (built by
+hand, copied or unpickled) gets the same verdicts, at one call per pair.
 
 `verify_pps` re-checks all five conditions from scratch in one walk over
 the adjacent pairs, and each verdict is the absence of its own failure
-lines.  A pair attains g at its breakpoint when the breakpoint's
-certificate, if one is passed, proves it, and otherwise when it attains
-minimize_g's value; the two tests agree on every input.  Condition 5 is
+lines.  Condition 5 is
 decided exactly from conditions 1 and 4, without further calls: g is
 concave (a minimum of affine lines) and P_j's line never lies below it,
 so a line that meets g at both ends of a closed segment meets it
@@ -60,7 +61,6 @@ partition misses x(V), which no submodular oracle allows.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -88,20 +88,28 @@ __all__ = [
 ]
 
 
-class PrincipalSequence(_Frozen):
-    """A partition chain with its breakpoints.
+class _Evidenced(_Frozen): __slots__ = ("certificates",)  # evidence: not compared, shown or pickled
+
+
+class PrincipalSequence(_Evidenced):
+    """A partition chain with its breakpoints, and their certificates.
 
     partitions[j] is optimal for g on [breakpoints[j-1], breakpoints[j]]
     (unbounded at the two ends).  Block counts increase strictly.  Both fields
     take any iterable and are stored as tuples, of `Partition`s (else TypeError)
     and of Fractions: ints and "p/q" strings are converted, floats raise TypeError.
+    `certificates` is None (a chain built by hand) or, per breakpoint, None
+    or the x that `compute_pps` keeps, a tuple of n ints (else TypeError or
+    ValueError).  Evidence for `verify_pps`, not identity: equality, hash
+    and repr ignore them; copies and pickles drop them.
     """
 
     __slots__ = ("partitions", "breakpoints")
     partitions: tuple[Partition, ...]
     breakpoints: tuple[Fraction, ...]
+    certificates: tuple[tuple[int, ...] | None, ...] | None
 
-    def __init__(self, partitions: Iterable[Partition], breakpoints: Iterable):
+    def __init__(self, partitions: Iterable[Partition], breakpoints: Iterable, certificates=None):
         object.__setattr__(self, "partitions", tuple(partitions))
         if not all(isinstance(p, Partition) for p in self.partitions):
             raise TypeError("chain members must be Partition objects")
@@ -116,6 +124,17 @@ class PrincipalSequence(_Frozen):
         counts = [len(p) for p in self.partitions]
         if any(c2 <= c1 for c1, c2 in zip(counts, counts[1:])):
             raise ValueError("chain block counts must increase strictly")
+        if certificates is not None:
+            certificates = tuple(certificates)
+            if len(certificates) != len(self.breakpoints):
+                k = len(self.breakpoints)
+                raise ValueError(f"need one certificate per breakpoint, {k}, not {len(certificates)}")
+            for j, x in enumerate(certificates):
+                if not (x is None or isinstance(x, tuple) and set(map(type, x)) <= {int}):
+                    raise TypeError(f"certificate {j} must be None or a tuple of ints")
+                if x is not None and len(x) != n:
+                    raise ValueError(f"certificate {j} has {len(x)} entries, not {n}")
+        object.__setattr__(self, "certificates", certificates)
 
     @property
     def n(self) -> int:
@@ -143,23 +162,18 @@ def compute_pps(oracle: ValueOracle) -> PrincipalSequence:
     minimizer at b, so the members are the strict vertices of the lower hull
     of the points (k, OPT_k) (Narayanan 1991).  Members that split several
     blocks are then split stepwise as in `repair_chain`, and a pair that is
-    not nested raises NonSubmodularError.
+    not nested raises NonSubmodularError.  The chain carries the x of each
+    accepted pair's greedy call as its breakpoint's certificate.
     """
-    return _certified_pps(oracle)[0]
-
-
-def _certified_pps(oracle: ValueOracle) -> tuple[PrincipalSequence, tuple[tuple[int, ...], ...]]:
-    """`compute_pps`, with the certificate of each breakpoint b: the x of
-    the greedy call at b that proved the pair adjacent (`_slacks`)."""
     n = oracle.n
     d, tab = oracle.scaled_table()
     coarse = trivial_partition(n)
     if n == 1:
-        return PrincipalSequence((coarse,), ()), ()
+        return PrincipalSequence((coarse,), (), ())
     coarse_total = tab[-1]
     chain = [coarse]
     breakpoints: list[Fraction] = []
-    proofs: list[tuple[int, ...]] = []  # the x of each accepted pair
+    certificates: list[tuple[int, ...]] = []  # the x of each accepted pair
     singletons = singleton_partition(n)
     pending = [(singletons, scaled_value(tab, singletons))]  # members to reach, next on top
     while pending:
@@ -169,7 +183,7 @@ def _certified_pps(oracle: ValueOracle) -> tuple[PrincipalSequence, tuple[tuple[
         if x == _line(coarse_total, len(coarse), d, b):
             chain.append(fine)
             breakpoints.append(b)
-            proofs.append(proof)
+            certificates.append(proof)
             coarse, coarse_total = pending.pop()
             continue
         r_total = scaled_value(tab, r)
@@ -188,41 +202,41 @@ def _certified_pps(oracle: ValueOracle) -> tuple[PrincipalSequence, tuple[tuple[
         # inequalities), and equal counts would put R's line strictly below
         # the member's at the member's own b.  So |coarse| < |R| < |fine|.
         pending.append((r, r_total))
-    sequence = _split_stepwise(PrincipalSequence(tuple(chain), tuple(breakpoints)))
-    if len(sequence) > len(chain):
-        # a member inserted at b attains x(V) as well (`repair_chain`), so
-        # it shares b's certificate: the pair it ends is the one whose
-        # block counts bracket its own
-        counts = [len(p) for p in chain]
-        proofs = [proofs[bisect_left(counts, len(p)) - 1] for p in sequence.partitions[1:]]
-    return sequence, tuple(proofs)
+    return _split_stepwise(PrincipalSequence(chain, breakpoints, certificates))
 
 
 def _split_stepwise(
     sequence: PrincipalSequence, oracle: ValueOracle | None = None
 ) -> PrincipalSequence:
     """Split, at the pair's breakpoint, the blocks that a pair's finer
-    member splits one at a time in canonical order; a non-nested pair
-    raises NonSubmodularError, and so, given an oracle, does a pair that
-    splits several blocks and misses minimize_g's value."""
-    n = sequence.n
+    member splits one at a time in canonical order, keeping the pair's
+    certificate.  A non-nested pair raises NonSubmodularError, and so, given
+    an oracle, does a pair that splits several blocks and misses g(b)."""
     parts = [sequence.partitions[0]]
     bps: list[Fraction] = []
-    for coarse, fine, b in zip(sequence.partitions, sequence.partitions[1:], sequence.breakpoints):
+    xs: list[tuple[int, ...] | None] = []
+    chain = sequence.partitions
+    proofs = sequence.certificates or (None,) * len(sequence.breakpoints)
+    for coarse, fine, b, x in zip(chain, chain[1:], sequence.breakpoints, proofs):
         if not refines(fine, coarse):
             pair = f"chain partitions with {len(coarse)} and {len(fine)} blocks at b={b}"
             raise NonSubmodularError(f"{pair} are not nested")
         fine_blocks = set(fine.blocks)
         split = [s for s in coarse.blocks if s not in fine_blocks]
-        if oracle is not None and len(split) > 1 and not _pair_attains(oracle, b, (coarse, fine)):
-            raise NonSubmodularError(f"chain pair does not attain the parametric minimum at b={b}")
+        if oracle is not None and len(split) > 1:
+            d, tab = oracle.scaled_table()
+            lines = {_line(scaled_value(tab, p), len(p), d, b) for p in (coarse, fine)}
+            if not _pair_attains(oracle, d, tab, b, lines, x):
+                raise NonSubmodularError(f"chain pair does not attain the parametric minimum at b={b}")
         for s in split[:-1]:
             rest = [blk for blk in parts[-1].blocks if blk != s]
-            parts.append(Partition(n, rest + [blk for blk in fine.blocks if blk & s]))
-            bps.append(b)
+            parts.append(Partition(fine.n, rest + [blk for blk in fine.blocks if blk & s]))
         parts.append(fine)
-        bps.append(b)
-    return PrincipalSequence(tuple(parts), tuple(bps))
+        bps += [b] * len(split)
+        xs += [x] * len(split)
+    if len(parts) == len(sequence):  # no pair split several blocks
+        return sequence
+    return PrincipalSequence(parts, bps, None if sequence.certificates is None else xs)
 
 
 def _require_same_ground_set(oracle: ValueOracle, sequence: PrincipalSequence) -> None:
@@ -230,14 +244,16 @@ def _require_same_ground_set(oracle: ValueOracle, sequence: PrincipalSequence) -
         raise ValueError(f"the chain is on {sequence.n} elements, the oracle on {oracle.n}")
 
 
-def _pair_attains(oracle: ValueOracle, b: Fraction, pair: tuple[Partition, ...]) -> bool:
-    """Whether both members of a chain pair attain g(b), from one
-    minimize_g call: each member's line must equal D q g(b), compared in
-    integers times the denominator of g(b)."""
+def _pair_attains(oracle: ValueOracle, d: int, tab: tuple, b: Fraction, lines: set, x) -> bool:
+    """Whether a chain pair, whose lines at b on the oracle's table (D, tab)
+    form the set `lines`, attains g(b): at once when they equal x(V) for a
+    certificate x at b with no slack below 0 (`_slacks`), else from one
+    minimize_g call, each line against D q g(b), compared in integers."""
+    if x is not None and lines == {sum(x)} and min(_slacks(d, tab, b, x)[1:]) >= 0:
+        return True
     best = minimize_g(oracle, b)
-    d, tab = oracle.scaled_table()
     target = best.numerator * d * b.denominator
-    return all(_line(scaled_value(tab, p), len(p), d, b) * best.denominator == target for p in pair)
+    return all(line * best.denominator == target for line in lines)
 
 
 def _slacks(d: int, tab: tuple[int, ...], b: Fraction, x: Sequence[int]) -> list[int]:
@@ -253,17 +269,6 @@ def _slacks(d: int, tab: tuple[int, ...], b: Fraction, x: Sequence[int]) -> list
     return [q * t - s for t, s in zip(tab, sums)]
 
 
-def _certifies(n: int, d: int, tab: tuple[int, ...], b: Fraction, x: Sequence[int], line: int) -> bool:
-    """Whether x is a certificate at b (n integers, no slack below 0) whose
-    x(V) equals `line`, which then attains g(b)."""
-    return (
-        len(x) == n
-        and all(isinstance(xi, int) for xi in x)
-        and sum(x) == line
-        and min(_slacks(d, tab, b, x)[1:]) >= 0
-    )
-
-
 def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalSequence:
     """Restore single-block refinement between adjacent chain partitions.
 
@@ -276,8 +281,10 @@ def repair_chain(oracle: ValueOracle, sequence: PrincipalSequence) -> PrincipalS
     it.  Three lines that meet g at b_j all cross there, so every
     breakpoint replacing b_j equals b_j, which is why repaired chains have
     nondecreasing rather than strictly increasing breakpoints.  Only the
-    input's own pairs are checked against minimize_g, in chain order; one
-    that is not nested or misses the minimum raises NonSubmodularError.
+    input's own pairs that it splits are checked (`_pair_attains`), in
+    chain order; one that is not nested or misses the minimum raises
+    NonSubmodularError.  Q1's line equals the pair's at b_j, so it shares
+    their certificate, and the output keeps the input's certificates.
     """
     _require_same_ground_set(oracle, sequence)
     return _split_stepwise(sequence, oracle)
@@ -310,8 +317,6 @@ def verify_pps(
     oracle: ValueOracle,
     sequence: PrincipalSequence,
     interior_samples: int = 3,
-    *,
-    certificates: Sequence[Sequence[int] | None] | None = None,
 ) -> PpsVerification:
     """Check a sequence from scratch.
 
@@ -320,20 +325,19 @@ def verify_pps(
     every breakpoint, and that each partition attains g throughout its
     segment.  One walk over the adjacent pairs collects the refinement,
     formula and attainment failures.  A pair attains g at its breakpoint b
-    when `certificates`, one entry per breakpoint (an x as kept by
-    `compute_pps`, or None), holds an x that certifies b and whose x(V)
-    equals both members' lines; otherwise one minimize_g call at b decides,
-    in chain order.  Both tests are exact, so the result does not depend on
-    the certificates, only its cost.  A member is optimal on all of its
+    when the chain's certificate for b (`PrincipalSequence.certificates`,
+    kept by `compute_pps`) certifies b and its x(V) equals both members'
+    lines; otherwise one minimize_g call at b decides, in chain order
+    (`_pair_attains`).  Both tests are exact, so the result does not depend
+    on the certificates, only its cost.  A member is optimal on all of its
     closed segment exactly when it attains g at both finite ends, because g
     is concave and its line lies on or above g; an unbounded end needs
     |P| = 1 ({V}) on the left and |P| = n (the singletons) on the right
     instead.
 
     `interior_samples` is accepted and ignored (the exact rule above made
-    sampling redundant); a negative value raises ValueError, and so do
-    certificates of another length than the breakpoints and a chain on
-    another ground set than the oracle's.
+    sampling redundant); a negative value raises ValueError, and so does a
+    chain on another ground set than the oracle's.
     """
     if interior_samples < 0:
         raise ValueError("interior_samples must be nonnegative")
@@ -341,27 +345,22 @@ def verify_pps(
     n = sequence.n
     parts = sequence.partitions
     bps = sequence.breakpoints
-    if certificates is None:
-        certificates = (None,) * len(bps)
-    elif len(certificates) != len(bps):
-        raise ValueError(f"need one certificate per breakpoint, {len(bps)}, not {len(certificates)}")
+    xs = sequence.certificates or (None,) * len(bps)
     d, tab = oracle.scaled_table()
     totals = [scaled_value(tab, part) for part in parts]  # D f(P_j)
     refinement: list[str] = []
     formula: list[str] = []
     attainment: list[str] = []
-    for j, (coarse, fine, b, x) in enumerate(zip(parts, parts[1:], bps, certificates)):
+    for j, (coarse, fine, b, x) in enumerate(zip(parts, parts[1:], bps, xs)):
         if not refines(fine, coarse):
             refinement.append(f"chain entry {j + 1} does not refine entry {j}")
         elif refined_part(coarse, fine) is None:
             refinement.append(f"chain entry {j + 1} splits more than one block of entry {j}")
-        line = _line(totals[j], len(coarse), d, b)
-        meet = line == _line(totals[j + 1], len(fine), d, b)
-        if not meet:
+        lines = {_line(totals[j], len(coarse), d, b), _line(totals[j + 1], len(fine), d, b)}
+        if len(lines) > 1:
             gap = Fraction(totals[j + 1] - totals[j], d * (len(fine) - len(coarse)))
             formula.append(f"breakpoint {j} is {b}, but the value/count differences give {gap}")
-        certified = meet and x is not None and _certifies(n, d, tab, b, x, line)
-        if not certified and not _pair_attains(oracle, b, (coarse, fine)):
+        if not _pair_attains(oracle, d, tab, b, lines, x):
             attainment.append(f"chain pair {j} does not attain the minimum at b={b}")
     endpoints: list[str] = []
     if parts[0] != trivial_partition(n) or parts[-1] != singleton_partition(n):

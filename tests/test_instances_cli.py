@@ -477,12 +477,12 @@ def test_cli_pps_text_reports_failures(tmp_path, capsys, monkeypatch):
     # own certificates: the text report lists each failure and the command
     # exits 3
     def shifted_pps(oracle):
-        good, certificates = pps._certified_pps(oracle)
+        good = pps.compute_pps(oracle)
         bps = list(good.breakpoints)
         bps[1] += 1
-        return sp.PrincipalSequence(good.partitions, tuple(bps)), certificates
+        return sp.PrincipalSequence(good.partitions, bps, good.certificates)
 
-    monkeypatch.setattr(cli, "_certified_pps", shifted_pps)
+    monkeypatch.setattr(cli, "compute_pps", shifted_pps)
     path = write_instance(tmp_path, weighted_path4())
     assert main(["pps", str(path)]) == 3
     out = capsys.readouterr().out

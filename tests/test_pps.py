@@ -1,7 +1,10 @@
 import gc
+import pickle
 import random
+import re
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -475,12 +478,20 @@ def test_repair_is_idempotent(monkeypatch):
 
 def test_minimize_calls_per_breakpoint_and_per_multi_split_pair(monkeypatch):
     # unit edges a-b, c-d and weight-3 edges e-f, g-h: the chain splits a
-    # block at 0, two at the tied breakpoint 2 and two at 6
+    # block at 0, two at the tied breakpoint 2 and two at 6.  Its
+    # certificates prove every pair, also after a repair, which keeps them;
+    # its copy without them makes one call per breakpoint
     oracle = sp.GraphCutFn(8, [(0, 1, 1), (2, 3, 1), (4, 5, 3), (6, 7, 3)]).oracle()
     seq = sp.compute_pps(oracle)
     assert seq.breakpoints == (0, 2, 2, 6, 6)
     calls = _count_minimize_calls(monkeypatch)
     assert sp.verify_pps(oracle, seq).ok
+    repaired = sp.repair_chain(oracle, seq)
+    assert repaired.certificates == seq.certificates
+    assert sp.verify_pps(oracle, repaired).ok
+    assert calls == []
+    plain = sp.PrincipalSequence(seq.partitions, seq.breakpoints)
+    assert sp.verify_pps(oracle, plain).ok
     assert calls == list(seq.breakpoints)
     # with the middle member of each tie dropped, the pairs at 2 and 6 split
     # two blocks each, and only they are checked
@@ -492,6 +503,16 @@ def test_minimize_calls_per_breakpoint_and_per_multi_split_pair(monkeypatch):
     calls.clear()
     assert not sp.verify_pps(oracle, dropped).refinement_ok
     assert calls == [0, 2, 6]
+    # with the certificates of its breakpoints, the same chain is repaired
+    # without a call, and the repaired chain keeps them: it verifies without one
+    xs = seq.certificates
+    certified = sp.PrincipalSequence(dropped.partitions, dropped.breakpoints, (xs[0], xs[1], xs[3]))
+    calls.clear()
+    repaired = sp.repair_chain(oracle, certified)
+    assert repaired == seq
+    assert repaired.certificates == seq.certificates
+    assert sp.verify_pps(oracle, repaired).ok
+    assert calls == []
 
 
 def _certified_instances():
@@ -533,35 +554,34 @@ def test_certificates_leave_every_verdict_unchanged(monkeypatch):
     pairs = fallbacks = broken = 0
     for fam in _certified_instances():
         oracle = fam.oracle()
-        seq, certificates = pps._certified_pps(oracle)
-        assert seq == sp.compute_pps(oracle)
-        for i, (parts, bps, xs) in enumerate(_tampered_chains(seq, certificates)):
-            chain = sp.PrincipalSequence(parts, bps)
+        seq = sp.compute_pps(oracle)
+        for i, (parts, bps, xs) in enumerate(_tampered_chains(seq, seq.certificates)):
             calls.clear()
-            certified = sp.verify_pps(oracle, chain, certificates=xs)
+            certified = sp.verify_pps(oracle, sp.PrincipalSequence(parts, bps, xs))
             assert certified.ok is (i == 0)
             if i == 0:
                 assert calls == []
             else:
                 pairs, fallbacks = pairs + len(bps), fallbacks + len(calls)
-            assert certified == sp.verify_pps(oracle, chain), (fam.name, parts, bps)
+            plain = sp.PrincipalSequence(parts, bps)
+            assert certified == sp.verify_pps(oracle, plain), (fam.name, parts, bps)
             broken += i > 0
     assert broken > 100
     assert 0 < fallbacks < pairs
 
 
 def test_a_tampered_certificate_falls_back_to_minimize_g(monkeypatch):
-    # one entry raised by 1, another breakpoint's x, all zeros, then three
-    # that keep x(V) but break the proof: weight moved from x_1 to x_0
-    # (a negative slack), inexact floats and an extra element
+    # one entry raised by 1, another breakpoint's x, all zeros, and weight
+    # moved from x_1 to x_0, which keeps x(V) but leaves a negative slack;
+    # inexact floats and an extra element are refused by the constructor
     calls = _count_minimize_calls(monkeypatch)
     instances = ("graph_coverage", 2), ("hypergraph_cut", 1), ("graph_cut", 2)
     for fam in (weighted_path4(), *(sp.random_instance(family, 7, seed) for family, seed in instances)):
         oracle = fam.oracle()
-        seq, certificates = pps._certified_pps(oracle)
+        seq = sp.compute_pps(oracle)
         expected = sp.verify_pps(oracle, seq)
         assert expected.ok
-        bps = seq.breakpoints
+        parts, bps, certificates = seq.partitions, seq.breakpoints, seq.certificates
         for j, x in enumerate(certificates):
             other = next(y for b, y in zip(bps, certificates) if b != bps[j])
             for bad in (
@@ -569,23 +589,43 @@ def test_a_tampered_certificate_falls_back_to_minimize_g(monkeypatch):
                 other,
                 (0,) * len(x),
                 (x[0] + 10**9, x[1] - 10**9, *x[2:]),
-                tuple(map(float, x)),
-                (*x, 0),
             ):
                 tampered = list(certificates)
                 tampered[j] = bad
                 calls.clear()
-                assert sp.verify_pps(oracle, seq, certificates=tampered) == expected
+                assert sp.verify_pps(oracle, sp.PrincipalSequence(parts, bps, tampered)) == expected
                 assert calls == [bps[j]], (fam.name, j, bad)
+            for bad, error in ((tuple(map(float, x)), TypeError), ((*x, 0), ValueError)):
+                tampered = list(certificates)
+                tampered[j] = bad
+                with pytest.raises(error, match=f"^certificate {j} "):
+                    sp.PrincipalSequence(parts, bps, tampered)
 
 
 def test_certificates_need_one_entry_per_breakpoint():
     oracle = weighted_path4().oracle()
-    seq, certificates = pps._certified_pps(oracle)
+    seq = sp.compute_pps(oracle)
+    parts, bps, certificates = seq.partitions, seq.breakpoints, seq.certificates
     for wrong in ((), certificates[:-1], certificates + (None,)):
         with pytest.raises(ValueError, match="need one certificate per breakpoint, 3, not"):
-            sp.verify_pps(oracle, seq, certificates=wrong)
-    assert sp.verify_pps(oracle, seq, certificates=(None,) * 3) == sp.verify_pps(oracle, seq)
+            sp.PrincipalSequence(parts, bps, wrong)
+    unproved = sp.PrincipalSequence(parts, bps, (None,) * 3)
+    assert sp.verify_pps(oracle, unproved) == sp.verify_pps(oracle, seq)
+    # each entry is checked where the chain is built, naming its breakpoint:
+    # an int, a string, a list, a Fraction or a bool entry, or too few entries
+    entries = list(certificates)
+    not_ints = "certificate 1 must be None or a tuple of ints"
+    for entry, error, message in (
+        (5, TypeError, not_ints),
+        ("1234", TypeError, not_ints),
+        (list(certificates[1]), TypeError, not_ints),
+        ((1, 2, 3, Fraction(4)), TypeError, not_ints),
+        ((1, 2, 3, True), TypeError, not_ints),
+        ((1, 2, 3), ValueError, "certificate 1 has 3 entries, not 4"),
+    ):
+        entries[1] = entry
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sp.PrincipalSequence(parts, bps, entries)
 
 
 def test_cli_pps_makes_no_minimize_call(monkeypatch, tmp_path, capsys):
@@ -604,6 +644,8 @@ def test_cli_pps_makes_no_minimize_call(monkeypatch, tmp_path, capsys):
         oracle = fam.oracle()
         seq = sp.compute_pps(oracle)
         assert sp.verify_pps(oracle, seq).ok
+        assert calls == []
+        assert sp.verify_pps(oracle, sp.PrincipalSequence(seq.partitions, seq.breakpoints)).ok
         assert calls == list(seq.breakpoints)
 
 
@@ -900,6 +942,45 @@ def test_chain_at_the_cap():
     for part in seq.partitions:
         _, opt = sp.brute_force_optimal_k_partition(oracle, len(part))
         assert partition_value(fraction_oracle(fam), part) == opt
+
+
+def test_computed_chains_carry_their_certificates_beside_their_identity(monkeypatch):
+    # the six generator families at n = 13 (seed 1) and the random ones at
+    # n = 7: the computed chain and its copy built by hand are one chain
+    # (equal, same hash and repr) and verify alike, the chain with no
+    # minimize_g call, the copy with one per breakpoint; a pickle drops the
+    # certificates and verifies alike too
+    calls = _count_minimize_calls(monkeypatch)
+    instances = [sp.random_instance(family, 13, 1) for family in sorted(sp.GENERATOR_FAMILIES)]
+    instances += [sp.random_instance(family, 7, seed) for family in RANDOM_FAMILIES for seed in (1, 2)]
+    for fam in instances:
+        oracle = fam.oracle()
+        seq = sp.compute_pps(oracle)
+        assert len(seq.certificates) == len(seq.breakpoints)
+        copied = sp.PrincipalSequence(seq.partitions, seq.breakpoints)
+        assert copied == seq and hash(copied) == hash(seq) and repr(copied) == repr(seq)
+        assert copied.certificates is None
+        calls.clear()
+        verdict = sp.verify_pps(oracle, seq)
+        assert verdict.ok and calls == []
+        assert sp.verify_pps(oracle, copied) == verdict
+        assert calls == list(seq.breakpoints)
+        unpickled = pickle.loads(pickle.dumps(seq))
+        assert unpickled == seq and unpickled.certificates is None
+        assert sp.verify_pps(oracle, unpickled) == verdict
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # the README's Library block, run as written: its chain verifies from
+    # its own certificates, with no minimize_g call
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    calls = _count_minimize_calls(monkeypatch)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["sp"].verify_pps(names["oracle"], names["seq"]).ok
+    assert names["rep"].algorithm_value == names["run"].value >= names["rep"].optimal_value
+    assert calls == []
 
 
 def test_chain_search_frees_the_oracle():
