@@ -75,7 +75,8 @@ class InstanceFormatError(ValueError):
 
 
 def require_submodular(oracle: ValueOracle) -> None:
-    """Raise InstanceFormatError, naming a violating pair, unless submodular."""
+    """Raise InstanceFormatError unless submodular, naming `check_submodular`'s
+    witness: the first violation (S+i, S+j) of its local test."""
     result = check_submodular(oracle)
     if not result.ok:
         raise InstanceFormatError(

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import subpartition as sp
-from subpartition.checkers import _locally_posimodular, _locally_submodular, _slice_pairs
+from subpartition.checkers import _posimodular_witness, _slice_pairs, _submodular_witness
 
 from helpers import cardinality, mono3, omega, posi3, two_edges, zero_fn
 
@@ -150,6 +150,22 @@ def _pair_scan_submodular(oracle):
     return True, None, None, None
 
 
+def _local_scan_submodular(oracle):
+    """Reference: the local test on the whole table in the documented
+    order, i, then j > i, then S outside both ascending; its first
+    violation (S+i, S+j) is the witness."""
+    d, tab = oracle.scaled_table()
+    for i, j in combinations(range(oracle.n), 2):
+        bi, bj = 1 << i, 1 << j
+        for s in range(len(tab)):
+            if s & (bi | bj):
+                continue
+            lhs, rhs = tab[s | bi] + tab[s | bj], tab[s | bi | bj] + tab[s]
+            if lhs < rhs:
+                return False, (s | bi, s | bj), Fraction(lhs, d), Fraction(rhs, d)
+    return True, None, None, None
+
+
 def _perturbed_tables(count):
     """Seeded submodular tables from the generators, some left as they are
     (many pairs hold with equality), some with a few entries nudged."""
@@ -170,9 +186,11 @@ def test_local_submodular_check_matches_pair_scan():
     for fam in _perturbed_tables(360):
         oracle = fam.oracle()
         res = sp.check_submodular(oracle)
-        ok, witness, lhs, rhs = _pair_scan_submodular(oracle)
-        assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs)
-        outcomes[ok] += 1
+        assert res.ok == _pair_scan_submodular(oracle)[0]
+        assert (res.ok, res.witness, res.lhs, res.rhs) == _local_scan_submodular(oracle)
+        if not res.ok:
+            verify_witness(oracle, res)
+        outcomes[res.ok] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
 
 
@@ -224,7 +242,7 @@ def test_local_submodular_matches_pair_loop():
     outcomes = {True: 0, False: 0}
     for n, tab in tables:
         ok = _triple_loop_submodular(n, tab)
-        assert _locally_submodular(n, tab) == ok, (n, tab)
+        assert (_submodular_witness(n, tab) is None) == ok, (n, tab)
         outcomes[ok] += 1
     assert outcomes[True] > 150 and outcomes[False] > 1000
 
@@ -237,6 +255,38 @@ def _pair_scan_posimodular(oracle):
             lhs, rhs = f[a] + f[b], f[a & ~b] + f[b & ~a]
             if lhs < rhs:
                 return False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
+    return True, None, None, None
+
+
+def _local_scan_posimodular(oracle):
+    """Reference: the local test in the documented order, e, then T subset
+    of V-e ascending, then S subset of T ascending; its first violation
+    f(S+e) - f(S) < f(V-T-e) - f(V-T) names the pair (S+e, V-T).  A
+    symmetric table names (V-A, B) for the submodular witness (A, B)."""
+    d, tab = oracle.scaled_table()
+    full = len(tab) - 1
+
+    def found(a, b):
+        lhs, rhs = tab[a] + tab[b], tab[a & ~b] + tab[b & ~a]
+        return False, (a, b), Fraction(lhs, d), Fraction(rhs, d)
+
+    if tab == tab[::-1]:
+        ok, witness, _, _ = _local_scan_submodular(oracle)
+        return (True, None, None, None) if ok else found(full ^ witness[0], witness[1])
+    for e in range(oracle.n):
+        be = 1 << e
+        floor = min(tab[s | be] - tab[s] for s in range(len(tab)) if not s & be)
+        for t in range(len(tab)):
+            rest = tab[full ^ t] - tab[full ^ t ^ be]
+            if t & be or floor + rest >= 0:
+                continue  # T holds e, or even the least gain cannot violate
+            s = 0
+            while True:  # the subsets of T, ascending
+                if tab[s | be] - tab[s] + rest < 0:
+                    return found(s | be, full ^ t)
+                if s == t:
+                    break
+                s = (s - t) & t
     return True, None, None, None
 
 
@@ -277,15 +327,14 @@ def _gain_signs(fam):
 
 def test_local_posimodular_check_matches_pair_scan():
     # fails only at pairs whose local form has S a proper subset of T, so a
-    # test of S = T alone would pass it
+    # test of S = T alone would pass it: the witness is S = {}, T = {b}
     pinned = sp.ExplicitTableFn(3, [0, 0, 0, 2, 2, 1, 0, 4], "general")
     res = sp.check_posimodular(pinned.oracle())
     assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (0b001, 0b101), 1, 2)
-    # the first witness has B = A: a row scan that started at B = A + 1
-    # would report (1, 3)
+    # the first witness is at e = a, T = {}, S = {}: the pair ({a}, V)
     diagonal = sp.ExplicitTableFn(2, [1, 0, 1, 1], "general")
     res = sp.check_posimodular(diagonal.oracle())
-    assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (1, 1), 0, 2)
+    assert (res.ok, res.witness, res.lhs, res.rhs) == (False, (1, 3), 1, 2)
 
     # at n = 7 the sweep folds by strided slices (steps 1, 2, 4) and by
     # contiguous chunks (steps 8, 16, 32), and elements whose gains are all
@@ -300,10 +349,11 @@ def test_local_posimodular_check_matches_pair_scan():
     for i, fam in enumerate(families + mixed):
         oracle = fam.oracle()
         res = sp.check_posimodular(oracle)
-        ok, witness, lhs, rhs = _pair_scan_posimodular(oracle)
-        assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs)
-        # the local test decides alone: no pair scan behind a passing table
-        assert _locally_posimodular(fam.n, oracle.scaled_table()[1]) == ok
+        ok = _pair_scan_posimodular(oracle)[0]
+        assert res.ok == ok
+        assert (res.ok, res.witness, res.lhs, res.rhs) == _local_scan_posimodular(oracle)
+        if not ok:
+            verify_witness(oracle, res)
         outcomes[ok] += 1
         if i >= first_mixed:
             mixed_outcomes[ok] += 1
@@ -337,25 +387,29 @@ def _symmetric_tables(count):
 def test_symmetric_tables_match_pair_scans():
     # both local tests read a symmetric table on its half without the last
     # element; on these tables they must agree with the references that
-    # read all of it, failing ones included
+    # read all of it, failing ones included, and name the witness of the
+    # local test on the whole table
     outcomes = {(name, ok): 0 for name in ("submodular", "posimodular") for ok in (True, False)}
     for fam in _symmetric_tables(320):
         oracle = fam.oracle()
         tab = oracle.scaled_table()[1]
         assert tab == tab[::-1]
         submodular = _triple_loop_submodular(fam.n, tab)
-        assert _locally_submodular(fam.n, tab) == submodular, fam
-        for check, scan in (
-            (sp.check_submodular, _pair_scan_submodular),
-            (sp.check_posimodular, _pair_scan_posimodular),
+        assert (_submodular_witness(fam.n, tab) is None) == submodular, fam
+        for check, scan, local in (
+            (sp.check_submodular, _pair_scan_submodular, _local_scan_submodular),
+            (sp.check_posimodular, _pair_scan_posimodular, _local_scan_posimodular),
         ):
             res = check(oracle)
-            ok, witness, lhs, rhs = scan(oracle)
-            assert (res.ok, res.witness, res.lhs, res.rhs) == (ok, witness, lhs, rhs), fam
+            ok = scan(oracle)[0]
+            assert res.ok == ok, fam
+            assert (res.ok, res.witness, res.lhs, res.rhs) == local(oracle), fam
+            if not ok:
+                verify_witness(oracle, res)
             # a symmetric table is posimodular exactly when it is submodular
             assert ok == submodular
             outcomes[res.property_name, ok] += 1
-        assert _locally_posimodular(fam.n, tab) == submodular, fam
+        assert (_posimodular_witness(fam.n, tab) is None) == submodular, fam
     assert min(outcomes.values()) >= 50, outcomes
 
 
@@ -421,20 +475,69 @@ def test_monotone_and_symmetric_checks_match_ordered_scans():
     assert min(outcomes.values()) >= 50, outcomes
 
 
-@pytest.mark.parametrize(
-    "check, local",
-    [
-        (sp.check_submodular, "_locally_submodular"),
-        (sp.check_posimodular, "_locally_posimodular"),
-        (sp.check_monotone, "_locally_monotone"),
-    ],
-)
-def test_failed_local_test_without_pair_witness_raises(monkeypatch, check, local):
-    # the cardinality function is submodular, posimodular and monotone, so
-    # no pair can back a failed local test; the checker must say so rather
-    # than report the table as ok
+@pytest.mark.parametrize("check", [sp.check_submodular, sp.check_monotone])
+def test_failed_bulk_test_without_a_violating_set_raises(monkeypatch, check):
+    # the cardinality function is submodular and monotone, so no set can
+    # back a failed bulk comparison; the checker must say so rather than
+    # report the table as ok
     oracle = cardinality(4).oracle()
     assert check(oracle).ok
-    monkeypatch.setattr(f"subpartition.checkers.{local}", lambda n, tab: False)
-    with pytest.raises(RuntimeError, match="no pair violates"):
+    monkeypatch.setattr("subpartition.checkers._holds", lambda vals, op, bit: False)
+    with pytest.raises(ValueError):
         check(oracle)
+
+
+def _lowered_at_the_cap(family, mask, by):
+    """The n = 13 seed-1 table of `family` with f(mask) lowered by `by`
+    scaled units."""
+    d, tab = sp.random_instance(family, 13, 1).scaled_table()
+    tab = list(tab)
+    tab[mask] -= by(d)
+    return sp.ExplicitTableFn(13, [Fraction(t, d) for t in tab], "general")
+
+
+FULL_13 = (1 << 13) - 1
+M = 1 << 12  # the element m, last of a..m
+
+
+@pytest.mark.parametrize(
+    "family, mask, by, submodular, posimodular",
+    [
+        (
+            "graph_cut", FULL_13 ^ 1, lambda d: 1,
+            ((8189, 8190), Fraction(187, 4), Fraction(281, 6)),
+            ((2, 8190), Fraction(187, 4), Fraction(281, 6)),
+        ),
+        (
+            "graph_cut", FULL_13 ^ M, lambda d: 1,
+            ((4095, 8190), Fraction(75, 2), Fraction(451, 12)),
+            ((4095, 4097), Fraction(51), Fraction(613, 12)),
+        ),
+        (
+            "graph_cut", FULL_13 ^ 3, lambda d: 1,
+            ((8185, 8188), Fraction(587, 6), Fraction(1175, 12)),
+            ((4, 8188), Fraction(901, 12), Fraction(451, 6)),
+        ),
+        (
+            "graphic_matroid", M, lambda d: 2 * d,
+            ((1, M), Fraction(0), Fraction(2)),
+            ((M, FULL_13), Fraction(9), Fraction(10)),
+        ),
+    ],
+    ids=["graph_cut-V-a", "graph_cut-V-m", "graph_cut-V-ab", "graphic_matroid-m"],
+)
+def test_failing_checks_at_the_cap_name_the_first_local_witness(
+    family, mask, by, submodular, posimodular
+):
+    # a lowered value breaks only inequalities that hold it on the left, so
+    # each witness holds the lowered set; the local tests name it in
+    # milliseconds, where a scan of the 4^n pairs took seconds
+    oracle = _lowered_at_the_cap(family, mask, by).oracle()
+    for check, local, pinned in (
+        (sp.check_submodular, _local_scan_submodular, submodular),
+        (sp.check_posimodular, _local_scan_posimodular, posimodular),
+    ):
+        res = check(oracle)
+        assert (res.witness, res.lhs, res.rhs) == pinned
+        assert (res.ok, *pinned) == local(oracle)
+        verify_witness(oracle, res)

@@ -714,7 +714,7 @@ instance: explicit_table (n=13, declared class general)
   submodular   FAIL  [submodular: violated at A={a,b}, B={a,c} (lhs=397/4, rhs=1291/12)]
   monotone     FAIL  [monotone: violated at A={a}, B={a,e} (lhs=389/12, rhs=23)]
   symmetric    PASS
-  posimodular  FAIL  [posimodular: violated at A={a,b}, B={b,d,f,g,j} (lhs=1291/12, rhs=433/4)]
+  posimodular  FAIL  [posimodular: violated at A={c,d,e,f,g,h,i,j,k,l,m}, B={a,c} (lhs=397/4, rhs=1291/12)]
 verify: FAIL
 """
 
@@ -722,7 +722,9 @@ verify: FAIL
 def test_cli_verify_names_the_first_witnesses_of_a_raised_cut_table(tmp_path, capsys):
     # symmetric but not submodular: the graph_cut table at the cap with {a}
     # and V - {a} both raised by 100 scaled units; the half-table tests must
-    # fail it, and each witness is the first one of the full pair scan
+    # fail it, and each witness is the first one of the local test on the
+    # whole table: (S+i, S+j) for submodularity, and its mirror (V-A, B)
+    # for posimodularity
     d, tab = sp.random_instance("graph_cut", 13, 1).scaled_table()
     tab = list(tab)
     tab[1] += 100
