@@ -4,21 +4,25 @@ Each checker reads the whole value table, so they are meant for ground sets
 within the enumeration cap.  Every property is decided in bulk, by
 comparisons made in C over list slices or whole lists.  The slices come
 from `_slice_pairs`, which pairs each index lacking a bit with that index
-plus the bit in at most 2^(n/2) slice pairs per bit:
+plus the bit in at most 2^(n/2) slice pairs per bit.  One walk over the
+elements computes the gains f(S+e) - f(S) of each element e once for every
+local test still running, for all properties in `check_classes` and for its
+own in each single checker:
 
 * submodular: f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and i < j
   outside S, equivalent to the condition on all subset pairs: the
-  gains f(S+i) - f(S) of each i must not grow along the bits of the j > i,
+  gains of each i must not grow along the bits of the j > i,
   about n^2 2^n / 8 comparisons;
 * posimodular: f(S+e) - f(S) >= f(V-T-e) - f(V-T) for every e and every
   S subset of T subset of V-e, also equivalent to its pair condition: per
   element a subset-min sweep over the other n-1 bits of its gains,
   skipped when they are all nonnegative (see `check_posimodular`);
-* monotone: f(S) <= f(S+v) for every v and S outside v, n 2^(n-1)
-  comparisons;
+* monotone: f(S) <= f(S+v) for every v and S outside v, that is every
+  gain nonnegative;
 * symmetric: the table equals its own reverse, since index full - S is
-  V - S.  A symmetric table takes half the work: the submodular test on
-  the sets without the last element decides both pair properties.
+  V - S.  A symmetric table takes half the work: the walk reads the sets
+  without the last element, whose n-1 gains lists decide all three other
+  properties, posimodular by the submodular test.
 
 Each violated local inequality is itself a violated pair, so a failed
 check names the first violation its own test meets: the bulk comparisons
@@ -44,6 +48,7 @@ from .core import GroundSet, ValueOracle
 
 __all__ = [
     "CheckResult",
+    "check_classes",
     "check_monotone",
     "check_posimodular",
     "check_submodular",
@@ -122,38 +127,110 @@ def _first(found):
     raise ValueError("a bulk test failed but its scan finds no violation")
 
 
-def _submodular_witness(n: int, tab: tuple[int, ...]) -> tuple[int, int] | None:
+def _submodular_at(tab, symmetric: bool, i: int, gain) -> tuple[int, int] | None:
     """The first (S+i, S+j) with f(S+i) + f(S+j) < f(S+i+j) + f(S), in the
-    module's order, or None.  In the gains of i, element j > i is bit j-1.
-    A symmetric f is read on the sets without the last element v: the
-    inequality at S is the one at V-i-j-S, the smaller set when S holds v,
-    so for j < v the first violating S lacks v; and with g(X) = f(X+i) -
+    module's order, or None, from the gains of i: element j > i is their
+    bit j-1.  A symmetric f is read on the sets without the last element v:
+    the inequality at S is the one at V-i-j-S, the smaller set when S holds
+    v, so for j < v the first violating S lacks v; and with g(X) = f(X+i) -
     f(X), g(S+v) = -g(V-v-i-S), so j = v reads g(S) + g(V-v-i-S) >= 0."""
+    bits = (1 << b for b in range(i, len(gain).bit_length() - 1))
+    bj = next((bit << 1 for bit in bits if not _holds(gain, operator.ge, bit)), None)
+    if bj is None and symmetric and min(map(operator.add, gain, reversed(gain))) < 0:
+        bj = len(tab) >> 1
+    if bj is None:
+        return None
+    bi, both = 1 << i, 1 << i | bj
+    s = _first(
+        s for s in range(len(tab))
+        if not s & both and tab[s | bi] + tab[s | bj] < tab[s | both] + tab[s]
+    )
+    return s | bi, s | bj
+
+
+def _monotone_at(tab, symmetric: bool, e: int, gain) -> tuple[int, int] | None:
+    """The first (S, S+v) with f(S) > f(S+v), by S then v, once the gains of
+    e show that one exists, else None.  On a symmetric table, whose sets
+    holding the last element v are not read, g(S+v) = -g(V-v-e-S), so the
+    gains of e are all nonnegative only when the ones read are all 0."""
+    if not any(gain) if symmetric else min(gain) >= 0:
+        return None
+    bits = [1 << v for v in range(len(tab).bit_length() - 1)]
+    return _first(
+        (s, s | bit) for s in range(len(tab)) for bit in bits if not s & bit and tab[s] > tab[s | bit]
+    )
+
+
+def _posimodular_at(tab, symmetric: bool, e: int, gain) -> tuple[int, int] | None:
+    """The first (S+e, V-T) with f(S+e) - f(S) < f(V-T-e) - f(V-T), in the
+    module's order, or None, from the gains of e on a table that is not
+    symmetric; see `check_posimodular`."""
+    if min(gain) >= 0:
+        return None  # a sum of two nonnegative gains is nonnegative
+    size, bit = len(gain), 1 << e
+    # subset-min sweep: low[t] = min of gain over the subsets of T
+    low = gain[:]
+    step = 1
+    while step < size:
+        for lacking, having, _ in _slice_pairs(size, step):
+            low[having] = [a if a < b else b for a, b in zip(low[having], low[lacking])]
+        step <<= 1
+    # index size-1-t holds V-e-T, whose gain is f(V-T) - f(V-T-e)
+    if min(map(operator.add, low, reversed(gain))) >= 0:
+        return None
+    p = _first(p for p, (a, b) in enumerate(zip(low, reversed(gain))) if a + b < 0)
+    rest, t = gain[size - 1 - p], p + (p & -bit)  # T is the p-th set lacking e
+    s = _first(s for s in range(t + 1) if s & t == s and tab[s | bit] + rest < tab[s])
+    return s | bit, len(tab) - 1 ^ t
+
+
+def _checks(oracle: ValueOracle, *names: str) -> dict[str, CheckResult]:
+    """The result of each named property, in the order named, with the first
+    violation of a failed one in the module's order and both sides of its
+    inequality there.  One walk over the elements computes the gains of each
+    element once and hands them to every local test that has not failed yet."""
+    d, tab = oracle.scaled_table()
+    tests = {"submodular": _submodular_at, "monotone": _monotone_at, "posimodular": _posimodular_at}
+    full = len(tab) - 1
     symmetric = tab == tab[::-1]
+    # a symmetric f is posimodular at (A, B) where it is submodular at (V-A, B)
+    walked = {"submodular" if symmetric and name == "posimodular" else name for name in names}
+    found = {name: None for name in tests if name in walked}
     low = tab[: len(tab) >> 1] if symmetric else tab
-    for i in range(n - 1):
-        gain = _gains(low, 1 << i)
-        bits = (1 << b for b in range(i, len(gain).bit_length() - 1))
-        bj = next((bit << 1 for bit in bits if not _holds(gain, operator.ge, bit)), None)
-        if bj is None and symmetric and min(map(operator.add, gain, reversed(gain))) < 0:
-            bj = len(low)
-        if bj is not None:
-            bi, both = 1 << i, 1 << i | bj
-            s = _first(
-                s for s in range(len(tab))
-                if not s & both and tab[s | bi] + tab[s | bj] < tab[s | both] + tab[s]
-            )
-            return s | bi, s | bj
-    return None
+    for e in range(oracle.n - symmetric):
+        pending = [name for name, witness in found.items() if witness is None]
+        if not pending or e == oracle.n - 1 and pending == ["submodular"]:
+            break  # the last element has no j > e to test submodularity at
+        gain = _gains(low, 1 << e)
+        for name in pending:
+            found[name] = tests[name](tab, symmetric, e, gain)
+    if symmetric and "posimodular" in names:
+        witness = found["submodular"]
+        found["posimodular"] = witness and (full ^ witness[0], witness[1])
+    if "symmetric" in names:
+        found["symmetric"] = None if symmetric else _first(
+            (s, full - s) for s, (fs, fc) in enumerate(zip(tab, reversed(tab))) if fs != fc
+        )
+    results = {}
+    for name in names:
+        if found[name] is None:
+            results[name] = CheckResult(name, True)
+            continue
+        a, b = found[name]
+        if name in ("monotone", "symmetric"):
+            lhs, rhs = tab[a], tab[b]
+        elif name == "submodular":
+            lhs, rhs = tab[a] + tab[b], tab[a | b] + tab[a & b]
+        else:
+            lhs, rhs = tab[a] + tab[b], tab[a & ~b] + tab[b & ~a]
+        results[name] = CheckResult(name, False, (a, b), Fraction(lhs, d), Fraction(rhs, d))
+    return results
 
 
-def _pair_result(name: str, d: int, tab, witness, rhs) -> CheckResult:
-    """The result of a pair property f(A) + f(B) >= rhs(A, B): ok when there
-    is no witness, else the witness (A, B) and both sides there."""
-    if witness is None:
-        return CheckResult(name, True)
-    a, b = witness
-    return CheckResult(name, False, witness, Fraction(tab[a] + tab[b], d), Fraction(rhs(a, b), d))
+def check_classes(oracle: ValueOracle) -> dict[str, CheckResult]:
+    """The submodular, monotone, symmetric and posimodular results, in that
+    order, from one walk; each equals the result of its own checker."""
+    return _checks(oracle, "submodular", "monotone", "symmetric", "posimodular")
 
 
 def check_submodular(oracle: ValueOracle) -> CheckResult:
@@ -161,26 +238,17 @@ def check_submodular(oracle: ValueOracle) -> CheckResult:
 
     Decided by the local test, whose first violation is the witness.
     """
-    d, tab = oracle.scaled_table()
-    witness = _submodular_witness(oracle.n, tab)
-    return _pair_result("submodular", d, tab, witness, lambda a, b: tab[a | b] + tab[a & b])
+    return _checks(oracle, "submodular")["submodular"]
 
 
 def check_monotone(oracle: ValueOracle) -> CheckResult:
     """f(S) <= f(S + {v}) for all S and v outside S (implies f(A) <= f(B)
     for every A subset of B).
 
-    Decided on list slices; the ordered scan runs only on failure, to
-    report the first witness.
+    Decided by the signs of the gains; the ordered scan runs only on
+    failure, to report the first witness.
     """
-    d, tab = oracle.scaled_table()
-    bits = [1 << v for v in range(oracle.n)]
-    if all(_holds(tab, operator.le, bit) for bit in bits):
-        return CheckResult("monotone", True)
-    s, t = _first(
-        (s, s | bit) for s in range(len(tab)) for bit in bits if not s & bit and tab[s] > tab[s | bit]
-    )
-    return CheckResult("monotone", False, (s, t), Fraction(tab[s], d), Fraction(tab[t], d))
+    return _checks(oracle, "monotone")["monotone"]
 
 
 def check_symmetric(oracle: ValueOracle) -> CheckResult:
@@ -190,41 +258,7 @@ def check_symmetric(oracle: ValueOracle) -> CheckResult:
     the table with its reverse; the scan runs only on failure, to report
     the first witness.
     """
-    d, tab = oracle.scaled_table()
-    if tab == tab[::-1]:
-        return CheckResult("symmetric", True)
-    s = _first(s for s, (fs, fc) in enumerate(zip(tab, reversed(tab))) if fs != fc)
-    c = len(tab) - 1 - s
-    return CheckResult("symmetric", False, (s, c), Fraction(tab[s], d), Fraction(tab[c], d))
-
-
-def _posimodular_witness(n: int, tab: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first (S+e, V-T) with f(S+e) - f(S) < f(V-T-e) - f(V-T), in the
-    module's order, or None; see `check_posimodular`."""
-    full = len(tab) - 1
-    if tab == tab[::-1]:
-        witness = _submodular_witness(n, tab)
-        return None if witness is None else (full ^ witness[0], witness[1])
-    size = len(tab) >> 1
-    for e in range(n):
-        bit = 1 << e
-        gain = _gains(tab, bit)
-        if min(gain) >= 0:
-            continue  # a sum of two nonnegative gains is nonnegative
-        # subset-min sweep: low[t] = min of gain over the subsets of T
-        low = gain[:]
-        step = 1
-        while step < size:
-            for lacking, having, _ in _slice_pairs(size, step):
-                low[having] = [a if a < b else b for a, b in zip(low[having], low[lacking])]
-            step <<= 1
-        # index size-1-t holds V-e-T, whose gain is f(V-T) - f(V-T-e)
-        if min(map(operator.add, low, reversed(gain))) < 0:
-            p = _first(p for p, (a, b) in enumerate(zip(low, reversed(gain))) if a + b < 0)
-            rest, t = gain[size - 1 - p], p + (p & -bit)  # T is the p-th set lacking e
-            s = _first(s for s in range(t + 1) if s & t == s and tab[s | bit] + rest < tab[s])
-            return s | bit, full ^ t
-    return None
+    return _checks(oracle, "symmetric")["symmetric"]
 
 
 def check_posimodular(oracle: ValueOracle) -> CheckResult:
@@ -244,6 +278,4 @@ def check_posimodular(oracle: ValueOracle) -> CheckResult:
     (A, B) is submodularity at (V-A, B).  The first violation of the local
     test is the witness.
     """
-    d, tab = oracle.scaled_table()
-    witness = _posimodular_witness(oracle.n, tab)
-    return _pair_result("posimodular", d, tab, witness, lambda a, b: tab[a & ~b] + tab[b & ~a])
+    return _checks(oracle, "posimodular")["posimodular"]

@@ -44,13 +44,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .checkers import (
-    check_monotone,
-    check_posimodular,
-    check_submodular,
-    check_symmetric,
-)
-from .core import NonSubmodularError, require_block_count, require_within_cap
+from .checkers import check_classes
+from .core import NonSubmodularError, ValueOracle, require_block_count, require_within_cap
 from .families import (
     FUNCTION_CLASSES,
     DigraphHyperFn,
@@ -218,8 +213,10 @@ def cmd_solve(args) -> int:
     for algorithm in args.algorithms:
         # the chain reads the whole value table, so it runs on the command's
         # oracle and still counts 2^n; each baseline gets a fresh oracle, so
-        # oracle_evals counts its own reads (greedy builds its own table)
-        solver_oracle = oracle if algorithm == "pps" else fam.oracle()
+        # oracle_evals counts its own reads, whose table is the command's
+        solver_oracle = oracle if algorithm == "pps" else ValueOracle(
+            gs, fam.value, fam.name, table=oracle.scaled_table
+        )
         started = time.perf_counter()
         result = SOLVERS[algorithm](solver_oracle, k)
         elapsed = time.perf_counter() - started
@@ -458,12 +455,7 @@ def cmd_verify(args) -> int:
     fam = load_instance(args.instance, validate=False)
     oracle = fam.oracle()
     gs = oracle.ground_set
-    results = {
-        "submodular": check_submodular(oracle),
-        "monotone": check_monotone(oracle),
-        "symmetric": check_symmetric(oracle),
-        "posimodular": check_posimodular(oracle),
-    }
+    results = check_classes(oracle)
     print(f"instance: {fam.name} (n={gs.n}, declared class {fam.function_class})")
     for name, res in results.items():
         status = "PASS" if res.ok else "FAIL"

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 import subpartition as sp
-from subpartition.checkers import _posimodular_witness, _slice_pairs, _submodular_witness
+from subpartition import checkers
+from subpartition.checkers import _slice_pairs
 
 from helpers import cardinality, mono3, omega, posi3, two_edges, zero_fn
 
@@ -132,6 +133,26 @@ def test_checkers_respect_cap(monkeypatch):
         sp.check_submodular(oracle)
 
 
+def test_single_checks_compute_only_their_own_gains(monkeypatch):
+    # each single checker walks for its own property alone: submodularity
+    # reads the gains of the n - 1 elements that have a j > i, monotonicity
+    # and posimodularity those of all n, symmetry none; all four hold here
+    # but symmetry, so no walk stops early
+    fam = sp.random_instance("graph_coverage", 6, 1)
+    computed = []
+    gains = checkers._gains
+    monkeypatch.setattr(checkers, "_gains", lambda tab, bit: computed.append(bit) or gains(tab, bit))
+    for check, walked in (
+        (sp.check_submodular, 5),
+        (sp.check_monotone, 6),
+        (sp.check_posimodular, 6),
+        (sp.check_symmetric, 0),
+    ):
+        computed.clear()
+        assert check(fam.oracle()).ok == (check is not sp.check_symmetric)
+        assert computed == [1 << e for e in range(walked)], check.__name__
+
+
 def test_mono3_is_monotone_submodular():
     oracle = mono3().oracle()
     assert sp.check_submodular(oracle).ok
@@ -242,7 +263,8 @@ def test_local_submodular_matches_pair_loop():
     outcomes = {True: 0, False: 0}
     for n, tab in tables:
         ok = _triple_loop_submodular(n, tab)
-        assert (_submodular_witness(n, tab) is None) == ok, (n, tab)
+        oracle = sp.ValueOracle(sp.GroundSet(n), None, table=lambda: (1, tab))
+        assert sp.check_submodular(oracle).ok == ok, (n, tab)
         outcomes[ok] += 1
     assert outcomes[True] > 150 and outcomes[False] > 1000
 
@@ -395,7 +417,8 @@ def test_symmetric_tables_match_pair_scans():
         tab = oracle.scaled_table()[1]
         assert tab == tab[::-1]
         submodular = _triple_loop_submodular(fam.n, tab)
-        assert (_submodular_witness(fam.n, tab) is None) == submodular, fam
+        classes = sp.check_classes(oracle)
+        assert classes["submodular"].ok == submodular, fam
         for check, scan, local in (
             (sp.check_submodular, _pair_scan_submodular, _local_scan_submodular),
             (sp.check_posimodular, _pair_scan_posimodular, _local_scan_posimodular),
@@ -409,7 +432,7 @@ def test_symmetric_tables_match_pair_scans():
             # a symmetric table is posimodular exactly when it is submodular
             assert ok == submodular
             outcomes[res.property_name, ok] += 1
-        assert (_posimodular_witness(fam.n, tab) is None) == submodular, fam
+        assert classes["posimodular"].ok == submodular, fam
     assert min(outcomes.values()) >= 50, outcomes
 
 
@@ -475,15 +498,18 @@ def test_monotone_and_symmetric_checks_match_ordered_scans():
     assert min(outcomes.values()) >= 50, outcomes
 
 
-@pytest.mark.parametrize("check", [sp.check_submodular, sp.check_monotone])
+@pytest.mark.parametrize("check", [sp.check_submodular, sp.check_monotone, sp.check_posimodular])
 def test_failed_bulk_test_without_a_violating_set_raises(monkeypatch, check):
-    # the cardinality function is submodular and monotone, so no set can
-    # back a failed bulk comparison; the checker must say so rather than
-    # report the table as ok
+    # the cardinality function is submodular, monotone and posimodular, so
+    # no set can back a failed bulk test; the checker must say so rather
+    # than report the table as ok.  Every local test reads the gains the
+    # walk computes, and gains that are negative and grow fail all three
     oracle = cardinality(4).oracle()
     assert check(oracle).ok
-    monkeypatch.setattr("subpartition.checkers._holds", lambda vals, op, bit: False)
-    with pytest.raises(ValueError):
+    monkeypatch.setattr(
+        "subpartition.checkers._gains", lambda tab, bit: list(range(-(len(tab) >> 1), 0))
+    )
+    with pytest.raises(ValueError, match="a bulk test failed but its scan finds no violation"):
         check(oracle)
 
 

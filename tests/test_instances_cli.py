@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import subpartition as sp
-from subpartition import cli, pps
+from subpartition import checkers, cli, pps
 from subpartition.cli import CSV_COLUMNS, fmt_decimal, fmt_rational, main
 
 from helpers import (
@@ -735,6 +735,74 @@ def test_cli_verify_names_the_first_witnesses_of_a_raised_cut_table(tmp_path, ca
     assert capsys.readouterr().out == RAISED_CUT_VERIFY_STDOUT
 
 
+def _verify_inputs():
+    """Tables on which each class check both holds and fails: the generator
+    families, the named constructions, and tables with one scaled entry
+    moved, or one symmetric pair raised as in the raised-cut test."""
+    inputs = [mono3(), posi3(), mono_n(5), mono_n(7), omega(5), omega(8)]
+    for family in sorted(sp.GENERATOR_FAMILIES):
+        for n in range(2, 10):
+            for seed in range(3):
+                fam = sp.random_instance(family, n, seed)
+                inputs.append(fam)
+                d, tab = fam.scaled_table()
+                rng = random.Random(f"verify-walk:{family}:{n}:{seed}")
+                mask, by = rng.randrange(1 << n), rng.choice((-1, 1))
+                moved = [list(tab) for _ in range(2)]
+                moved[0][mask] += by
+                moved[1][mask] += by
+                moved[1][-1 - mask] += by
+                for values in moved:
+                    inputs.append(sp.ExplicitTableFn(n, [Fraction(t, d) for t in values]))
+    return inputs
+
+
+def test_cli_verify_prints_the_single_checkers_results(tmp_path, capsys):
+    # verify decides all four classes in one walk over the elements' gains;
+    # check_classes must equal each checker called alone, field by field,
+    # and every line verify prints must be that checker's result (run up to
+    # n = 6, where loading a file costs less than checking it)
+    singles = (sp.check_submodular, sp.check_monotone, sp.check_symmetric, sp.check_posimodular)
+    outcomes = {(check.__name__, ok): 0 for check in singles for ok in (True, False)}
+    for fam in _verify_inputs():
+        oracle = fam.oracle()
+        results = [check(oracle) for check in singles]
+        assert list(sp.check_classes(fam.oracle()).values()) == results, fam
+        for check, r in zip(singles, results):
+            outcomes[check.__name__, r.ok] += 1
+        if fam.n > 6:
+            continue
+        main(["verify", str(write_instance(tmp_path, fam))])
+        printed = capsys.readouterr().out.splitlines()[1:5]
+        assert printed == [
+            f"  {r.property_name:<12} PASS" if r.ok
+            else f"  {r.property_name:<12} FAIL  [{r.describe(oracle.ground_set)}]"
+            for r in results
+        ], fam
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+@pytest.mark.parametrize("family, symmetric", [("graph_coverage", False), ("graph_cut", True)])
+def test_cli_verify_computes_each_gains_list_once(tmp_path, monkeypatch, family, symmetric):
+    # one walk hands each element's gains to every class test: n lists on a
+    # table that is not symmetric, and on a symmetric one n - 1 lists over
+    # its half without the last element
+    fam = sp.random_instance(family, 6, 1)
+    assert sp.check_symmetric(fam.oracle()).ok == symmetric
+    path = write_instance(tmp_path, fam)
+    computed = []
+    gains = checkers._gains
+
+    def counted(tab, bit):
+        computed.append((bit, len(tab)))
+        return gains(tab, bit)
+
+    monkeypatch.setattr(checkers, "_gains", counted)
+    main(["verify", str(path)])
+    size = 32 if symmetric else 64
+    assert computed == [(1 << e, size) for e in range(6 - symmetric)]
+
+
 def test_cli_reproduce_mono3(capsys):
     assert main(["reproduce", "--case", "mono3"]) == 0
     out = capsys.readouterr().out
@@ -979,14 +1047,27 @@ def _record_table_reads(monkeypatch):
         ["solve", "--k", "3", "--algorithms", "", "--brute-force", "--no-timing"],
         ["solve", "--k", "3", "--algorithms", "pps", "--no-timing"],
         ["solve", "--k", "3", "--algorithms", "pps", "--brute-force", "--no-timing"],
+        ["solve", "--k", "3", "--algorithms", "greedy,singleton", "--brute-force", "--no-timing"],
+        ["solve", "--k", "3", "--algorithms", "pps,greedy", "--no-timing"],
     ],
 )
 def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
-    # validation, the chain and brute force all read one oracle's table
+    # validation, the chain and brute force all read one oracle's table, and
+    # greedy's own oracle, which counts its own reads, takes that table as
+    # its builder: the family's integer table is built once per command
     path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
+    builds = []
+    integer_table = sp.GraphCutFn._integer_table
+
+    def counted(self):
+        builds.append(self)
+        return integer_table(self)
+
+    monkeypatch.setattr(sp.GraphCutFn, "_integer_table", counted)
     readers = _record_table_reads(monkeypatch)
     assert main(command + [str(path)]) == 0
-    assert len(set(readers)) == 1
+    assert len(builds) == 1
+    assert len(set(readers)) == 1 + any("greedy" in arg for arg in command)
 
 
 @pytest.mark.parametrize("k", ["0", "7"])
@@ -1062,13 +1143,20 @@ def _solve_rows(tmp_path, fam, extra):
 def test_cli_solve_greedy_evals(tmp_path, k, greedy_evals, singleton_evals):
     # greedy reads the whole table at k >= 2, like pps, and only V at k = 1;
     # singleton still counts the subsets it queried (the n singletons and
-    # the rest block, which is a singleton itself at k = n)
-    fam = sp.random_instance("graph_cut", 6, 1)
-    code, rows = _solve_rows(tmp_path, fam, ["--k", str(k)])
-    assert code == 0
-    assert rows["pps"]["oracle_evals"] == "64"
-    assert rows["greedy"]["oracle_evals"] == str(greedy_evals)
-    assert rows["singleton"]["oracle_evals"] == str(singleton_evals)
+    # the rest block, which is a singleton itself at k = n).  Greedy reads
+    # the command's table through its own oracle, which changes no row's
+    # count in any order, with or without validation and the optimum
+    path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
+    out = tmp_path / "rows.csv"
+    evals = {"pps": "64", "greedy": str(greedy_evals), "singleton": str(singleton_evals)}
+    for algorithms in ("pps,greedy,singleton", "greedy,singleton", "singleton,greedy", "greedy,pps"):
+        for flags in (["--brute-force"], ["--no-validate"]):
+            argv = ["solve", str(path), "--k", str(k), "--algorithms", algorithms]
+            assert main(argv + flags + ["--no-timing", "--csv", str(out)]) == 0
+            rows = csv.DictReader(out.read_text().splitlines())
+            assert {r["algorithm"]: r["oracle_evals"] for r in rows} == {
+                name: evals[name] for name in algorithms.split(",")
+            }, (algorithms, flags)
 
 
 def test_cli_solve_negative_optimum_attained(tmp_path):
