@@ -54,7 +54,7 @@ from .families import (
     PartitionMatroidRankFn,
     PosiTight3Fn,
 )
-from .instances import generate_batch, load_instance, require_submodular
+from .instances import GENERATOR_FAMILIES, generate_batch, load_instance, require_submodular
 from .kpartition import (
     algorithm_guarantee,
     cheapest_singleton,
@@ -89,14 +89,6 @@ CSV_COLUMNS = (
     "opt_dec",
     "ratio_dec",
     "bound_dec",
-)
-
-RANDOM_FAMILIES = (
-    "graph_cut",
-    "hypergraph_cut",
-    "graph_coverage",
-    "partition_matroid",
-    "graphic_matroid",
 )
 
 _DEC = decimal.Context(prec=12)
@@ -557,7 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the declared class used for the bound column",
     )
-    p.add_argument("--no-validate", action="store_true")
+    p.add_argument(
+        "--no-validate",
+        action="store_true",
+        help="skip the exhaustive submodularity check on load",
+    )
     p.add_argument(
         "--no-timing",
         action="store_true",
@@ -586,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("random", help="write seeded random instance files")
-    p.add_argument("--family", required=True, choices=RANDOM_FAMILIES)
+    p.add_argument("--family", required=True, choices=sorted(GENERATOR_FAMILIES))
     p.add_argument("--n", type=_int_at_least(2, "at least 2"), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_int_at_least(1, "positive"), default=1)

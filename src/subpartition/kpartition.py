@@ -70,10 +70,11 @@ class KPartitionRun(NamedTuple):
 
     On an exact hit, `partition` is the chain member with k blocks and the
     straddle fields are None.  Otherwise `below`/`above` are the chain
-    neighbors with fewer/more than k blocks, `split_block` is the block of
-    `below` that `above` refines, `piece_order` lists the pieces sorted by
-    ascending value (ties by minimum element), and the first `num_taken` of
-    them became blocks while the remaining `gap_above + 1` were merged.
+    neighbors with fewer/more than k blocks, and `piece_order` lists the
+    blocks of `above` inside the block `refined_part(below, above)` that
+    they split, by ascending value (ties by minimum element): the first
+    k - |below| of them became blocks and the remaining |above| - k + 1 were
+    merged.
     """
 
     k: int
@@ -83,10 +84,7 @@ class KPartitionRun(NamedTuple):
     sequence: PrincipalSequence
     below: Partition | None = None
     above: Partition | None = None
-    split_block: int | None = None
     piece_order: tuple[int, ...] | None = None
-    num_taken: int | None = None
-    gap_above: int | None = None
 
 
 def _straddle(pps: PrincipalSequence, k: int) -> tuple[Partition, Partition]:
@@ -137,13 +135,10 @@ def pps_k_partition(
         (blk for blk in above.blocks if blk & split),
         key=lambda blk: (tab[blk], blk & -blk),
     )
-    num_taken = k - len(below)
-    merged = 0
-    for blk in pieces[num_taken:]:
-        merged |= blk
+    taken = k - len(below)
     blocks = [blk for blk in below.blocks if blk != split]
-    blocks.extend(pieces[:num_taken])
-    blocks.append(merged)
+    blocks.extend(pieces[:taken])
+    blocks.append(sum(pieces[taken:]))  # disjoint masks: the sum is their union
     partition = Partition(n, blocks)
     return KPartitionRun(
         k=k,
@@ -153,10 +148,7 @@ def pps_k_partition(
         sequence=pps,
         below=below,
         above=above,
-        split_block=split,
         piece_order=tuple(pieces),
-        num_taken=num_taken,
-        gap_above=len(above) - k,
     )
 
 
@@ -316,9 +308,8 @@ def check_chain_lower_bounds(
 class RatioReport(NamedTuple):
     """Run value vs `optimal_k_value` vs class bound, all exact.
 
-    `ratio`, `bound_ok` and, on straddled runs, `chain_coarse_ratio` =
-    f(below)/optimum (the quantity the class analyses bound away from the
-    worst case) follow `ratio_to_optimum`: None is an unbounded ratio.
+    `ratio` and `bound_ok` follow `ratio_to_optimum`: None is an unbounded
+    ratio.
     """
 
     n: int
@@ -330,7 +321,6 @@ class RatioReport(NamedTuple):
     bound: Fraction | None
     bound_ok: bool
     exact_hit: bool
-    chain_coarse_ratio: Fraction | None
     run: KPartitionRun
 
 
@@ -345,11 +335,6 @@ def ratio_report(
     opt_value = optimal_k_value(oracle, k)
     bound = algorithm_guarantee("pps", function_class, oracle.n, k)
     ratio, bound_ok = ratio_to_optimum(run.value, opt_value, bound)
-    coarse_ratio = None
-    if not run.exact_hit:
-        d, tab = oracle.scaled_table()
-        f_below = Fraction(scaled_value(tab, run.below), d)
-        coarse_ratio, _ = ratio_to_optimum(f_below, opt_value, None)
     return RatioReport(
         n=oracle.n,
         k=k,
@@ -360,6 +345,5 @@ def ratio_report(
         bound=bound,
         bound_ok=bound_ok,
         exact_hit=run.exact_hit,
-        chain_coarse_ratio=coarse_ratio,
         run=run,
     )

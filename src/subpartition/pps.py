@@ -246,14 +246,17 @@ def _require_same_ground_set(oracle: ValueOracle, sequence: PrincipalSequence) -
 
 def _pair_attains(oracle: ValueOracle, d: int, tab: tuple, b: Fraction, lines: set, x) -> bool:
     """Whether a chain pair, whose lines at b on the oracle's table (D, tab)
-    form the set `lines`, attains g(b): at once when they equal x(V) for a
-    certificate x at b with no slack below 0 (`_slacks`), else from one
-    minimize_g call, each line against D q g(b), compared in integers."""
-    if x is not None and lines == {sum(x)} and min(_slacks(d, tab, b, x)[1:]) >= 0:
+    form the set `lines`, attains g(b): not when the two lines differ, as
+    both cannot be D q g(b); at once when they equal x(V) for a certificate
+    x at b with no slack below 0 (`_slacks`); else from one minimize_g
+    call, the line against D q g(b), compared in integers."""
+    if len(lines) > 1:
+        return False
+    (line,) = lines
+    if x is not None and line == sum(x) and min(_slacks(d, tab, b, x)[1:]) >= 0:
         return True
     best = minimize_g(oracle, b)
-    target = best.numerator * d * b.denominator
-    return all(line * best.denominator == target for line in lines)
+    return line * best.denominator == best.numerator * d * b.denominator
 
 
 def _slacks(d: int, tab: tuple[int, ...], b: Fraction, x: Sequence[int]) -> list[int]:
@@ -298,8 +301,8 @@ class PpsVerification(NamedTuple):
     `endpoints_ok and breakpoints_attained_ok`, which decides it exactly,
     so it adds no failure line of its own: the attainment or endpoint
     failure already names the point.  `samples_checked` counts the
-    breakpoints checked for attainment, each by its certificate or by one
-    minimize_g call.
+    breakpoints checked for attainment, each by its pair's two lines, its
+    certificate or one minimize_g call.
     """
 
     ok: bool
@@ -327,13 +330,14 @@ def verify_pps(
     formula and attainment failures.  A pair attains g at its breakpoint b
     when the chain's certificate for b (`PrincipalSequence.certificates`,
     kept by `compute_pps`) certifies b and its x(V) equals both members'
-    lines; otherwise one minimize_g call at b decides, in chain order
-    (`_pair_attains`).  Both tests are exact, so the result does not depend
-    on the certificates, only its cost.  A member is optimal on all of its
-    closed segment exactly when it attains g at both finite ends, because g
-    is concave and its line lies on or above g; an unbounded end needs
-    |P| = 1 ({V}) on the left and |P| = n (the singletons) on the right
-    instead.
+    lines; a pair whose two lines differ, which the formula check reports,
+    fails with no further work; otherwise one minimize_g call at b decides,
+    in chain order (`_pair_attains`).  Every test is exact, so the result
+    does not depend on the certificates, only its cost.  A member is
+    optimal on all of its closed segment exactly when it attains g at both
+    finite ends, because g is concave and its line lies on or above g; an
+    unbounded end needs |P| = 1 ({V}) on the left and |P| = n (the
+    singletons) on the right instead.
 
     `interior_samples` is accepted and ignored (the exact rule above made
     sampling redundant); a negative value raises ValueError, and so does a

@@ -1004,6 +1004,26 @@ def test_cli_random(tmp_path, capsys):
         sp.load_instance(f)
 
 
+def test_cli_random_writes_the_posimodular_family(tmp_path, capsys):
+    # `random` offers every generator family; mono_sym_combo is saved as an
+    # explicit table that verify, pps and solve read back as posimodular
+    args = ["random", "--family", "mono_sym_combo", "--n", "6", "--seed", "1", "--out-dir"]
+    assert main(args + [str(tmp_path / "a")]) == 0
+    assert main(args + [str(tmp_path / "b")]) == 0
+    path = tmp_path / "a" / "mono_sym_combo_n6_s1_000.json"
+    assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+    assert json.loads(path.read_text())["family"] == "explicit_table"
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  submodular   PASS" in lines and "  posimodular  PASS" in lines
+    assert main(["pps", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"
+    assert main(["solve", str(path), "--k", "3", "--brute-force", "--no-timing"]) == 0
+    row = next(line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("pps "))
+    assert row[4] == "true"
+
+
 def test_cli_cap_env(tmp_path, monkeypatch):
     path = write_instance(tmp_path, omega(5, 10))
     monkeypatch.setenv("SUBMOD_N_CAP", "4")

@@ -137,10 +137,7 @@ def _fraction_k_partition(oracle, k, pps):
         sequence=pps,
         below=below,
         above=above,
-        split_block=split,
         piece_order=tuple(pieces),
-        num_taken=num_taken,
-        gap_above=len(above) - k,
     )
 
 
@@ -166,14 +163,9 @@ def _fraction_ratio_report(oracle, k, function_class, pps):
     opt_value = sp.optimal_k_value(oracle, k)
     bound = sp.algorithm_guarantee("pps", function_class, oracle.n, k)
     ratio, bound_ok = sp.ratio_to_optimum(run.value, opt_value, bound)
-    coarse_ratio = None
-    if not run.exact_hit:
-        coarse_ratio, _ = sp.ratio_to_optimum(
-            partition_value(oracle, run.below), opt_value, None
-        )
     return sp.RatioReport(
         oracle.n, k, function_class, run.value, opt_value, ratio, bound, bound_ok,
-        run.exact_hit, coarse_ratio, run,
+        run.exact_hit, run,
     )
 
 

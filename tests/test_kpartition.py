@@ -40,10 +40,10 @@ def test_mono3_straddle_diagnostics():
     assert not run.exact_hit
     assert run.below == sp.trivial_partition(3)
     assert run.above == sp.singleton_partition(3)
-    assert run.split_block == 0b111
+    assert sp.refined_part(run.below, run.above) == 0b111
     assert run.piece_order == (0b001, 0b010, 0b100)
-    assert run.num_taken == 1
-    assert run.gap_above == 1
+    assert run.k - len(run.below) == 1  # pieces taken as blocks
+    assert len(run.above) - run.k == 1  # one fewer than the pieces merged
     assert run.partition == sp.Partition(3, [0b001, 0b110])
     assert run.value == 3 + 2 * EPS
 
@@ -359,9 +359,12 @@ def test_ratio_never_below_one():
 
 
 def test_chain_coarse_ratio_value():
+    # f(below)/optimum, the quantity the class analyses bound away from the
+    # worst case: ChainBoundsReport.coarse_bound over the optimum
     oracle = mono3().oracle()
     rep = sp.ratio_report(oracle, 2, "monotone")
-    assert rep.chain_coarse_ratio == (2 + 2 * EPS) / (Fraction(5, 2) + 2 * EPS)
+    bounds = sp.check_chain_lower_bounds(oracle, 2, rep.run.sequence, rep.optimal_value)
+    assert bounds.coarse_bound / rep.optimal_value == (2 + 2 * EPS) / (Fraction(5, 2) + 2 * EPS)
     assert rep.bound == Fraction(6, 5)
     assert rep.ratio <= rep.bound
     assert rep.bound_ok
@@ -391,7 +394,7 @@ def test_straddle_partition_structure():
             assert sp.refines(run.above, run.partition)
             assert sp.refines(run.partition, run.below)
             for blk in run.partition.blocks:
-                assert blk in run.below.blocks or blk & ~run.split_block == 0
+                assert blk in run.below.blocks or blk & ~sp.refined_part(run.below, run.above) == 0
 
 
 def test_precomputed_sequence_is_reused():
