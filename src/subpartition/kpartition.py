@@ -26,9 +26,9 @@ Everything here except `cheapest_singleton` and `greedy_splitting` at k = 1
 reads the oracle's scaled value table: it orders pieces and scores
 partitions and bounds in integers (`core.scaled_value`), and builds a
 Fraction only for a value it reports.  The two exceptions ask a fresh
-oracle's `eval` for only the subsets they name (n + 1 and 1) and build no
-table; `cheapest_singleton` has one reader for ordering and scoring, which
-is the table when the oracle already holds it.
+oracle's `eval` for only the subsets they name (n + 1, n at k = n, and 1)
+and build no table; `cheapest_singleton` has one reader for ordering and
+scoring, which is the table when the oracle already holds it.
 """
 
 from __future__ import annotations
@@ -330,10 +330,11 @@ def ratio_report(
     function_class: str = "general",
     pps: PrincipalSequence | None = None,
 ) -> RatioReport:
-    """Run the algorithm; compare its value with `optimal_k_value` and the bound."""
+    """Run the algorithm; compare its value with `optimal_k_value` and the
+    bound.  The bound comes first, so an unknown class reads no subset."""
+    bound = algorithm_guarantee("pps", function_class, oracle.n, k)
     run = pps_k_partition(oracle, k, pps=pps)
     opt_value = optimal_k_value(oracle, k)
-    bound = algorithm_guarantee("pps", function_class, oracle.n, k)
     ratio, bound_ok = ratio_to_optimum(run.value, opt_value, bound)
     return RatioReport(
         n=oracle.n,

@@ -17,7 +17,8 @@ This module holds the exhaustive engines under the principal-sequence search:
   bound is measured against (`ratio_report`, CLI `solve --brute-force`,
   every `reproduce` case): the value only, from an exhaustive bottom-up
   DP over (subset, blocks left) with one flat list per level, rebuilt on
-  every call,
+  every call; a level counts a remainder only where the level below holds
+  a value for it,
 * `brute_force_optimal_k_partition(oracle, k)` is the enumeration reference
   the tests check it against: it scans the k-block partitions, streamed
   lazily by the module's one partition generator `_raw_partitions(n, k)`,
@@ -180,7 +181,9 @@ def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
     Computed bottom up, one flat list per level j.  best(V, k) reaches
     best(M, j) only after k - j blocks, each holding the lowest element
     left, so level j < k needs only the masks within {k-j..n-1} with at
-    least j elements, and the top level needs only V.
+    least j elements, and the top level needs only V.  Every remainder
+    M - S lies within {k-j+1..n-1}, the masks level j - 1 computes, so it
+    counts exactly when level j - 1 holds a value for it (None otherwise).
     """
     n = oracle.n
     require_block_count(k, n)
@@ -188,7 +191,6 @@ def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
     full = (1 << n) - 1
     prev = tab  # best(M, 1)
     for j in range(2, k + 1):
-        need = j - 1  # elements the remainder M - S must keep
         lowest = 1 << (k - j)  # the masks within {k-j..n-1} are its multiples
         level = [None] * (1 << n)
         for m in range(lowest, full + 1, lowest) if j < k else (full,):
@@ -197,19 +199,13 @@ def optimal_k_value(oracle: ValueOracle, k: int) -> Fraction:
             rest = m & (m - 1)  # M - low(M), the largest remainder
             found = tab[m ^ rest] + prev[rest]
             r = (rest - 1) & rest
-            if need == 1:  # every nonempty remainder holds one block
-                while r:
-                    value = tab[m ^ r] + prev[r]
+            while r:
+                below = prev[r]
+                if below is not None:
+                    value = tab[m ^ r] + below
                     if value < found:
                         found = value
-                    r = (r - 1) & rest
-            else:
-                while r:
-                    if r.bit_count() >= need:
-                        value = tab[m ^ r] + prev[r]
-                        if value < found:
-                            found = value
-                    r = (r - 1) & rest
+                r = (r - 1) & rest
             level[m] = found
         prev = level
     return Fraction(prev[full], d)

@@ -457,6 +457,13 @@ def test_algorithm_guarantee_rejects_an_unknown_class(algorithm):
         sp.algorithm_guarantee(algorithm, "nonsense", 5, 2)
 
 
+def test_ratio_report_rejects_an_unknown_class_before_reading_the_oracle():
+    oracle = sp.random_instance("graph_cut", 5, 1).oracle()
+    with pytest.raises(ValueError, match="unknown function class 'bogus'"):
+        sp.ratio_report(oracle, 2, "bogus")
+    assert oracle.distinct_evaluations == 0
+
+
 def test_ratio_report_negative_optimum_attained():
     # f = -1 everywhere passes every class check; any 2-partition is optimal
     oracle = sp.ExplicitTableFn(4, [-1] * 16, "monotone").oracle()

@@ -963,6 +963,26 @@ def test_chain_at_the_cap():
         assert partition_value(fraction_oracle(fam), part) == opt
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 13])
+def test_optimum_hull_matches_the_chain_up_to_the_cap(n):
+    # where enumeration is too slow to be the reference, OPT_k comes from
+    # the subset DP, which shares no code with the greedy: every chain
+    # member attains OPT at its block count, the distinct breakpoints are
+    # the slopes of the hull of (k, OPT_k), and every hull vertex is a
+    # block count of the chain
+    for family in sorted(sp.GENERATOR_FAMILIES):
+        fam = sp.random_instance(family, n, 1)
+        oracle = fam.oracle()
+        opt = {k: optimal_k_value(oracle, k) for k in range(1, n + 1)}
+        seq = sp.compute_pps(oracle)
+        for part in seq.partitions:
+            assert partition_value(fraction_oracle(fam), part) == opt[len(part)], (family, len(part))
+        hull = _strict_lower_hull(opt)
+        slopes = [(opt[j] - opt[i]) / (j - i) for i, j in zip(hull, hull[1:])]
+        assert sorted(set(seq.breakpoints)) == slopes, family
+        assert set(hull) <= set(seq.block_counts()), family
+
+
 def test_computed_chains_carry_their_certificates_beside_their_identity(monkeypatch):
     # the six generator families at n = 13 (seed 1) and the random ones at
     # n = 7: the computed chain and its copy built by hand are one chain
