@@ -203,12 +203,9 @@ def cmd_solve(args) -> int:
     partitions = []
     any_violation = False
     for algorithm in args.algorithms:
-        # the chain reads the whole value table, so it runs on the command's
-        # oracle and still counts 2^n; each baseline gets a fresh oracle, so
-        # oracle_evals counts its own reads, whose table is the command's
-        solver_oracle = oracle if algorithm == "pps" else ValueOracle(
-            gs, fam.value, fam.name, table=oracle.scaled_table
-        )
+        # every algorithm, pps included, runs on a fresh oracle that borrows
+        # the command's table, so oracle_evals counts its own reads alone
+        solver_oracle = ValueOracle(gs, fam.value, fam.name, table=oracle.scaled_table)
         started = time.perf_counter()
         result = SOLVERS[algorithm](solver_oracle, k)
         elapsed = time.perf_counter() - started

@@ -117,38 +117,32 @@ def pps_k_partition(
     d, tab = oracle.scaled_table()
     counts = pps.block_counts()
 
+    below = above = pieces = None
     if k in counts:
         partition = pps.partitions[counts.index(k)]
-        return KPartitionRun(
-            k=k,
-            partition=partition,
-            value=Fraction(scaled_value(tab, partition), d),
-            exact_hit=True,
-            sequence=pps,
+    else:
+        below, above = _straddle(pps, k)
+        split = refined_part(below, above)
+        if split is None:
+            raise ValueError("chain violates single-block refinement; repair it first")
+        pieces = sorted(
+            (blk for blk in above.blocks if blk & split),
+            key=lambda blk: (tab[blk], blk & -blk),
         )
-
-    below, above = _straddle(pps, k)
-    split = refined_part(below, above)
-    if split is None:
-        raise ValueError("chain violates single-block refinement; repair it first")
-    pieces = sorted(
-        (blk for blk in above.blocks if blk & split),
-        key=lambda blk: (tab[blk], blk & -blk),
-    )
-    taken = k - len(below)
-    blocks = [blk for blk in below.blocks if blk != split]
-    blocks.extend(pieces[:taken])
-    blocks.append(sum(pieces[taken:]))  # disjoint masks: the sum is their union
-    partition = Partition(n, blocks)
+        taken = k - len(below)
+        blocks = [blk for blk in below.blocks if blk != split]
+        blocks.extend(pieces[:taken])
+        blocks.append(sum(pieces[taken:]))  # disjoint masks: the sum is their union
+        partition = Partition(n, blocks)
     return KPartitionRun(
         k=k,
         partition=partition,
         value=Fraction(scaled_value(tab, partition), d),
-        exact_hit=False,
+        exact_hit=below is None,
         sequence=pps,
         below=below,
         above=above,
-        piece_order=tuple(pieces),
+        piece_order=None if pieces is None else tuple(pieces),
     )
 
 

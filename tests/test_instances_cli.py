@@ -1072,9 +1072,10 @@ def _record_table_reads(monkeypatch):
     ],
 )
 def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
-    # validation, the chain and brute force all read one oracle's table, and
-    # greedy's own oracle, which counts its own reads, takes that table as
-    # its builder: the family's integer table is built once per command
+    # validation and brute force read the command oracle's table, and each
+    # algorithm's own oracle, which counts its own reads, takes that table
+    # as its builder: the family's integer table is built once per command,
+    # and read by the command oracle plus each named pps or greedy
     path = write_instance(tmp_path, sp.random_instance("graph_cut", 6, 1))
     builds = []
     integer_table = sp.GraphCutFn._integer_table
@@ -1087,7 +1088,8 @@ def test_cli_builds_one_value_table(tmp_path, monkeypatch, command):
     readers = _record_table_reads(monkeypatch)
     assert main(command + [str(path)]) == 0
     assert len(builds) == 1
-    assert len(set(readers)) == 1 + any("greedy" in arg for arg in command)
+    named = command[command.index("--algorithms") + 1].split(",") if "solve" in command else []
+    assert len(set(readers)) == 1 + len({"pps", "greedy"} & set(named))
 
 
 @pytest.mark.parametrize("k", ["0", "7"])

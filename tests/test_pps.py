@@ -1034,3 +1034,89 @@ def test_chain_search_frees_the_oracle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _derived_oracle(n, d, ints):
+    """A bare oracle on the integer table `ints` over the denominator d."""
+    return sp.ValueOracle(
+        sp.GroundSet(n), lambda mask: Fraction(ints[mask], d), "derived", table=lambda: (d, ints)
+    )
+
+
+def _mask_table(n, image):
+    """For each mask, the sum of image[i] over its elements i."""
+    out = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] + image[low.bit_length() - 1]
+    return out
+
+
+def test_metamorphic_relations_at_the_cap():
+    # relations that follow from the definitions, so they need no reference
+    # answer, on the six generator families at n = 13: adding a modular
+    # w >= 0 keeps the chain, a shift by c on every nonempty set moves each
+    # breakpoint by c, scaling by c multiplies each by c, and relabelling
+    # keeps the distinct breakpoints; OPT_k and the class verdicts follow
+    # (OPT_k at one k from 9..12, where the DP is cheap).  The chain itself
+    # differs under relabelling only where tied blocks split in label
+    # order, pinned below until the chain at ties is label-free
+    n = 13
+    relabelled_chains_differ = []
+    for family in sorted(sp.GENERATOR_FAMILIES):
+        rng = random.Random(f"relations:{family}")
+        d, tab = sp.random_instance(family, n, 1).scaled_table()
+        base = _derived_oracle(n, d, tab)
+        seq = sp.compute_pps(base)
+        verdicts = {name: r.ok for name, r in sp.check_classes(base).items()}
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        weight = _mask_table(n, [rng.randint(0, 5) for _ in range(n)])
+        sigma = rng.sample(range(n), n)
+        k = rng.randint(9, 12)
+        opt = optimal_k_value(base, k)
+        image = _mask_table(n, [1 << s for s in sigma])
+        relabelled = [0] * (1 << n)
+        for mask, value in enumerate(tab):
+            relabelled[image[mask]] = value
+        derived = {
+            "modular": (d, [t + d * w for t, w in zip(tab, weight)]),
+            "shift": (
+                d * c.denominator,
+                [t * c.denominator + (d * c.numerator if m else 0) for m, t in enumerate(tab)],
+            ),
+            "scale": (d * c.denominator, [t * c.numerator for t in tab]),
+            "relabel": (d, relabelled),
+        }
+        for relation, (dd, ints) in derived.items():
+            oracle = _derived_oracle(n, dd, ints)
+            out = sp.compute_pps(oracle)
+            got = {name: r.ok for name, r in sp.check_classes(oracle).items()}
+            where = (family, relation)
+            assert optimal_k_value(oracle, k) == {
+                "modular": opt + weight[-1],
+                "shift": opt + c * k,
+                "scale": opt * c,
+                "relabel": opt,
+            }[relation], where
+            if relation == "relabel":
+                assert sorted(set(out.breakpoints)) == sorted(set(seq.breakpoints)), where
+                mapped = [sp.Partition(n, [image[b] for b in p.blocks]) for p in seq.partitions]
+                if out.partitions != tuple(mapped):
+                    relabelled_chains_differ.append((family, seq.block_counts(), out.block_counts()))
+            else:
+                assert out.partitions == seq.partitions, where
+                moved = {
+                    "modular": list(seq.breakpoints),
+                    "shift": [b + c for b in seq.breakpoints],
+                    "scale": [b * c for b in seq.breakpoints],
+                }[relation]
+                assert list(out.breakpoints) == moved, where
+            if relation in ("scale", "relabel"):
+                assert got == verdicts, where
+            else:
+                assert got["submodular"] == verdicts["submodular"], where
+                for name in ("monotone", "posimodular"):
+                    assert got[name] or not verdicts[name], (where, name)
+    assert relabelled_chains_differ == [
+        ("partition_matroid", (1, 6, 7, 8, 10, 12, 13), (1, 6, 7, 8, 9, 11, 13)),
+    ]
