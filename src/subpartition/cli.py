@@ -15,6 +15,9 @@ and expected value, with a formatter for values, counts and flags, and
 `solve` runs the algorithms named in the `SOLVERS` table, which also gives
 the `--algorithms` default and checks the names at parse time.
 
+`main` builds its parser once per process and may be called repeatedly.  A
+command runs without Python's 4300-digit int/str limit, so any value prints.
+
 Exit codes: 0 success, 1 failed check (a reproduce FAIL, a violated bound,
 a non-submodular instance under `verify`), 2 usage, parse, or validation
 error, 3 internal invariant failure.
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import json
 import operator
 import sys
@@ -507,6 +511,7 @@ def _algorithm_list(text: str) -> list[str]:
     return names
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subpartition",
@@ -596,11 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # Python before 3.10.7 has no limit on int/str conversion to lift
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -609,6 +617,8 @@ def main(argv=None) -> int:
     except NonSubmodularError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        set_digits(digits)
 
 
 def run() -> None:

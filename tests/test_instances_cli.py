@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import copy
 import csv
 import json
@@ -978,6 +980,131 @@ def test_cli_installed_entry_point(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 0
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    # every parser argparse makes, the subcommands' included, is counted
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    path = str(write_instance(tmp_path, mono3()))
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        for argv in (["verify", path], ["pps", path], ["solve", path, "--k", "2"], ["frobnicate"]):
+            main(argv)
+    finally:
+        cli.build_parser.cache_clear()
+    subcommands = ["pps", "solve", "reproduce", "random", "verify"]
+    assert built == ["subpartition"] + [f"subpartition {name}" for name in subcommands]
+
+
+def test_cli_calls_leak_nothing_into_later_calls(tmp_path, monkeypatch, capsys):
+    # the same calls in one order and then in the reverse order: each call
+    # prints, writes and returns the same either way, so no option of one
+    # call reaches the next through the reused parser
+    monkeypatch.setenv("COLUMNS", "80")
+    path = str(write_instance(tmp_path, mono3()))
+    rows = tmp_path / "rows.csv"
+    solve = ["solve", path, "--k", "2", "--no-timing"]
+    calls = [
+        solve + ["--brute-force", "--csv", str(rows)],
+        solve + ["--brute-force"],
+        solve + ["--algorithms", "greedy"],
+        solve,
+        ["solve", path],
+        ["solve", "--help"],
+        solve + ["--brute-force", "--function-class", "symmetric"],
+        solve + ["--brute-force"],
+        ["reproduce", "--case", "mono3", "--eps", "1/2"],
+        ["reproduce", "--case", "mono3"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        written = rows.read_bytes() if rows.exists() else None
+        rows.unlink(missing_ok=True)
+        return code, out, err, written
+
+    forward = [run(argv) for argv in calls]
+    backward = [run(argv) for argv in reversed(calls)][::-1]
+    for argv, once, again in zip(calls, forward, backward):
+        assert once == again, argv
+    assert [code for code, *_ in forward] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
+    assert [written is not None for *_, written in forward] == [True] + [False] * 9
+    assert "the following arguments are required: --k" in forward[4][2]
+    assert forward[5][1].startswith("usage: subpartition solve")
+
+
+def test_cli_help_wraps_to_the_width_at_print_time(monkeypatch, capsys):
+    # the parser is built once, but each help is laid out for the COLUMNS of
+    # its own call, as a parser built afresh lays it out
+    helps = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["solve", "--help"]) == 0
+        printed = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(["solve", "--help"])
+        assert printed == capsys.readouterr().out, columns
+        helps.append(printed)
+    assert helps[0] != helps[1]
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    """Python's int/str conversion limit set to `limit` (0: none) for the
+    block, and the caller's limit restored after it."""
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+def test_cli_prints_values_past_the_int_digit_limit(tmp_path, capsys):
+    # 10 c(2n - c) in c = |S| is strictly submodular, and 1/(10^1200 + 2m + 1)
+    # keeps it so; a sum over several blocks has a denominator of more than
+    # 4300 digits, which str() refuses at Python's default limit
+    n = 4
+    table = [
+        10 * c * (2 * n - c) + Fraction(1, 10**1200 + 2 * m + 1)
+        for m, c in ((m, bin(m).count("1")) for m in range(1 << n))
+    ]
+    fam = sp.ExplicitTableFn(n, table, "general")
+    path = str(write_instance(tmp_path, fam))
+    sequence = sp.compute_pps(fam.oracle())
+    optimum = sp.optimal_k_value(fam.oracle(), n)
+    argvs = (
+        ["pps", path],
+        ["pps", path, "--json"],
+        ["solve", path, "--k", str(n), "--brute-force", "--no-timing"],
+        ["pps", str(tmp_path / "missing.json")],
+    )
+    printed = []
+    with _int_digit_limit(4300):
+        for argv, code in zip(argvs, (0, 0, 0, 2)):
+            assert main(argv) == code, capsys.readouterr().err
+            printed.append(capsys.readouterr().out)
+            assert sys.get_int_max_str_digits() == 4300, argv
+    text, doc, solved, _ = printed
+    with _int_digit_limit(0):
+        assert len(str(optimum.denominator)) > 4300
+        assert max(len(str(b.denominator)) for b in sequence.breakpoints) > 4300
+        breakpoints = re.findall(r"^ +breakpoint (\S+)$", text, re.MULTILINE)
+        assert breakpoints == [str(b) for b in sequence.breakpoints]
+        pairs = [[b.numerator, b.denominator] for b in sequence.breakpoints]
+        assert json.loads(doc)["breakpoints"] == pairs
+        assert f"optimal value: {optimum} (" in solved
 
 
 def test_cli_random(tmp_path, capsys):
